@@ -61,6 +61,7 @@ import (
 // internal/chaos the PR-3 fuzzing harness; extend this list as packages
 // graduate to "documentation-complete".
 var checkedPackages = []string{
+	"internal/core",
 	"internal/obs",
 	"internal/chaos",
 	"internal/dataflow",

@@ -63,7 +63,15 @@ func main() {
 	ctx.Ctx = sigCtx
 	defer ctx.Close()
 	if *names != "" {
-		ctx.Names = strings.Split(*names, ",")
+		// Resolve every name before anything runs: an unknown one would
+		// otherwise filter silently to an empty table.
+		for _, n := range strings.Split(*names, ",") {
+			n = strings.TrimSpace(n)
+			if _, err := workloads.ByName(n); err != nil {
+				fatal(err)
+			}
+			ctx.Names = append(ctx.Names, n)
+		}
 	}
 	var sink *obs.JSONL
 	if *traceOut != "" {

@@ -57,20 +57,24 @@ type Config struct {
 	// the moment every slave is busy. Zero means 4x Slaves.
 	TaskBuffer int
 
-	// MasterCPI and SlaveCPI are cycles per instruction for the master and
-	// slave cores. The master is typically modeled as the same core type
-	// (speedup comes from the distilled program being shorter, not from a
-	// faster clock), but the ratio is configurable.
+	// MasterCPI is cycles per instruction for the master core. The master
+	// is typically modeled as the same core type as the slaves (speedup
+	// comes from the distilled program being shorter, not from a faster
+	// clock), but the ratio is configurable.
 	MasterCPI float64
-	SlaveCPI  float64
+	// SlaveCPI is cycles per instruction for the slave cores, which also
+	// run sequential mode.
+	SlaveCPI float64
 
 	// SpawnLatency is the delay, in cycles, between the master retiring a
 	// FORK and the assigned slave starting the task (checkpoint transfer).
 	SpawnLatency float64
 
 	// CommitLatency is the fixed cost of verifying and committing one
-	// task; CommitPerWord adds cost per live-in plus live-out word.
+	// task.
 	CommitLatency float64
+	// CommitPerWord is the verify/commit cost per live-in plus live-out
+	// word, on top of CommitLatency.
 	CommitPerWord float64
 
 	// SquashPenalty is the cost of discarding speculative state and
@@ -230,21 +234,28 @@ func DefaultConfig() Config {
 	}
 }
 
+// validate checks the structural parameters both engines read.
 func (c *Config) validate() error {
 	if c.Slaves < 1 {
-		return fmt.Errorf("core: need at least one slave, got %d", c.Slaves)
-	}
-	if c.MasterCPI <= 0 || c.SlaveCPI <= 0 {
-		return fmt.Errorf("core: CPIs must be positive")
+		return fmt.Errorf("need at least one slave, got %d", c.Slaves)
 	}
 	if c.MaxTaskLen == 0 {
-		return fmt.Errorf("core: MaxTaskLen must be positive")
-	}
-	if c.SpawnLatency < 0 || c.CommitLatency < 0 || c.CommitPerWord < 0 || c.SquashPenalty < 0 {
-		return fmt.Errorf("core: negative latency")
+		return fmt.Errorf("MaxTaskLen must be positive")
 	}
 	if c.MasterRunaheadCap == 0 {
-		return fmt.Errorf("core: MasterRunaheadCap must be positive")
+		return fmt.Errorf("MasterRunaheadCap must be positive")
+	}
+	return nil
+}
+
+// validateTiming checks the cycle model's parameters, which only Machine
+// reads.
+func (c *Config) validateTiming() error {
+	if c.MasterCPI <= 0 || c.SlaveCPI <= 0 {
+		return fmt.Errorf("CPIs must be positive")
+	}
+	if c.SpawnLatency < 0 || c.CommitLatency < 0 || c.CommitPerWord < 0 || c.SquashPenalty < 0 {
+		return fmt.Errorf("negative latency")
 	}
 	return nil
 }

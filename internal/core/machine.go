@@ -2,62 +2,35 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
-	"mssp/internal/cpu"
 	"mssp/internal/distill"
-	"mssp/internal/fuse"
 	"mssp/internal/isa"
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
 
 // pend is a spawned task waiting, executing, or awaiting verification.
 type pend struct {
-	t      *task.Task
+	InFlight
 	closed bool // end PC known (or declared endless during drain)
 
 	forkAt   float64 // master clock at spawn
 	closedAt float64 // master clock when the end-defining fork was taken
-
-	ex *task.Exec // cached functional execution (lazy)
-
-	// applied lists the live-in predictions written into the task's
-	// checkpoint, for grading at verify; exact marks the first fork of a
-	// master life, whose checkpoint is architected state verbatim and
-	// therefore trains nothing (it would double-count the squash point).
-	applied []predict.Pred
-	exact   bool
 }
 
 // Machine is one MSSP machine instance, single-use: construct, Run, inspect.
+// The embedded Retirer is the verify/commit unit; Machine adds the
+// deterministic schedule and the cycle model around it.
 type Machine struct {
-	cfg  Config
-	orig *isa.Program
-	dist *distill.Result
+	Retirer
 
-	anchors map[uint64]bool
-	arch    *state.State
-	master  master
-
-	// origCode and distCode are the predecoded original and distilled
-	// programs (nil when Config.DisableFastPath). They are immutable and
-	// shared: spawned tasks carry origCode, the master runs over distCode.
-	origCode *isa.DecodedProgram
+	master master
+	// distCode is the predecoded distilled program (nil when
+	// Config.DisableFastPath), immutable and shared by every master life.
 	distCode *isa.DecodedProgram
-	// codeClean reports that the architected code segment still matches
-	// origCode. Committed live-outs and fallback stores can, in principle,
-	// write code addresses; the machine stops handing origCode to new tasks
-	// the moment one does. In-flight tasks keep their table: their snapshots
-	// predate the modification.
-	codeClean bool
 
 	queue []*pend // program order; tail may be open
 
-	// pool recycles task scratch and architected snapshots across task
-	// lives; retired tasks are released in verifyHead and squashAndRecover.
-	pool task.Pool
 	// shareCk allows checkpoints to share (rather than re-snapshot) the
 	// master's diff when it is provably unchanged. Disabled under fault
 	// injection, whose CorruptCheckpoint hook mutates checkpoint diffs in
@@ -67,21 +40,9 @@ type Machine struct {
 	slaveFree     []float64
 	commitFree    float64
 	lastCommitEnd float64
-
-	metrics Metrics
-	taskSeq uint64
-	done    bool
-
-	lastSquashCommitted uint64
-	anySquash           bool
-
-	// plan is the predictor's reseed-frozen consultation snapshot;
-	// lifeCount counts consulted forks per site within the current master
-	// life (the chain index), and firstFork marks the life's first spawn —
-	// the exact task, never consulted and never trained.
-	plan      *predict.Plan
-	lifeCount map[uint64]int
-	firstFork bool
+	// at is the model time the Retirer's next lifecycle events are stamped
+	// with (see stamp).
+	at float64
 }
 
 // Result is the outcome of a completed run.
@@ -96,64 +57,41 @@ type Result struct {
 
 // New builds a machine for the given original program and distillation.
 func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err := cfg.validateTiming(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := orig.Validate(); err != nil {
-		return nil, fmt.Errorf("core: original program: %w", err)
+	m := &Machine{}
+	if err := m.Init(orig, dist, cfg, m.stamp); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.MaxCommitted == 0 {
-		cfg.MaxCommitted = 10_000_000_000
-	}
-	if cfg.SP == 0 {
-		cfg.SP = 1 << 28
-	}
-	if cfg.TaskBuffer == 0 {
-		cfg.TaskBuffer = 4 * cfg.Slaves
-	}
-	if cfg.TaskBuffer < cfg.Slaves {
-		cfg.TaskBuffer = cfg.Slaves
-	}
-	m := &Machine{
-		cfg:       cfg,
-		orig:      orig,
-		dist:      dist,
-		anchors:   dist.AnchorSet(),
-		arch:      state.NewFromProgram(orig, cfg.SP),
-		slaveFree: make([]float64, cfg.Slaves),
-		shareCk:   cfg.Fault == nil,
-	}
-	if !cfg.DisableFastPath {
-		if cfg.DisableFusion {
-			m.origCode = isa.Predecode(orig)
-		} else {
-			// Slaves retire fused groups; the anchor set keeps every fork
-			// target out of group interiors so a task can always stop on an
-			// end-anchor crossing (the slave loop guards dynamically too).
-			m.origCode = fuse.Predecode(orig, fuse.Options{Anchors: m.anchors})
-		}
+	m.slaveFree = make([]float64, m.Cfg.Slaves)
+	m.shareCk = m.Cfg.Fault == nil
+	if !m.Cfg.DisableFastPath {
 		// The deterministic master steps one distilled instruction per
 		// simulation event (master.go), so a fused table on distCode would
 		// never be consulted: plain predecode suffices.
 		m.distCode = isa.Predecode(dist.Prog)
-		m.codeClean = true
 	}
 	return m, nil
+}
+
+// stamp is the Machine's Clock: model time at, plus sequential mode's
+// instructions at slave speed.
+func (m *Machine) stamp(steps uint64) float64 {
+	return m.at + float64(steps)*m.Cfg.SlaveCPI
 }
 
 // Run executes the program to completion under MSSP and returns the result.
 func (m *Machine) Run() (*Result, error) {
 	m.reseed(0)
 
-	for !m.done {
-		if m.metrics.CommittedInsts > m.cfg.MaxCommitted {
-			return nil, fmt.Errorf("core: committed instructions exceeded MaxCommitted=%d", m.cfg.MaxCommitted)
+	for !m.Done {
+		if m.Metrics.CommittedInsts > m.Cfg.MaxCommitted {
+			return nil, fmt.Errorf("core: committed instructions exceeded MaxCommitted=%d", m.Cfg.MaxCommitted)
 		}
 
 		if !m.master.alive {
-			if err := m.drain(); err != nil {
-				return nil, err
-			}
+			m.drain()
 			continue
 		}
 
@@ -164,9 +102,9 @@ func (m *Machine) Run() (*Result, error) {
 
 		// The fork closes the open task, if any.
 		if open := m.openTask(); open != nil {
-			open.t.End = anchor
-			open.t.EndCount = count
-			open.t.HasEnd = true
+			open.T.End = anchor
+			open.T.EndCount = count
+			open.T.HasEnd = true
 			open.closed = true
 			open.closedAt = m.master.clock
 		}
@@ -180,7 +118,7 @@ func (m *Machine) Run() (*Result, error) {
 		// Enforce in-flight capacity: the master stalls until the oldest
 		// task's slot frees.
 		squashed := false
-		for !m.done && len(m.queue) >= m.cfg.TaskBuffer {
+		for !m.Done && len(m.queue) >= m.Cfg.TaskBuffer {
 			if m.verifyHead() {
 				squashed = true
 				break
@@ -189,15 +127,15 @@ func (m *Machine) Run() (*Result, error) {
 				m.master.clock = m.lastCommitEnd // stall
 			}
 		}
-		if squashed || m.done {
+		if squashed || m.Done {
 			continue
 		}
 
 		m.spawn(anchor)
 	}
 
-	m.metrics.Cycles = maxf(m.lastCommitEnd, m.commitFree)
-	return &Result{Metrics: m.metrics, Final: m.arch, Cycles: m.metrics.Cycles}, nil
+	m.Metrics.Cycles = maxf(m.lastCommitEnd, m.commitFree)
+	return &Result{Metrics: m.Metrics, Final: m.Arch, Cycles: m.Metrics.Cycles}, nil
 }
 
 // openTask returns the youngest task if its end is still unknown.
@@ -208,122 +146,20 @@ func (m *Machine) openTask() *pend {
 	return nil
 }
 
-// predictOn reports whether the predictor participates in this run: like
-// checkpoint sharing (shareCk), prediction is gated off entirely under
-// fault injection so a corrupted checkpoint can never reach the table.
-func (m *Machine) predictOn() bool {
-	return m.cfg.Predictor != nil && m.cfg.Fault == nil
-}
-
-// consult overrides the checkpoint's unresolved registers with the frozen
-// plan's forecasts for this site's next consulted fork, returning the
-// applied predictions for grading at verify. The first fork of a life is
-// exact (the master has only executed the FORK at the architected PC) and
-// is never consulted.
-func (m *Machine) consult(anchor uint64, ck *task.Checkpoint) []predict.Pred {
-	first := m.firstFork
-	m.firstFork = false
-	if !m.predictOn() || first {
-		return nil
-	}
-	j := m.lifeCount[anchor]
-	m.lifeCount[anchor]++
-	var applied []predict.Pred
-	for mask := m.dist.PredictableRegs[anchor]; mask != 0; mask &= mask - 1 {
-		r := bits.TrailingZeros32(mask)
-		if v, ok := m.plan.Predict(anchor, r, j); ok {
-			ck.Regs[r] = v
-			applied = append(applied, predict.Pred{Reg: r, Val: v})
-		}
-	}
-	return applied
-}
-
-// train delivers one verified outcome to the predictor (no-op when
-// prediction is off or the task is the life's exact first fork). It must
-// run before the task's live-outs are applied: the architected state it
-// hands over is the truth for the task's live-ins.
-func (m *Machine) train(h *pend, committed bool, reason string) {
-	if !m.predictOn() || h.exact {
-		return
-	}
-	hits, misses := m.cfg.Predictor.Train(predict.Observation{
-		Site:      h.t.Start,
-		Applied:   h.applied,
-		LiveIn:    h.ex.LiveIn,
-		Arch:      m.arch,
-		Committed: committed,
-		Reason:    reason,
-	})
-	m.metrics.PredictHits += uint64(hits)
-	m.metrics.PredictMisses += uint64(misses)
-}
-
 // spawn creates a new open task starting at the given anchor.
 func (m *Machine) spawn(anchor uint64) {
-	start := anchor
-	ck := m.checkpoint()
-	exact := m.firstFork
-	applied := m.consult(anchor, &ck)
-	if f := m.cfg.Fault; f != nil {
-		// Injection corrupts only the spawning task's predictions — the
-		// open task's end anchor keeps the uncorrupted value, so one
-		// injected fault stays one fault.
-		if f.CorruptStart != nil {
-			start = f.CorruptStart(m.taskSeq, anchor)
-		}
-		if f.CorruptCheckpoint != nil {
-			f.CorruptCheckpoint(m.taskSeq, &ck)
-		}
-	}
+	m.at = m.master.clock
 	p := &pend{
-		t: &task.Task{
-			ID:         m.taskSeq,
-			Start:      start,
-			Checkpoint: ck,
-			Snap:       m.archSnapshot(),
-			Code:       m.taskCode(),
-			NonSpec:    m.cfg.NonSpecRegions,
-		},
-		forkAt:  m.master.clock,
-		applied: applied,
-		exact:   exact,
+		InFlight: m.Fork(anchor, m.checkpoint(), len(m.queue)),
+		forkAt:   m.master.clock,
 	}
-	m.taskSeq++
-	m.metrics.Forks++
-	m.metrics.CheckpointNew += uint64(ck.NewDiffWords)
-	m.metrics.RunaheadSum += uint64(len(m.queue))
 	m.queue = append(m.queue, p)
-	m.emit(LifecycleEvent{
-		Kind:   LifecycleFork,
-		Cycle:  m.master.clock,
-		TaskID: p.t.ID,
-		Start:  p.t.Start,
-		Queue:  len(m.queue),
-	})
-	if len(applied) > 0 {
-		m.metrics.PredictApplied += uint64(len(applied))
-		m.emit(LifecycleEvent{
-			Kind:   LifecyclePredict,
-			Cycle:  m.master.clock,
-			TaskID: p.t.ID,
-			Start:  p.t.Start,
-			Preds:  len(applied),
-		})
-	}
-}
-
-// emit delivers a lifecycle event to the configured observer, if any.
-func (m *Machine) emit(ev LifecycleEvent) {
-	if m.cfg.OnLifecycle != nil {
-		m.cfg.OnLifecycle(ev)
-	}
 }
 
 // processDue verifies closed head tasks whose commit completes by time now.
 // Reports whether a squash occurred.
 func (m *Machine) processDue(now float64) bool {
-	for !m.done && len(m.queue) > 0 && m.queue[0].closed {
+	for !m.Done && len(m.queue) > 0 && m.queue[0].closed {
 		h := m.queue[0]
 		m.ensureExec(h)
 		if vt := m.commitTimeOf(h); vt > now {
@@ -339,7 +175,7 @@ func (m *Machine) processDue(now float64) bool {
 // drain handles a dead master: verify whatever is in flight (the youngest
 // task runs to halt or the cap), then make progress sequentially and try to
 // revive the master.
-func (m *Machine) drain() error {
+func (m *Machine) drain() {
 	if len(m.queue) > 0 {
 		h := m.queue[0]
 		if !h.closed {
@@ -348,40 +184,24 @@ func (m *Machine) drain() error {
 			// End remains unknown: the task runs until halt or cap.
 		}
 		m.verifyHead()
-		return nil
+		return
 	}
-	// Nothing in flight: advance non-speculatively, then reseed.
+	// Nothing in flight: advance non-speculatively, then reseed. If the
+	// architected PC does not map into the distilled program the master
+	// stays dead and the next drain call falls back again; forward progress
+	// is guaranteed because sequential mode always executes at least one
+	// instruction.
 	m.seqFallback()
-	if m.done {
-		return nil
+	if !m.Done {
+		m.reseed(maxf(m.lastCommitEnd, m.master.clock))
 	}
-	now := maxf(m.lastCommitEnd, m.master.clock)
-	m.reseed(now)
-	if !m.master.alive {
-		// Architected PC does not map into the distilled program; keep
-		// making sequential progress (the next drain call falls back
-		// again). Forward progress is guaranteed because seqFallback
-		// always executes at least one instruction.
-		return nil
-	}
-	return nil
 }
 
 // ensureExec runs the task's functional execution once, on pooled scratch.
 func (m *Machine) ensureExec(p *pend) {
-	if p.ex == nil {
-		p.ex = m.pool.Execute(p.t, m.cfg.MaxTaskLen)
+	if p.Ex == nil {
+		p.Ex = m.Pool.Execute(p.T, m.Cfg.MaxTaskLen)
 	}
-}
-
-// release returns a retired task's pooled resources (execution scratch and
-// architected snapshot). Must run only once per task, after its last use —
-// the commit in verifyHead or the discard in squashAndRecover.
-func (m *Machine) release(p *pend) {
-	m.pool.Release(p.ex)
-	p.ex = nil
-	m.pool.ReleaseState(p.t.Snap)
-	p.t.Snap = nil
 }
 
 // slavePick returns the index of the earliest-free slave.
@@ -399,22 +219,22 @@ func (m *Machine) slavePick() int {
 // without committing it.
 func (m *Machine) commitTimeOf(h *pend) float64 {
 	sl := m.slavePick()
-	st := maxf(h.forkAt+m.cfg.SpawnLatency, m.slaveFree[sl])
-	ct := st + float64(h.ex.Steps)*m.cfg.SlaveCPI + m.slaveDelayOf(h)
-	if h.ex.Outcome == task.OutcomeReachedEnd {
+	st := maxf(h.forkAt+m.Cfg.SpawnLatency, m.slaveFree[sl])
+	ct := st + float64(h.Ex.Steps)*m.Cfg.SlaveCPI + m.slaveDelayOf(h)
+	if h.Ex.Outcome == task.OutcomeReachedEnd {
 		// The slave only knows it is done once the master has named the
 		// next task's start.
 		ct = maxf(ct, h.closedAt)
 	}
-	words := float64(h.ex.LiveIn.Len() + h.ex.LiveOut.Len())
-	return maxf(ct, m.commitFree) + m.cfg.CommitLatency + m.cfg.CommitPerWord*words + m.verifyJitterOf(h)
+	words := float64(h.Ex.LiveIn.Len() + h.Ex.LiveOut.Len())
+	return maxf(ct, m.commitFree) + m.Cfg.CommitLatency + m.Cfg.CommitPerWord*words + m.verifyJitterOf(h)
 }
 
 // slaveDelayOf returns the injected extra slave-completion latency for a
 // task (zero without fault injection).
 func (m *Machine) slaveDelayOf(h *pend) float64 {
-	if f := m.cfg.Fault; f != nil && f.SlaveDelay != nil {
-		if d := f.SlaveDelay(h.t.ID); d > 0 {
+	if f := m.Cfg.Fault; f != nil && f.SlaveDelay != nil {
+		if d := f.SlaveDelay(h.T.ID); d > 0 {
 			return d
 		}
 	}
@@ -424,8 +244,8 @@ func (m *Machine) slaveDelayOf(h *pend) float64 {
 // verifyJitterOf returns the injected extra verification latency for a task
 // (zero without fault injection).
 func (m *Machine) verifyJitterOf(h *pend) float64 {
-	if f := m.cfg.Fault; f != nil && f.VerifyJitter != nil {
-		if d := f.VerifyJitter(h.t.ID); d > 0 {
+	if f := m.Cfg.Fault; f != nil && f.VerifyJitter != nil {
+		if d := f.VerifyJitter(h.T.ID); d > 0 {
 			return d
 		}
 	}
@@ -440,276 +260,91 @@ func (m *Machine) verifyHead() (squashed bool) {
 
 	// Timing.
 	sl := m.slavePick()
-	st := maxf(h.forkAt+m.cfg.SpawnLatency, m.slaveFree[sl])
-	compute := st + float64(h.ex.Steps)*m.cfg.SlaveCPI + m.slaveDelayOf(h)
+	st := maxf(h.forkAt+m.Cfg.SpawnLatency, m.slaveFree[sl])
+	compute := st + float64(h.Ex.Steps)*m.Cfg.SlaveCPI + m.slaveDelayOf(h)
 	ct := compute
-	if h.ex.Outcome == task.OutcomeReachedEnd {
+	if h.Ex.Outcome == task.OutcomeReachedEnd {
 		ct = maxf(ct, h.closedAt)
 	}
-	words := float64(h.ex.LiveIn.Len() + h.ex.LiveOut.Len())
-	vt := maxf(ct, m.commitFree) + m.cfg.CommitLatency + m.cfg.CommitPerWord*words + m.verifyJitterOf(h)
+	words := float64(h.Ex.LiveIn.Len() + h.Ex.LiveOut.Len())
+	vt := maxf(ct, m.commitFree) + m.Cfg.CommitLatency + m.Cfg.CommitPerWord*words + m.verifyJitterOf(h)
 
-	m.emit(LifecycleEvent{
+	m.Emit(LifecycleEvent{
 		Kind:   LifecycleDispatch,
 		Cycle:  st,
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
+		TaskID: h.T.ID,
+		Start:  h.T.Start,
 		Slave:  sl,
 	})
-	m.emit(LifecycleEvent{
+	m.Emit(LifecycleEvent{
 		Kind:   LifecycleVerify,
 		Cycle:  maxf(ct, m.commitFree),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
+		TaskID: h.T.ID,
+		Start:  h.T.Start,
 	})
 
-	// Functional verification. forceFallback marks squashes whose recovery
-	// must run sequential mode before re-engaging the master (non-idempotent
-	// accesses have to execute architecturally, exactly once).
-	fail := func(reason string, inc *state.Inconsistency, forceFallback bool) {
-		m.train(h, false, reason)
-		if m.cfg.OnSquash != nil {
-			ev := SquashEvent{
-				TaskID:        h.t.ID,
-				Start:         h.t.Start,
-				Reason:        reason,
-				Inconsistency: inc,
-				Discarded:     len(m.queue) - 1,
-			}
-			if h.ex != nil {
-				ev.Steps = h.ex.Steps
-				ev.LiveIn = h.ex.LiveIn
-			}
-			m.cfg.OnSquash(ev)
-		}
-		m.emit(LifecycleEvent{
-			Kind:      LifecycleSquash,
-			Cycle:     vt,
-			TaskID:    h.t.ID,
-			Start:     h.t.Start,
-			Reason:    reason,
-			Discarded: len(m.queue) - 1,
-		})
-		m.squashAndRecover(vt, forceFallback)
-	}
-	if f := m.cfg.Fault; f != nil {
-		// Injected failures take precedence over functional verification:
-		// a dropped completion or a forced fallback happens regardless of
-		// what the slave computed.
-		if f.DropCompletion != nil && f.DropCompletion(h.t.ID) {
-			m.metrics.TasksDropped++
-			fail(SquashDropped, nil, false)
-			return true
-		}
-		if f.ForceFallback != nil && f.ForceFallback(h.t.ID) {
-			m.metrics.TasksForced++
-			fail(SquashForced, nil, true)
-			return true
-		}
-	}
-	switch {
-	case h.t.Start != m.arch.PC:
-		m.metrics.TasksStartMismatch++
-		fail(SquashStartMismatch, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeOverflow:
-		m.metrics.TasksOverflowed++
-		fail(SquashOverflow, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeFault:
-		m.metrics.TasksFaulted++
-		fail(SquashFault, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeNonSpec:
-		m.metrics.TasksNonSpec++
-		fail(SquashNonSpec, nil, true)
-		return true
-	}
-	if inc := m.arch.FirstInconsistency(h.ex.LiveIn); inc != nil {
-		m.metrics.TasksMisspec++
-		fail(SquashLiveIn, inc, false)
+	m.at = vt
+	if v := Classify(m.Arch, h.T, h.Ex, m.Cfg.Fault); v.Reason != "" {
+		m.squashAndRecover(h, v, vt)
 		return true
 	}
 
-	// Commit: the jump. Architected state advances #t sequential steps by
-	// superimposing the live-outs (task safety: live-ins consistent).
-	// The predictor trains first: pre-commit architected state is the
-	// truth for this task's live-ins.
-	m.train(h, true, "")
-	m.noteCodeWrites(h.ex.LiveOut)
-	m.arch.Apply(h.ex.LiveOut)
-	m.queue = m.queue[1:]
-
-	m.metrics.TasksCommitted++
-	m.metrics.CommittedInsts += h.ex.Steps
-	m.metrics.LiveInWords += uint64(h.ex.LiveIn.Len())
-	m.metrics.LiveOutWords += uint64(h.ex.LiveOut.Len())
-	m.metrics.SlaveBusyCycles += float64(h.ex.Steps) * m.cfg.SlaveCPI
-
+	m.Metrics.SlaveBusyCycles += float64(h.Ex.Steps) * m.Cfg.SlaveCPI
 	// Attribute the commit-to-commit gap to its limiter.
 	gap := vt - m.lastCommitEnd
 	switch {
 	case m.commitFree >= ct:
-		m.metrics.CommitBoundCycles += gap
-	case h.ex.Outcome == task.OutcomeReachedEnd && h.closedAt >= compute,
-		h.forkAt+m.cfg.SpawnLatency >= m.slaveFree[sl] && h.forkAt+m.cfg.SpawnLatency >= compute-float64(h.ex.Steps)*m.cfg.SlaveCPI:
-		m.metrics.MasterBoundCycles += gap
+		m.Metrics.CommitBoundCycles += gap
+	case h.Ex.Outcome == task.OutcomeReachedEnd && h.closedAt >= compute,
+		h.forkAt+m.Cfg.SpawnLatency >= m.slaveFree[sl] && h.forkAt+m.Cfg.SpawnLatency >= compute-float64(h.Ex.Steps)*m.Cfg.SlaveCPI:
+		m.Metrics.MasterBoundCycles += gap
 	default:
-		m.metrics.SlaveBoundCycles += gap
+		m.Metrics.SlaveBoundCycles += gap
 	}
-
 	m.slaveFree[sl] = ct
 	m.commitFree = vt
 	m.lastCommitEnd = vt
 
-	halted := h.ex.Outcome == task.OutcomeHalted
-	if m.cfg.OnCommit != nil {
-		m.cfg.OnCommit(CommitEvent{
-			Kind:    "task",
-			TaskID:  h.t.ID,
-			Start:   h.t.Start,
-			Steps:   h.ex.Steps,
-			Halted:  halted,
-			LiveIn:  h.ex.LiveIn,
-			LiveOut: h.ex.LiveOut,
-			Arch:    m.arch,
-		})
-	}
-	m.emit(LifecycleEvent{
-		Kind:   LifecycleCommit,
-		Cycle:  vt,
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
-		Steps:  h.ex.Steps,
-		Halted: halted,
-	})
-	m.release(h)
-
-	if halted {
-		m.done = true
-	}
+	m.queue = m.queue[1:]
+	m.Commit(&h.InFlight)
 	return false
 }
 
-// squashAndRecover discards all speculative state: every in-flight task and
-// the master. If forceFallback is set, or no instructions have committed
-// since the previous squash, the machine first makes bounded
-// non-speculative progress (dual-mode fallback) so non-idempotent accesses
-// execute architecturally and repeated failures cannot livelock.
-func (m *Machine) squashAndRecover(at float64, forceFallback bool) {
-	m.metrics.Squashes++
-	if len(m.queue) > 1 {
-		m.metrics.TasksSquashedDown += uint64(len(m.queue) - 1)
-	}
+// squashAndRecover squashes head task h with verdict v at model time at,
+// discarding all speculative state: every in-flight task and the master.
+// Recovery runs sequential mode first when the Retirer asks for it, then
+// reseeds the master.
+func (m *Machine) squashAndRecover(h *pend, v Verdict, at float64) {
+	fallback := m.Squash(&h.InFlight, v, len(m.queue)-1)
 	for _, p := range m.queue {
-		m.release(p)
+		m.Release(&p.InFlight)
 	}
 	m.queue = nil
 	m.master.alive = false
 
-	now := maxf(at, m.master.clock) + m.cfg.SquashPenalty
-	m.metrics.RecoveryCycles += m.cfg.SquashPenalty
+	now := maxf(at, m.master.clock) + m.Cfg.SquashPenalty
+	m.Metrics.RecoveryCycles += m.Cfg.SquashPenalty
 	m.lastCommitEnd = now
 	m.commitFree = now
 
-	if forceFallback || (m.anySquash && m.metrics.CommittedInsts == m.lastSquashCommitted) {
+	if fallback {
 		m.seqFallback()
 	}
-	m.anySquash = true
-	m.lastSquashCommitted = m.metrics.CommittedInsts
-	if m.done {
+	m.Recovered()
+	if m.Done {
 		return
 	}
 	m.reseed(maxf(m.lastCommitEnd, now))
 }
 
-// seqFallback executes the original program non-speculatively from the
-// architected state until the next anchor (or halt, or a bound), advancing
-// time at slave speed. This is the machine's sequential mode.
+// seqFallback runs the Retirer's sequential mode, charging its instructions
+// at slave speed from the later of the commit point and the master clock.
 func (m *Machine) seqFallback() {
-	env := cpu.StateEnv{S: m.arch}
-	// Fallback runs the original program against architected state, so the
-	// predecoded table is valid exactly while the code segment is clean; the
-	// runner's own dirty tracking catches stores this chunk performs.
-	code := cpu.NewCode(m.taskCode())
-	var steps uint64
-	bound := 4 * m.cfg.MaxTaskLen
-	halted := false
-	m.emit(LifecycleEvent{
-		Kind:  LifecycleFallbackEnter,
-		Cycle: maxf(m.lastCommitEnd, m.master.clock),
-		Start: m.arch.PC,
-	})
-	for steps < bound {
-		in, err := code.Step(env)
-		if err != nil {
-			// An architected-state fault is a real program fault; stop.
-			halted = true
-			m.done = true
-			break
-		}
-		steps++
-		if in.Op == isa.OpHalt {
-			halted = true
-			m.done = true
-			break
-		}
-		if m.anchors[m.arch.PC] {
-			break
-		}
-	}
-	if code.Dirty() {
-		m.codeClean = false
-	}
-	m.metrics.SeqFallbackInsts += steps
-	m.metrics.CommittedInsts += steps
-
-	now := maxf(m.lastCommitEnd, m.master.clock) + float64(steps)*m.cfg.SlaveCPI
-	m.metrics.RecoveryCycles += float64(steps) * m.cfg.SlaveCPI
-	m.lastCommitEnd = now
-	m.commitFree = now
-
-	if m.cfg.OnCommit != nil && steps > 0 {
-		m.cfg.OnCommit(CommitEvent{
-			Kind:   "fallback",
-			Start:  0,
-			Steps:  steps,
-			Halted: halted,
-			Arch:   m.arch,
-		})
-	}
-	m.emit(LifecycleEvent{
-		Kind:   LifecycleFallbackExit,
-		Cycle:  now,
-		Steps:  steps,
-		Halted: halted,
-	})
-}
-
-// taskCode returns the predecoded original program for a new execution over
-// architected code, or nil once the code segment has been written (or when
-// the fast path is disabled).
-func (m *Machine) taskCode() *isa.DecodedProgram {
-	if m.codeClean {
-		return m.origCode
-	}
-	return nil
-}
-
-// noteCodeWrites clears codeClean if the delta binds a memory word inside
-// the predecoded original code segment. Called before every live-out
-// superimposition; O(live-out set), like the Apply it guards.
-func (m *Machine) noteCodeWrites(d *state.Delta) {
-	if !m.codeClean || d == nil {
-		return
-	}
-	d.Mem.Range(func(a, _ uint64) bool {
-		if m.origCode.Covers(a) {
-			m.codeClean = false
-			return false
-		}
-		return true
-	})
+	m.at = maxf(m.lastCommitEnd, m.master.clock)
+	cost := float64(m.Fallback()) * m.Cfg.SlaveCPI
+	m.Metrics.RecoveryCycles += cost
+	m.lastCommitEnd = m.at + cost
+	m.commitFree = m.lastCommitEnd
 }
 
 func maxf(a, b float64) float64 {

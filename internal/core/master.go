@@ -4,7 +4,6 @@ import (
 	"mssp/internal/cpu"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
-	"mssp/internal/state"
 	"mssp/internal/task"
 )
 
@@ -39,12 +38,8 @@ type master struct {
 	// overwrote distilled code.
 	code *cpu.Code
 
-	clock          float64
-	instsSinceFork uint64
-	// crossings counts dynamic executions of each anchor's FORK since the
-	// last taken fork; the count for the taken anchor becomes the task's
-	// EndCount so the slave lets the same number of occurrences pass.
-	crossings map[uint64]uint64
+	clock float64
+	gate  ForkGate
 }
 
 // masterEnv adapts the master to cpu.Env, teeing stores into the write log.
@@ -96,64 +91,43 @@ func (m *Machine) runToFork() (anchor uint64, count uint64, stop masterStop) {
 		in, err := ms.code.Step(env)
 		if err != nil {
 			ms.alive = false
-			m.metrics.MasterLost++
+			m.Metrics.MasterLost++
 			return 0, 0, masterLost
 		}
-		m.metrics.MasterInsts++
-		ms.clock += m.cfg.MasterCPI
-		ms.instsSinceFork++
+		m.Metrics.MasterInsts++
+		ms.clock += m.Cfg.MasterCPI
+		ms.gate.Retire(1)
 
 		switch in.Op {
 		case isa.OpHalt:
 			ms.alive = false
-			m.metrics.MasterHalts++
+			m.Metrics.MasterHalts++
 			return 0, 0, masterHalted
 
 		case isa.OpFork:
 			a := uint64(in.Imm)
-			ms.crossings[a]++
-			if ms.instsSinceFork <= m.cfg.MinTaskSpacing {
-				m.metrics.ForksSkipped++
-				break
+			switch d, c := ms.gate.Fork(a); d {
+			case ForkTaken:
+				return a, c, masterForked
+			case ForkSpaced:
+				m.Metrics.ForksSkipped++
+			case ForkIneligible:
+				m.Metrics.PolicyForksSkipped++
 			}
-			// The adaptive policy suppresses forks at sites whose
-			// checkpoints keep squashing, merging their regions into
-			// longer neighboring tasks. The life's first fork (primed
-			// spacing counter) is always taken: it restarts speculation
-			// exactly where architected state stands. The skip is bounded
-			// at half the run-ahead cap — a disabled site forks anyway
-			// once the master has run that far, so backing off the only
-			// site in a program merges regions instead of driving the
-			// master lost.
-			if ms.instsSinceFork < 1<<61 && ms.instsSinceFork <= m.cfg.MasterRunaheadCap/2 &&
-				!m.plan.Eligible(a) {
-				m.metrics.PolicyForksSkipped++
-				break
-			}
-			ms.instsSinceFork = 0
-			c := ms.crossings[a]
-			clear(ms.crossings)
-			return a, c, masterForked
 
 		case isa.OpJalr:
-			// Indirect-jump targets in distilled code are original-program
-			// addresses (the distiller predicts original link values);
-			// translate them into the distilled address space. A target
-			// with no translation that does not look like distilled code
-			// means the master has lost its way.
-			target := ms.pc
-			if dpc, ok := m.dist.OrigToDist[target]; ok {
-				ms.pc = dpc
-			} else if !m.dist.Prog.InCode(target) {
+			pc, ok := ms.gate.Jump(ms.pc)
+			if !ok {
 				ms.alive = false
-				m.metrics.MasterLost++
+				m.Metrics.MasterLost++
 				return 0, 0, masterLost
 			}
+			ms.pc = pc
 		}
 
-		if ms.instsSinceFork > m.cfg.MasterRunaheadCap {
+		if ms.gate.Overrun() {
 			ms.alive = false
-			m.metrics.MasterLost++
+			m.Metrics.MasterLost++
 			return 0, 0, masterLost
 		}
 	}
@@ -163,15 +137,15 @@ func (m *Machine) runToFork() (anchor uint64, count uint64, stop masterStop) {
 // architected PC must translate into the distilled program; if it does not,
 // the master stays dead and the main loop continues in fallback mode.
 func (m *Machine) reseed(now float64) {
-	dpc, ok := m.dist.OrigToDist[m.arch.PC]
+	dpc, ok := m.Dist.OrigToDist[m.Arch.PC]
 	if !ok {
 		m.master.alive = false
 		return
 	}
 	ms := &m.master
-	ms.regs = m.arch.Regs
-	ms.memory = m.arch.Mem.Snapshot()
-	ms.memory.CopyWords(m.dist.Prog.Code.Base, m.dist.Prog.Code.Words)
+	ms.regs = m.Arch.Regs
+	ms.memory = m.Arch.Mem.Snapshot()
+	ms.memory.CopyWords(m.Dist.Prog.Code.Base, m.Dist.Prog.Code.Words)
 	ms.diff = mem.NewOverlay()
 	ms.diffAtFork = 0
 	ms.ckDiff = nil
@@ -179,25 +153,11 @@ func (m *Machine) reseed(now float64) {
 	ms.pc = dpc
 	ms.code = cpu.NewCode(m.distCode)
 	ms.clock = now
-	// The master restarts on the fork at the architected PC; that fork
-	// must be taken unconditionally (it starts the first post-reseed task
-	// exactly where architected state stands), so the spacing counter is
-	// primed past any threshold.
-	ms.instsSinceFork = 1 << 62
-	ms.crossings = make(map[uint64]uint64)
 	ms.alive = true
 
-	// A reseed is the predictor's lockstep point: nothing is in flight and
-	// architected state is the only truth, so the consultation plan for
-	// the coming life freezes here and the per-site chain indices restart.
-	m.firstFork = true
-	if m.predictOn() {
-		m.plan = m.cfg.Predictor.Plan()
-		m.lifeCount = make(map[uint64]int)
-		if d := m.plan.Disabled(); d > 0 {
-			m.emit(LifecycleEvent{Kind: LifecyclePolicy, Cycle: now, Disabled: d})
-		}
-	}
+	m.at = now
+	m.BeginLife()
+	ms.gate = NewForkGate(&m.Cfg, m.Dist, m.Plan)
 }
 
 // checkpoint captures the master's current prediction of machine state.
@@ -221,12 +181,8 @@ func (m *Machine) checkpoint() task.Checkpoint {
 		ms.ckVersion = ms.diff.Version()
 	}
 	ms.diffAtFork = ms.diff.Len()
-	if m.cfg.MasterSuppliesAllData {
+	if m.Cfg.MasterSuppliesAllData {
 		ck.FullMem = ms.memory.Snapshot()
 	}
 	return ck
 }
-
-// archSnapshot freezes architected state for a spawning task, recycling a
-// retired task's snapshot allocation when one is free.
-func (m *Machine) archSnapshot() *state.State { return m.pool.CloneState(m.arch) }

@@ -1,9 +1,9 @@
 package parallel
 
 import (
+	"mssp/internal/core"
 	"mssp/internal/cpu"
 	"mssp/internal/mem"
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -30,11 +30,9 @@ type masterLife struct {
 	// confined after the spawn handoff.
 	st   *state.State
 	code *cpu.Code
-
-	// plan is the adaptive fork policy's reseed-frozen eligibility snapshot
-	// (nil when prediction is off → every site eligible). Immutable, so the
-	// life reads it without synchronization beyond the spawn handoff.
-	plan *predict.Plan
+	// gate is the life's fork policy, master-goroutine confined after the
+	// spawn handoff.
+	gate core.ForkGate
 }
 
 // forkMsg is one taken fork: the next task's anchor, the number of times the
@@ -69,22 +67,17 @@ type masterExit struct {
 // predictable period even in fork-free distilled code.
 const masterChunk = 4096
 
-// runMaster is the master goroutine body. It reproduces the deterministic
-// machine's fork policy (crossing counts, MinTaskSpacing, the run-ahead cap,
-// indirect-target translation) on top of the devirtualized cpu.RunToStop
-// loop, and computes checkpoint diffs by page-diffing against the previous
-// fork's snapshot instead of teeing every store through an overlay — the
-// hot loop is the same one the SEQ baseline runs.
+// runMaster is the master goroutine body. It runs the shared fork gate
+// (core.ForkGate) on top of the devirtualized cpu.RunToStop loop, and
+// computes checkpoint diffs by page-diffing against the previous fork's
+// snapshot instead of teeing every store through an overlay — the hot loop
+// is the same one the SEQ baseline runs.
 func (e *Engine) runMaster(l *masterLife) {
 	st := l.st
+	// A local copy keeps the gate's counters off the cache lines the
+	// coordinator reads (the life's channels).
+	g := l.gate
 	var exit masterExit
-
-	// instsSinceFork is primed past any spacing threshold: the reseed fork
-	// at the architected PC must be taken unconditionally. If the first
-	// instruction is not a taken fork the run-ahead check declares the
-	// master lost, exactly like the deterministic machine.
-	instsSinceFork := uint64(1) << 62
-	crossings := make(map[uint64]uint64)
 
 	// diffBase is the master's memory as of the previous fork (initially the
 	// reseed image); cum accumulates all predicted writes since reseed.
@@ -110,18 +103,9 @@ func (e *Engine) runMaster(l *masterLife) {
 		default:
 		}
 
-		chunk := uint64(masterChunk)
-		if instsSinceFork <= e.cfg.MasterRunaheadCap {
-			if left := e.cfg.MasterRunaheadCap - instsSinceFork + 1; left < chunk {
-				chunk = left
-			}
-		} else {
-			chunk = 1
-		}
-
-		res, err := l.code.RunToStop(st, chunk)
+		res, err := l.code.RunToStop(st, g.Budget(masterChunk))
 		exit.insts += res.Steps
-		instsSinceFork += res.Steps
+		g.Retire(res.Steps)
 		storesSince += res.Stores
 		if err != nil {
 			exit.stop = masterLost
@@ -136,28 +120,15 @@ func (e *Engine) runMaster(l *masterLife) {
 			return
 
 		case cpu.StopFork:
-			a := res.Anchor
-			crossings[a]++
-			if instsSinceFork <= e.cfg.MinTaskSpacing {
+			dec, c := g.Fork(res.Anchor)
+			if dec == core.ForkSpaced {
 				exit.skipped++
 				break
 			}
-			// The adaptive policy suppresses forks at sites whose
-			// checkpoints keep squashing, merging their regions into longer
-			// neighboring tasks. The life's first fork (primed spacing
-			// counter) is always taken: it restarts speculation exactly
-			// where architected state stands. The skip is bounded at half
-			// the run-ahead cap — a disabled site forks anyway once the
-			// master has run that far, so backing off the only site in a
-			// program merges regions instead of driving the master lost.
-			if instsSinceFork < 1<<61 && instsSinceFork <= e.cfg.MasterRunaheadCap/2 &&
-				!l.plan.Eligible(a) {
+			if dec == core.ForkIneligible {
 				exit.policySkipped++
 				break
 			}
-			instsSinceFork = 0
-			c := crossings[a]
-			clear(crossings)
 
 			var ck task.Checkpoint
 			if e.shareCk && storesSince == 0 {
@@ -166,7 +137,7 @@ func (e *Engine) runMaster(l *masterLife) {
 					d = e.emptyDiff
 				}
 				ck = task.Checkpoint{Regs: st.Regs, MemDiff: d}
-				if e.cfg.MasterSuppliesAllData {
+				if e.Cfg.MasterSuppliesAllData {
 					ck.FullMem = st.Mem.Snapshot()
 				}
 			} else {
@@ -178,7 +149,7 @@ func (e *Engine) runMaster(l *masterLife) {
 				storesSince = 0
 			}
 			select {
-			case l.forkCh <- forkMsg{anchor: a, count: c, ck: ck}:
+			case l.forkCh <- forkMsg{anchor: res.Anchor, count: c, ck: ck}:
 			case <-l.stop:
 				exit.stop = masterStopped
 				l.exitCh <- exit
@@ -186,21 +157,16 @@ func (e *Engine) runMaster(l *masterLife) {
 			}
 
 		case cpu.StopJalr:
-			// Indirect-jump targets in distilled code are original-program
-			// addresses; translate them into the distilled address space. An
-			// untranslatable target that is not already distilled code means
-			// the master has lost its way.
-			target := st.PC
-			if dpc, ok := e.dist.OrigToDist[target]; ok {
-				st.PC = dpc
-			} else if !e.dist.Prog.InCode(target) {
+			pc, ok := g.Jump(st.PC)
+			if !ok {
 				exit.stop = masterLost
 				l.exitCh <- exit
 				return
 			}
+			st.PC = pc
 		}
 
-		if instsSinceFork > e.cfg.MasterRunaheadCap {
+		if g.Overrun() {
 			exit.stop = masterLost
 			l.exitCh <- exit
 			return
@@ -229,7 +195,7 @@ func (e *Engine) masterCheckpoint(st *state.State, diffBase *mem.Memory, cum *me
 		MemDiff:      cum.Snapshot(),
 		NewDiffWords: newWords,
 	}
-	if e.cfg.MasterSuppliesAllData {
+	if e.Cfg.MasterSuppliesAllData {
 		ck.FullMem = st.Mem.Snapshot()
 	}
 	return ck

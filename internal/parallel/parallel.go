@@ -54,7 +54,6 @@ package parallel
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -64,7 +63,6 @@ import (
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -93,28 +91,18 @@ func Run(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Result, err
 	return e.run()
 }
 
-// Engine is one parallel MSSP machine instance, single-use. All fields are
+// Engine is one parallel MSSP machine instance, single-use. The embedded
+// Retirer is the verify/commit unit shared with core.Machine; Engine adds
+// the ring, the epochs and the goroutines around it. All fields are
 // coordinator-owned unless noted.
 type Engine struct {
-	cfg  core.Config
-	orig *isa.Program
-	dist *distill.Result
+	core.Retirer
 
-	anchors map[uint64]bool
-	arch    *state.State
-
-	origCode  *isa.DecodedProgram
-	distCode  *isa.DecodedProgram
-	codeClean bool
+	distCode *isa.DecodedProgram
 
 	// epoch is the squash epoch, read by slave workers and Cancel hooks.
 	epoch atomic.Uint64
 
-	// pool recycles task scratch and architected snapshots. It is shared by
-	// the coordinator (CloneState/Release points) and the slave workers
-	// (Execute); each borrowed object stays goroutine-confined between the
-	// pool's internal lock hand-offs.
-	pool task.Pool
 	// shareCk allows checkpoints to reuse the previous diff snapshot (or the
 	// shared empty diff) over store-free master stretches. Disabled under
 	// fault injection, whose CorruptCheckpoint hook mutates checkpoint diffs
@@ -129,106 +117,56 @@ type Engine struct {
 	life *masterLife // nil while the master is dead
 
 	// dispatchCh carries closed slots to the worker pool; resultCh carries
-	// them back with s.ex filled in. Capacities are sized so workers never
+	// them back with s.Ex filled in. Capacities are sized so workers never
 	// block on resultCh and the coordinator rarely blocks on dispatchCh.
 	dispatchCh chan *slot
 	resultCh   chan *slot
 	workerWg   sync.WaitGroup
 	goroutines int
 
-	metrics core.Metrics
-	taskSeq uint64
 	// vclock is the virtual clock stamped on lifecycle events: a counter
 	// incremented per event, giving a deterministic, monotone Cycle field
 	// without wall-clock time.
 	vclock float64
-	done   bool
 	err    error
-
-	lastSquashCommitted uint64
-	anySquash           bool
-
-	// plan is the predictor's reseed-frozen consultation snapshot (shared
-	// read-only with the master life for fork eligibility); lifeCount counts
-	// consulted forks per site within the current master life (the chain
-	// index), and firstFork marks the life's first reservation — the exact
-	// task, never consulted and never trained. All three are
-	// coordinator-owned; the life sees the plan through masterLife.plan,
-	// frozen before the spawn handoff.
-	plan      *predict.Plan
-	lifeCount map[uint64]int
-	firstFork bool
 }
 
 func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engine, error) {
-	// Structural validation only — the timing parameters core validates are
+	// Structural validation only: the timing parameters core validates are
 	// ignored here.
-	if cfg.Slaves < 1 {
-		return nil, fmt.Errorf("parallel: need at least one slave, got %d", cfg.Slaves)
+	e := &Engine{emptyDiff: mem.NewOverlay()}
+	if err := e.Init(orig, dist, cfg, e.tick); err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	if cfg.MaxTaskLen == 0 {
-		return nil, fmt.Errorf("parallel: MaxTaskLen must be positive")
-	}
-	if cfg.MasterRunaheadCap == 0 {
-		return nil, fmt.Errorf("parallel: MasterRunaheadCap must be positive")
-	}
-	if err := orig.Validate(); err != nil {
-		return nil, fmt.Errorf("parallel: original program: %w", err)
-	}
-	if cfg.MaxCommitted == 0 {
-		cfg.MaxCommitted = 10_000_000_000
-	}
-	if cfg.SP == 0 {
-		cfg.SP = 1 << 28
-	}
-	if cfg.TaskBuffer == 0 {
-		cfg.TaskBuffer = 4 * cfg.Slaves
-	}
-	if cfg.TaskBuffer < cfg.Slaves {
-		cfg.TaskBuffer = cfg.Slaves
-	}
-	e := &Engine{
-		cfg:        cfg,
-		orig:       orig,
-		dist:       dist,
-		anchors:    dist.AnchorSet(),
-		arch:       state.NewFromProgram(orig, cfg.SP),
-		shareCk:    cfg.Fault == nil,
-		emptyDiff:  mem.NewOverlay(),
-		ring:       newRing(cfg.TaskBuffer),
-		dispatchCh: make(chan *slot, cfg.TaskBuffer),
-		resultCh:   make(chan *slot, cfg.TaskBuffer+cfg.Slaves+4),
-	}
-	if !cfg.DisableFastPath {
-		if cfg.DisableFusion {
-			e.origCode = isa.Predecode(orig)
+	e.shareCk = e.Cfg.Fault == nil
+	e.ring = newRing(e.Cfg.TaskBuffer)
+	e.dispatchCh = make(chan *slot, e.Cfg.TaskBuffer)
+	e.resultCh = make(chan *slot, e.Cfg.TaskBuffer+e.Cfg.Slaves+4)
+	if !e.Cfg.DisableFastPath {
+		if e.Cfg.DisableFusion {
 			e.distCode = isa.Predecode(dist.Prog)
 		} else {
-			// Slaves retire fused groups; the anchor set keeps fork targets
-			// out of group interiors (the slave loop guards dynamically too).
-			e.origCode = fuse.Predecode(orig, fuse.Options{Anchors: e.anchors})
 			// The master's RunToStop loop is the one execution context whose
 			// register file is only observed at FORK stops, so its distilled
 			// table may additionally elide dead intermediate writes (see the
 			// internal/fuse package comment for why nothing else may).
 			e.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
 		}
-		e.codeClean = true
 	}
 	return e, nil
 }
 
 // run is the coordinator goroutine body (it runs on the caller's goroutine).
 func (e *Engine) run() (*Result, error) {
-	for i := 0; i < e.cfg.Slaves; i++ {
+	for i := 0; i < e.Cfg.Slaves; i++ {
 		id := i
 		e.spawn(&e.workerWg, func() { e.slaveWorker(id) })
 	}
 	e.reseed()
 
-	for !e.done && e.err == nil {
-		if e.metrics.CommittedInsts > e.cfg.MaxCommitted {
-			e.err = fmt.Errorf("parallel: committed instructions exceeded MaxCommitted=%d", e.cfg.MaxCommitted)
+	for !e.Done && e.err == nil {
+		if e.Metrics.CommittedInsts > e.Cfg.MaxCommitted {
+			e.err = fmt.Errorf("parallel: committed instructions exceeded MaxCommitted=%d", e.Cfg.MaxCommitted)
 			break
 		}
 		if e.life == nil {
@@ -252,7 +190,7 @@ func (e *Engine) run() (*Result, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	return &Result{Metrics: e.metrics, Final: e.arch, Goroutines: e.goroutines}, nil
+	return &Result{Metrics: e.Metrics, Final: e.Arch, Goroutines: e.goroutines}, nil
 }
 
 // handleFork processes one taken fork from the live master: close the open
@@ -273,7 +211,7 @@ func (e *Engine) handleFork(fm forkMsg) {
 	// Retire everything already verifiable, so the new task's architected
 	// snapshot is as fresh as possible (fewer stale live-ins to mispredict).
 	e.commitDue()
-	if e.done || e.err != nil || e.epoch.Load() != epoch {
+	if e.Done || e.err != nil || e.epoch.Load() != epoch {
 		return
 	}
 
@@ -285,7 +223,7 @@ func (e *Engine) handleFork(fm forkMsg) {
 			if e.verifyHead() {
 				return // squashed; the fork is stale
 			}
-			if e.done || e.err != nil {
+			if e.Done || e.err != nil {
 				return
 			}
 			continue
@@ -300,117 +238,16 @@ func (e *Engine) handleFork(fm forkMsg) {
 	e.reserve(fm)
 }
 
-// predictOn reports whether the predictor participates in this run: like
-// checkpoint sharing (shareCk), prediction is gated off entirely under
-// fault injection so a corrupted checkpoint can never reach the table.
-func (e *Engine) predictOn() bool {
-	return e.cfg.Predictor != nil && e.cfg.Fault == nil
-}
-
-// consult overrides the checkpoint's unresolved registers with the frozen
-// plan's forecasts for this site's next consulted fork, returning the
-// applied predictions for grading at verify. The first reservation of a
-// life is exact (the master had only executed the FORK at the architected
-// PC) and is never consulted. Identical to core.Machine.consult; because
-// forks arrive at the coordinator in the order the master took them, the
-// chain indices advance exactly as in the deterministic machine.
-func (e *Engine) consult(anchor uint64, ck *task.Checkpoint) []predict.Pred {
-	first := e.firstFork
-	e.firstFork = false
-	if !e.predictOn() || first {
-		return nil
-	}
-	j := e.lifeCount[anchor]
-	e.lifeCount[anchor]++
-	var applied []predict.Pred
-	for mask := e.dist.PredictableRegs[anchor]; mask != 0; mask &= mask - 1 {
-		r := bits.TrailingZeros32(mask)
-		if v, ok := e.plan.Predict(anchor, r, j); ok {
-			ck.Regs[r] = v
-			applied = append(applied, predict.Pred{Reg: r, Val: v})
-		}
-	}
-	return applied
-}
-
-// train delivers one verified outcome to the predictor (no-op when
-// prediction is off or the task is the life's exact first fork). It must
-// run before the task's live-outs are applied: the architected state it
-// hands over is the truth for the task's live-ins. Training happens only
-// here, on the coordinator, in program order — which is what makes the
-// table's evolution schedule-independent.
-func (e *Engine) train(h *slot, committed bool, reason string) {
-	if !e.predictOn() || h.exact {
-		return
-	}
-	hits, misses := e.cfg.Predictor.Train(predict.Observation{
-		Site:      h.t.Start,
-		Applied:   h.applied,
-		LiveIn:    h.ex.LiveIn,
-		Arch:      e.arch,
-		Committed: committed,
-		Reason:    reason,
-	})
-	e.metrics.PredictHits += uint64(hits)
-	e.metrics.PredictMisses += uint64(misses)
-}
-
-// reserve creates the new open reservation for a fork.
+// reserve admits the fork through the Retirer and appends its open
+// reservation to the ring.
 func (e *Engine) reserve(fm forkMsg) {
-	start := fm.anchor
-	ck := fm.ck
-	exact := e.firstFork
-	applied := e.consult(fm.anchor, &ck)
-	if f := e.cfg.Fault; f != nil {
-		// Injection corrupts only the spawning task's predictions — the open
-		// task's end anchor keeps the uncorrupted value, so one injected
-		// fault stays one fault (same contract as core.Machine.spawn).
-		if f.CorruptStart != nil {
-			start = f.CorruptStart(e.taskSeq, fm.anchor)
-		}
-		if f.CorruptCheckpoint != nil {
-			f.CorruptCheckpoint(e.taskSeq, &ck)
-		}
-	}
+	f := e.Fork(fm.anchor, fm.ck, e.ring.Len())
 	epoch := e.epoch.Load()
-	t := &task.Task{
-		ID:         e.taskSeq,
-		Start:      start,
-		Checkpoint: ck,
-		Snap:       e.pool.CloneState(e.arch),
-		Code:       e.taskCode(),
-		NonSpec:    e.cfg.NonSpecRegions,
-		// Cancel makes in-flight work from squashed epochs abandon itself
-		// instead of running to the cap on a doomed prediction.
-		Cancel: func() bool { return e.epoch.Load() != epoch },
-	}
-	e.metrics.RunaheadSum += uint64(e.ring.Len())
-	s, err := e.ring.Reserve(t, epoch)
-	if err != nil {
+	// Cancel makes in-flight work from squashed epochs abandon itself
+	// instead of running to the cap on a doomed prediction.
+	f.T.Cancel = func() bool { return e.epoch.Load() != epoch }
+	if _, err := e.ring.Reserve(f, epoch); err != nil {
 		e.err = err
-		return
-	}
-	s.applied = applied
-	s.exact = exact
-	e.taskSeq++
-	e.metrics.Forks++
-	e.metrics.CheckpointNew += uint64(ck.NewDiffWords)
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleFork,
-		Cycle:  e.tick(),
-		TaskID: t.ID,
-		Start:  t.Start,
-		Queue:  e.ring.Len(),
-	})
-	if len(applied) > 0 {
-		e.metrics.PredictApplied += uint64(len(applied))
-		e.emit(core.LifecycleEvent{
-			Kind:   core.LifecyclePredict,
-			Cycle:  e.tick(),
-			TaskID: t.ID,
-			Start:  t.Start,
-			Preds:  len(applied),
-		})
 	}
 }
 
@@ -435,7 +272,7 @@ func (e *Engine) dispatch(s *slot) {
 // worker owned the scratch until this arrival).
 func (e *Engine) noteResult(s *slot) {
 	if s.epoch != e.epoch.Load() {
-		e.releaseSlot(s)
+		e.Release(&s.InFlight)
 		return
 	}
 	if err := e.ring.Complete(s); err != nil {
@@ -458,21 +295,10 @@ func (e *Engine) drainResults() {
 	}
 }
 
-// releaseSlot returns a retired slot's pooled resources (execution scratch
-// and architected snapshot). Exactly one release point exists per slot:
-// commit in verifyHead, discard in squashAndRecover (open/done slots), or
-// stale-result arrival in noteResult (slots in flight when their epoch died).
-func (e *Engine) releaseSlot(s *slot) {
-	e.pool.Release(s.ex)
-	s.ex = nil
-	e.pool.ReleaseState(s.t.Snap)
-	s.t.Snap = nil
-}
-
 // commitDue retires every head reservation whose result has arrived, in
 // program order, stopping at the first squash (which empties the ring).
 func (e *Engine) commitDue() {
-	for !e.done && e.err == nil {
+	for !e.Done && e.err == nil {
 		h := e.ring.Head()
 		if h == nil || h.state != SlotDone {
 			return
@@ -483,173 +309,69 @@ func (e *Engine) commitDue() {
 	}
 }
 
-// verifyHead verifies the oldest reservation (which must hold its result),
-// committing or squashing. Reports whether a squash occurred. This is a port
-// of core.Machine.verifyHead with the timing model replaced by the virtual
-// clock; the functional check order is identical, which is what keeps the
-// two machines' squash taxonomies comparable under fault injection.
+// verifyHead verifies the oldest reservation (which must hold its result)
+// with core.Classify, committing or squashing through the Retirer. Reports
+// whether a squash occurred.
 func (e *Engine) verifyHead() (squashed bool) {
 	h := e.ring.Head()
 
-	e.emit(core.LifecycleEvent{
+	e.Emit(core.LifecycleEvent{
 		Kind:   core.LifecycleDispatch,
-		Cycle:  e.tick(),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
+		Cycle:  e.tick(0),
+		TaskID: h.T.ID,
+		Start:  h.T.Start,
 		Slave:  h.slave,
 	})
-	e.emit(core.LifecycleEvent{
+	e.Emit(core.LifecycleEvent{
 		Kind:   core.LifecycleVerify,
-		Cycle:  e.tick(),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
+		Cycle:  e.tick(0),
+		TaskID: h.T.ID,
+		Start:  h.T.Start,
 	})
 
-	fail := func(reason string, inc *state.Inconsistency, forceFallback bool) {
-		e.train(h, false, reason)
-		if e.cfg.OnSquash != nil {
-			ev := core.SquashEvent{
-				TaskID:        h.t.ID,
-				Start:         h.t.Start,
-				Reason:        reason,
-				Inconsistency: inc,
-				Discarded:     e.ring.Len() - 1,
-			}
-			if h.ex != nil {
-				ev.Steps = h.ex.Steps
-				ev.LiveIn = h.ex.LiveIn
-			}
-			e.cfg.OnSquash(ev)
-		}
-		e.emit(core.LifecycleEvent{
-			Kind:      core.LifecycleSquash,
-			Cycle:     e.tick(),
-			TaskID:    h.t.ID,
-			Start:     h.t.Start,
-			Reason:    reason,
-			Discarded: e.ring.Len() - 1,
-		})
-		e.squashAndRecover(forceFallback)
-	}
-
-	if f := e.cfg.Fault; f != nil {
-		// Injected failures take precedence over functional verification,
-		// exactly as in the deterministic machine.
-		if f.DropCompletion != nil && f.DropCompletion(h.t.ID) {
-			e.metrics.TasksDropped++
-			fail(core.SquashDropped, nil, false)
-			return true
-		}
-		if f.ForceFallback != nil && f.ForceFallback(h.t.ID) {
-			e.metrics.TasksForced++
-			fail(core.SquashForced, nil, true)
-			return true
-		}
-	}
-	if h.ex.Outcome == task.OutcomeCanceled {
+	if h.Ex.Outcome == task.OutcomeCanceled {
 		// Cancellation implies the slot's epoch died, which implies the slot
 		// left the ring — a canceled head is a protocol violation.
-		e.err = fmt.Errorf("parallel: canceled task %d at verification head", h.t.ID)
+		e.err = fmt.Errorf("parallel: canceled task %d at verification head", h.T.ID)
 		return false
 	}
-	switch {
-	case h.t.Start != e.arch.PC:
-		e.metrics.TasksStartMismatch++
-		fail(core.SquashStartMismatch, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeOverflow:
-		e.metrics.TasksOverflowed++
-		fail(core.SquashOverflow, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeFault:
-		e.metrics.TasksFaulted++
-		fail(core.SquashFault, nil, false)
-		return true
-	case h.ex.Outcome == task.OutcomeNonSpec:
-		e.metrics.TasksNonSpec++
-		fail(core.SquashNonSpec, nil, true)
+	if v := core.Classify(e.Arch, h.T, h.Ex, e.Cfg.Fault); v.Reason != "" {
+		e.squashAndRecover(e.Squash(&h.InFlight, v, e.ring.Len()-1))
 		return true
 	}
-	if inc := e.arch.FirstInconsistency(h.ex.LiveIn); inc != nil {
-		e.metrics.TasksMisspec++
-		fail(core.SquashLiveIn, inc, false)
-		return true
-	}
-
-	// Commit: the jump. The coordinator is the sole writer of architected
-	// state, so the superimposition needs no locking. The predictor trains
-	// first: architected state is still the truth at the task's start.
-	e.train(h, true, "")
-	e.noteCodeWrites(h.ex.LiveOut)
-	e.arch.Apply(h.ex.LiveOut)
+	// The coordinator is the sole writer of architected state, so the
+	// commit's superimposition needs no locking.
 	if err := e.ring.PopCommitted(); err != nil {
 		e.err = err
 		return false
 	}
-
-	e.metrics.TasksCommitted++
-	e.metrics.CommittedInsts += h.ex.Steps
-	e.metrics.LiveInWords += uint64(h.ex.LiveIn.Len())
-	e.metrics.LiveOutWords += uint64(h.ex.LiveOut.Len())
-
-	halted := h.ex.Outcome == task.OutcomeHalted
-	if e.cfg.OnCommit != nil {
-		e.cfg.OnCommit(core.CommitEvent{
-			Kind:    "task",
-			TaskID:  h.t.ID,
-			Start:   h.t.Start,
-			Steps:   h.ex.Steps,
-			Halted:  halted,
-			LiveIn:  h.ex.LiveIn,
-			LiveOut: h.ex.LiveOut,
-			Arch:    e.arch,
-		})
-	}
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleCommit,
-		Cycle:  e.tick(),
-		TaskID: h.t.ID,
-		Start:  h.t.Start,
-		Steps:  h.ex.Steps,
-		Halted: halted,
-	})
-	e.releaseSlot(h)
-
-	if halted {
-		e.done = true
-	}
+	e.Commit(&h.InFlight)
 	return false
 }
 
 // squashAndRecover discards all speculative state: the epoch bump invalidates
 // every in-flight slave execution (cooperative cancellation) and stale
 // results (dropped on arrival), the ring is emptied, and the master life is
-// stopped synchronously. Recovery then mirrors core: sequential fallback when
-// forced or when no instructions committed since the previous squash, then a
-// reseed from architected state.
-func (e *Engine) squashAndRecover(forceFallback bool) {
-	e.metrics.Squashes++
-	if n := e.ring.Len(); n > 1 {
-		e.metrics.TasksSquashedDown += uint64(n - 1)
-	}
+// stopped synchronously. Recovery then runs sequential mode if the Retirer
+// asked for it (fallback) and reseeds from architected state.
+func (e *Engine) squashAndRecover(fallback bool) {
 	e.epoch.Add(1)
 	// Reclaim what the coordinator still owns. Closed slots are in flight —
 	// a worker owns their task and scratch until the (now stale) result
 	// arrives back in noteResult, which is their release point.
 	for _, s := range e.ring.slots {
 		if s.state != SlotClosed {
-			e.releaseSlot(s)
+			e.Release(&s.InFlight)
 		}
 	}
 	e.ring.SquashAll()
 	e.stopMaster()
 
-	if forceFallback || (e.anySquash && e.metrics.CommittedInsts == e.lastSquashCommitted) {
-		e.seqFallback()
+	if fallback {
+		e.Fallback()
 	}
-	e.anySquash = true
-	e.lastSquashCommitted = e.metrics.CommittedInsts
-	if e.done || e.err != nil {
+	e.Recovered()
+	if e.Done || e.err != nil {
 		return
 	}
 	e.reseed()
@@ -657,7 +379,7 @@ func (e *Engine) squashAndRecover(forceFallback bool) {
 
 // drain handles a dead master: verify whatever is in flight (the youngest
 // reservation runs endless, to halt or the cap), then make progress
-// sequentially and try to revive the master. Mirrors core.Machine.drain.
+// sequentially and try to revive the master.
 func (e *Engine) drain() {
 	if !e.ring.Empty() {
 		if open := e.ring.Open(); open != nil {
@@ -679,47 +401,38 @@ func (e *Engine) drain() {
 		e.verifyHead()
 		return
 	}
-	e.seqFallback()
-	if e.done {
+	e.Fallback()
+	if e.Done {
 		return
 	}
 	// If the architected PC does not map into the distilled program the
 	// master stays dead and the next drain call falls back again; forward
-	// progress is guaranteed because seqFallback always executes at least
-	// one instruction.
+	// progress is guaranteed because sequential mode always executes at
+	// least one instruction.
 	e.reseed()
 }
 
 // reseed starts a new master life from architected state, if the architected
 // PC maps into the distilled program.
 func (e *Engine) reseed() {
-	dpc, ok := e.dist.OrigToDist[e.arch.PC]
+	dpc, ok := e.Dist.OrigToDist[e.Arch.PC]
 	if !ok {
 		e.life = nil
 		return
 	}
-	img := e.arch.Mem.Snapshot()
-	img.CopyWords(e.dist.Prog.Code.Base, e.dist.Prog.Code.Words)
+	img := e.Arch.Mem.Snapshot()
+	img.CopyWords(e.Dist.Prog.Code.Base, e.Dist.Prog.Code.Words)
+	// The life's fork gate carries the plan BeginLife froze. The plan is
+	// immutable, so sharing it with the life's goroutine is race-free; the
+	// spawn handoff orders the writes.
+	e.BeginLife()
 	l := &masterLife{
 		forkCh: make(chan forkMsg),
 		exitCh: make(chan masterExit, 1),
 		stop:   make(chan struct{}),
-		st:     &state.State{Regs: e.arch.Regs, PC: dpc, Mem: img},
+		st:     &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
 		code:   cpu.NewCode(e.distCode),
-	}
-	// A reseed is the predictor's lockstep point: nothing is in flight and
-	// architected state is the only truth, so the consultation plan for the
-	// coming life freezes here and the per-site chain indices restart. The
-	// frozen plan is immutable, so sharing it with the life's goroutine (for
-	// fork eligibility) is race-free; the spawn handoff orders the writes.
-	e.firstFork = true
-	if e.predictOn() {
-		e.plan = e.cfg.Predictor.Plan()
-		e.lifeCount = make(map[uint64]int)
-		l.plan = e.plan
-		if d := e.plan.Disabled(); d > 0 {
-			e.emit(core.LifecycleEvent{Kind: core.LifecyclePolicy, Cycle: e.tick(), Disabled: d})
-		}
+		gate:   core.NewForkGate(&e.Cfg, e.Dist, e.Plan),
 	}
 	e.life = l
 	// The life's goroutine is tracked by the exitCh handshake, not the
@@ -742,69 +455,15 @@ func (e *Engine) stopMaster() {
 
 // collectExit folds a master life's final report into the metrics.
 func (e *Engine) collectExit(x masterExit) {
-	e.metrics.MasterInsts += x.insts
-	e.metrics.ForksSkipped += x.skipped
-	e.metrics.PolicyForksSkipped += x.policySkipped
+	e.Metrics.MasterInsts += x.insts
+	e.Metrics.ForksSkipped += x.skipped
+	e.Metrics.PolicyForksSkipped += x.policySkipped
 	switch x.stop {
 	case masterHalted:
-		e.metrics.MasterHalts++
+		e.Metrics.MasterHalts++
 	case masterLost:
-		e.metrics.MasterLost++
+		e.Metrics.MasterLost++
 	}
-}
-
-// seqFallback executes the original program non-speculatively from the
-// architected state until the next anchor (or halt, or a bound). Identical to
-// core.Machine.seqFallback minus the cycle accounting.
-func (e *Engine) seqFallback() {
-	env := cpu.StateEnv{S: e.arch}
-	code := cpu.NewCode(e.taskCode())
-	var steps uint64
-	bound := 4 * e.cfg.MaxTaskLen
-	halted := false
-	e.emit(core.LifecycleEvent{
-		Kind:  core.LifecycleFallbackEnter,
-		Cycle: e.tick(),
-		Start: e.arch.PC,
-	})
-	for steps < bound {
-		in, err := code.Step(env)
-		if err != nil {
-			halted = true
-			e.done = true
-			break
-		}
-		steps++
-		if in.Op == isa.OpHalt {
-			halted = true
-			e.done = true
-			break
-		}
-		if e.anchors[e.arch.PC] {
-			break
-		}
-	}
-	if code.Dirty() {
-		e.codeClean = false
-	}
-	e.metrics.SeqFallbackInsts += steps
-	e.metrics.CommittedInsts += steps
-
-	if e.cfg.OnCommit != nil && steps > 0 {
-		e.cfg.OnCommit(CommitEventFallback(steps, halted, e.arch))
-	}
-	e.emit(core.LifecycleEvent{
-		Kind:   core.LifecycleFallbackExit,
-		Cycle:  e.tick(),
-		Steps:  steps,
-		Halted: halted,
-	})
-}
-
-// CommitEventFallback builds the fallback-chunk commit event (shared shape
-// with core so downstream auditors cannot tell the engines apart).
-func CommitEventFallback(steps uint64, halted bool, arch *state.State) core.CommitEvent {
-	return core.CommitEvent{Kind: "fallback", Steps: steps, Halted: halted, Arch: arch}
 }
 
 // shutdown tears the machine down: stop the master, close the dispatch
@@ -837,48 +496,17 @@ func (e *Engine) slaveWorker(id int) {
 	for s := range e.dispatchCh {
 		if s.epoch == e.epoch.Load() {
 			s.slave = id
-			s.ex = e.pool.Execute(s.t, e.cfg.MaxTaskLen)
+			s.Ex = e.Pool.Execute(s.T, e.Cfg.MaxTaskLen)
 		} else {
-			s.ex = canceledExec
+			s.Ex = canceledExec
 		}
 		e.resultCh <- s
 	}
 }
 
-// taskCode returns the predecoded original program for a new execution over
-// architected code, or nil once the code segment has been written (or when
-// the fast path is disabled).
-func (e *Engine) taskCode() *isa.DecodedProgram {
-	if e.codeClean {
-		return e.origCode
-	}
-	return nil
-}
-
-// noteCodeWrites clears codeClean if the delta binds a memory word inside
-// the predecoded original code segment.
-func (e *Engine) noteCodeWrites(d *state.Delta) {
-	if !e.codeClean || d == nil {
-		return
-	}
-	d.Mem.Range(func(a, _ uint64) bool {
-		if e.origCode.Covers(a) {
-			e.codeClean = false
-			return false
-		}
-		return true
-	})
-}
-
-// emit delivers a lifecycle event to the configured observer, if any.
-func (e *Engine) emit(ev core.LifecycleEvent) {
-	if e.cfg.OnLifecycle != nil {
-		e.cfg.OnLifecycle(ev)
-	}
-}
-
-// tick advances the virtual clock by one event.
-func (e *Engine) tick() float64 {
+// tick advances the virtual clock by one event. It is the engine's
+// core.Clock: sequential mode's steps do not advance it further.
+func (e *Engine) tick(uint64) float64 {
 	e.vclock++
 	return e.vclock
 }

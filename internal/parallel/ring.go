@@ -3,7 +3,7 @@ package parallel
 import (
 	"fmt"
 
-	"mssp/internal/predict"
+	"mssp/internal/core"
 	"mssp/internal/task"
 )
 
@@ -54,23 +54,16 @@ func (s SlotState) String() string {
 
 // slot is one reservation: a task plus its protocol state. Slots are created
 // by the coordinator, travel to exactly one slave worker and back over
-// channels (which provides the happens-before edges for t and ex), and are
+// channels (which provides the happens-before edges for T and Ex), and are
 // never reused across epochs.
 type slot struct {
-	t     *task.Task
-	ex    *task.Exec
+	core.InFlight
 	state SlotState
 	// epoch is the squash epoch the slot was reserved in; a result arriving
 	// from an older epoch is stale and dropped.
 	epoch uint64
 	// slave is the worker index that executed the task (valid once Done).
 	slave int
-	// applied lists the live-in predictions written into the task's
-	// checkpoint, for grading at verify; exact marks the first fork of a
-	// master life, whose checkpoint is architected state verbatim and
-	// therefore trains nothing (it would double-count the squash point).
-	applied []predict.Pred
-	exact   bool
 }
 
 // ring is the reservation queue of the check-commit protocol: slots in
@@ -106,17 +99,17 @@ func (r *ring) Open() *slot {
 	return nil
 }
 
-// Reserve appends a new open reservation for t. The previous tail must have
-// been closed first (the protocol closes task N's end with the fork that
-// creates task N+1), and the ring must have capacity.
-func (r *ring) Reserve(t *task.Task, epoch uint64) (*slot, error) {
+// Reserve appends a new open reservation for the admitted task f. The
+// previous tail must have been closed first (the protocol closes task N's end
+// with the fork that creates task N+1), and the ring must have capacity.
+func (r *ring) Reserve(f core.InFlight, epoch uint64) (*slot, error) {
 	if r.Full() {
 		return nil, fmt.Errorf("parallel: ring full (%d slots)", r.capacity)
 	}
 	if s := r.Open(); s != nil {
-		return nil, fmt.Errorf("parallel: reserve with open tail (task %d)", s.t.ID)
+		return nil, fmt.Errorf("parallel: reserve with open tail (task %d)", s.T.ID)
 	}
-	s := &slot{t: t, state: SlotOpen, epoch: epoch}
+	s := &slot{InFlight: f, state: SlotOpen, epoch: epoch}
 	r.slots = append(r.slots, s)
 	return s, nil
 }
@@ -125,24 +118,24 @@ func (r *ring) Reserve(t *task.Task, epoch uint64) (*slot, error) {
 // the drain path lets the last task run to halt or the cap).
 func (r *ring) Close(s *slot, end, endCount uint64, hasEnd bool) error {
 	if s != r.Open() {
-		return fmt.Errorf("parallel: close of non-open slot (task %d, state %v)", s.t.ID, s.state)
+		return fmt.Errorf("parallel: close of non-open slot (task %d, state %v)", s.T.ID, s.state)
 	}
-	s.t.End = end
-	s.t.EndCount = endCount
-	s.t.HasEnd = hasEnd
+	s.T.End = end
+	s.T.EndCount = endCount
+	s.T.HasEnd = hasEnd
 	s.state = SlotClosed
 	return nil
 }
 
 // Complete marks a closed slot done. The executing worker stored the result
-// in s.ex before sending the slot back (the channel transfer orders the
+// in s.Ex before sending the slot back (the channel transfer orders the
 // write); Complete validates the protocol on the coordinator side.
 func (r *ring) Complete(s *slot) error {
 	if s.state != SlotClosed {
-		return fmt.Errorf("parallel: complete of %v slot (task %d)", s.state, s.t.ID)
+		return fmt.Errorf("parallel: complete of %v slot (task %d)", s.state, s.T.ID)
 	}
-	if s.ex == nil {
-		return fmt.Errorf("parallel: complete without result (task %d)", s.t.ID)
+	if s.Ex == nil {
+		return fmt.Errorf("parallel: complete without result (task %d)", s.T.ID)
 	}
 	s.state = SlotDone
 	return nil
@@ -156,7 +149,7 @@ func (r *ring) PopCommitted() error {
 		return fmt.Errorf("parallel: commit on empty ring")
 	}
 	if h.state != SlotDone {
-		return fmt.Errorf("parallel: commit of %v head (task %d)", h.state, h.t.ID)
+		return fmt.Errorf("parallel: commit of %v head (task %d)", h.state, h.T.ID)
 	}
 	h.state = SlotCommitted
 	r.slots = r.slots[1:]
@@ -171,18 +164,18 @@ func (r *ring) PopCommitted() error {
 // engine code (goanalysis GA001).
 func CommitCycle(n int) int {
 	r := newRing(4)
-	t := &task.Task{}
+	f := core.InFlight{T: &task.Task{}}
 	ex := &task.Exec{}
 	committed := 0
 	for i := 0; i < n; i++ {
-		s, err := r.Reserve(t, 0)
+		s, err := r.Reserve(f, 0)
 		if err != nil {
 			return committed
 		}
 		if err := r.Close(s, 0, 0, true); err != nil {
 			return committed
 		}
-		s.ex = ex
+		s.Ex = ex
 		if err := r.Complete(s); err != nil {
 			return committed
 		}

@@ -4,14 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"mssp/internal/core"
 	"mssp/internal/task"
 )
 
-func mkSlot(id uint64) *task.Task { return &task.Task{ID: id, Start: id * 10} }
+func mkSlot(id uint64) core.InFlight {
+	return core.InFlight{T: &task.Task{ID: id, Start: id * 10}}
+}
 
 func done(r *ring, s *slot, t *testing.T) {
 	t.Helper()
-	s.ex = &task.Exec{}
+	s.Ex = &task.Exec{}
 	if err := r.Complete(s); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
@@ -165,8 +168,8 @@ func TestRingProtocol(t *testing.T) {
 					check(i, r.Close(reserved[s.arg], 99, 1, true), s.wantErr)
 				case "complete":
 					sl := reserved[s.arg]
-					if sl.ex == nil {
-						sl.ex = &task.Exec{}
+					if sl.Ex == nil {
+						sl.Ex = &task.Exec{}
 					}
 					check(i, r.Complete(sl), s.wantErr)
 				case "commit":
@@ -229,8 +232,8 @@ func TestRingAccessors(t *testing.T) {
 	if err := r.Close(a, 5, 2, true); err != nil {
 		t.Fatal(err)
 	}
-	if a.t.End != 5 || a.t.EndCount != 2 || !a.t.HasEnd {
-		t.Errorf("close did not fix the task end: %+v", a.t)
+	if a.T.End != 5 || a.T.EndCount != 2 || !a.T.HasEnd {
+		t.Errorf("close did not fix the task end: %+v", a.T)
 	}
 	if r.Open() != nil {
 		t.Error("closed tail still reported open")
