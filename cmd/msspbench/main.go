@@ -107,7 +107,8 @@ func run(quick bool, in, out, label string) error {
 		cpu.NewCode(fuse.Predecode(workloads.MicroMem(1000), fuse.Options{})).RunState))
 	record("mem/read_hit", "ns/op", benchReadHit())
 	record("mem/write_hit", "ns/op", benchWriteHit())
-	record("mem/snapshot_churn", "ns/op", benchSnapshotChurn())
+	record("mem/snapshot_churn", "ns/op", benchSnapshotChurn(16))
+	record("mem/snapshot_churn_4096", "ns/op", benchSnapshotChurn(4096))
 	record("mem/equal_shared", "ns/op", benchEqualShared())
 	record("mem/overlay_setget", "ns/op", benchOverlaySetGet())
 	record("parallel/commit_ns", "ns/op", benchCommitCycle())
@@ -332,9 +333,12 @@ func benchWriteHit() float64 {
 	return nsPerOp(r)
 }
 
-func benchSnapshotChurn() float64 {
+// benchSnapshotChurn snapshots an image of the given number of populated
+// pages and writes the snapshot once; snapshots are O(1), so the cost must
+// not grow with pages.
+func benchSnapshotChurn(pages uint64) float64 {
 	m := mem.New()
-	for pn := uint64(0); pn < 16; pn++ {
+	for pn := uint64(0); pn < pages; pn++ {
 		m.Write(pn*mem.PageWords, pn+1)
 	}
 	r := testing.Benchmark(func(b *testing.B) {

@@ -602,7 +602,7 @@ func legUnit(cfg *core.Config, opts Options, dist *distill.Result) *predict.Unit
 // attached to a fault-injected leg must come out of the run exactly as it
 // went in — never consulted, never trained — because a checkpoint corrupted
 // by injection must not be able to poison the table (the engines gate
-// prediction off entirely when Config.Fault is set, mirroring shareCk).
+// prediction off entirely when Config.Fault is set).
 func checkFaultGate(unit *predict.Unit, plan *FaultPlan, leg string, failf func(string, ...any)) {
 	if unit == nil || plan == nil {
 		return

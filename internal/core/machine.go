@@ -31,12 +31,6 @@ type Machine struct {
 
 	queue []*pend // program order; tail may be open
 
-	// shareCk allows checkpoints to share (rather than re-snapshot) the
-	// master's diff when it is provably unchanged. Disabled under fault
-	// injection, whose CorruptCheckpoint hook mutates checkpoint diffs in
-	// place and must corrupt exactly one task.
-	shareCk bool
-
 	slaveFree     []float64
 	commitFree    float64
 	lastCommitEnd float64
@@ -65,7 +59,6 @@ func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) 
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	m.slaveFree = make([]float64, m.Cfg.Slaves)
-	m.shareCk = m.Cfg.Fault == nil
 	if !m.Cfg.DisableFastPath {
 		// The deterministic master steps one distilled instruction per
 		// simulation event (master.go), so a fused table on distCode would

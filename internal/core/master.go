@@ -23,13 +23,6 @@ type master struct {
 	diff *mem.Overlay
 	// diffAtFork is diff.Len() at the previous fork, for traffic metrics.
 	diffAtFork int
-	// ckDiff is the snapshot handed out by the previous checkpoint, and
-	// ckVersion the diff's content version when it was taken. While the
-	// version is unchanged the snapshot would be bit-identical, so checkpoint
-	// reuses it instead of re-snapshotting (lazy checkpoints; only when
-	// Machine.shareCk).
-	ckDiff    *mem.Overlay
-	ckVersion uint64
 
 	// code is this reseed's predecoded-distilled-program runner (a nil-table
 	// runner when the fast path is disabled). Reseed recreates it because it
@@ -148,8 +141,6 @@ func (m *Machine) reseed(now float64) {
 	ms.memory.CopyWords(m.Dist.Prog.Code.Base, m.Dist.Prog.Code.Words)
 	ms.diff = mem.NewOverlay()
 	ms.diffAtFork = 0
-	ms.ckDiff = nil
-	ms.ckVersion = 0
 	ms.pc = dpc
 	ms.code = cpu.NewCode(m.distCode)
 	ms.clock = now
@@ -160,25 +151,15 @@ func (m *Machine) reseed(now float64) {
 	ms.gate = NewForkGate(&m.Cfg, m.Dist, m.Plan)
 }
 
-// checkpoint captures the master's current prediction of machine state.
-//
-// When the master performed no stores since the previous checkpoint (the
-// diff's content version is unchanged) and sharing is allowed, the previous
-// diff snapshot is reused verbatim — it is immutable and slaves read it
-// through per-task OverlayReader cursors, so sharing is safe. Otherwise an
-// O(pages) snapshot is taken as before.
+// checkpoint captures the master's current prediction of machine state. The
+// memory diff is an O(1) snapshot of the master's write log, private to the
+// task it is handed to.
 func (m *Machine) checkpoint() task.Checkpoint {
 	ms := &m.master
 	ck := task.Checkpoint{
 		Regs:         ms.regs,
+		MemDiff:      ms.diff.Snapshot(),
 		NewDiffWords: ms.diff.Len() - ms.diffAtFork,
-	}
-	if m.shareCk && ms.ckDiff != nil && ms.diff.Version() == ms.ckVersion {
-		ck.MemDiff = ms.ckDiff
-	} else {
-		ck.MemDiff = ms.diff.Snapshot()
-		ms.ckDiff = ck.MemDiff
-		ms.ckVersion = ms.diff.Version()
 	}
 	ms.diffAtFork = ms.diff.Len()
 	if m.Cfg.MasterSuppliesAllData {

@@ -149,9 +149,8 @@ type StopResult struct {
 	Steps  uint64   // instructions executed this call (stop event included)
 	Kind   StopKind //
 	Anchor uint64   // FORK immediate, valid when Kind == StopFork
-	// Stores is the number of store instructions executed this call. Master
-	// engines use it to skip checkpoint materialization over store-free
-	// stretches of distilled code (see docs/MEMORY.md).
+	// Stores is the number of store instructions executed this call, for
+	// callers that relate checkpoint cost to the master stores behind it.
 	Stores uint64
 	// Fused is the number of instructions retired through fused
 	// (superinstruction) dispatches this call; Fused/Steps is the dynamic

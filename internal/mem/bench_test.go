@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Benchmarks for the memory layer's hot paths: cached reads and writes,
 // snapshot churn (the per-spawn cost in the machine), and whole-image
@@ -48,18 +51,23 @@ func BenchmarkWriteHit(b *testing.B) {
 }
 
 // BenchmarkSnapshotChurn measures the machine's per-spawn pattern: snapshot
-// the image, then write it (forcing one page copy-on-write). This is the
-// cost the task-spawn path pays per architected snapshot.
+// the image, then write it (forcing one path copy-on-write). This is the
+// cost the task-spawn path pays per architected snapshot. It runs at 16 and
+// 4096 populated pages: snapshots are O(1), so the two must match.
 func BenchmarkSnapshotChurn(b *testing.B) {
-	m := New()
-	for pn := uint64(0); pn < 16; pn++ {
-		m.Write(pn*PageWords, pn+1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap := m.Snapshot()
-		snap.Write(0, uint64(i))
+	for _, pages := range []uint64{16, 4096} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			m := New()
+			for pn := uint64(0); pn < pages; pn++ {
+				m.Write(pn*PageWords, pn+1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap := m.Snapshot()
+				snap.Write(0, uint64(i))
+			}
+		})
 	}
 }
 

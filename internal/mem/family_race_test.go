@@ -96,3 +96,56 @@ func TestOverlayFamilyConcurrency(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestFamilyConcurrencyWhileGrowing has the parent make its trie taller (and
+// copy paths through nodes the siblings share) while siblings taken at the
+// old height read and write on other goroutines.
+func TestFamilyConcurrencyWhileGrowing(t *testing.T) {
+	parent, log := New(), NewOverlay()
+	for a := uint64(0); a < 4*PageWords; a += 3 {
+		parent.Write(a, a)
+		log.Set(a, a)
+	}
+
+	const workers = 6
+	var wg sync.WaitGroup
+	errs := make(chan string, 2*workers)
+	for w := 0; w < workers; w++ {
+		m, o := parent.Snapshot(), log.Snapshot()
+		wg.Add(1)
+		go func(id uint64, m *Memory, o *Overlay) {
+			defer wg.Done()
+			var r OverlayReader
+			r.Init(o)
+			for rep := 0; rep < 20; rep++ {
+				for a := uint64(0); a < 4*PageWords; a += 3 {
+					if m.Read(a) != a {
+						errs <- "sibling memory read tore"
+						return
+					}
+					if v, ok := r.Get(a); !ok || v != a {
+						errs <- "sibling overlay read tore"
+						return
+					}
+				}
+				if m.Read(^uint64(0)) != 0 {
+					errs <- "sibling sees the parent's growth"
+					return
+				}
+				m.Write(^uint64(0)-id, id) // siblings grow too
+			}
+		}(uint64(w), m, o)
+	}
+	for shift := uint(20); shift < 64; shift += 4 {
+		parent.Write(1<<shift, 1)
+		log.Set(1<<shift, 1)
+		parent.Write(0, 1) // path copy through the shared low subtree
+		log.Set(0, 1)
+		_, _ = parent.Snapshot(), log.Snapshot()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}

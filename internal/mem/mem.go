@@ -1,7 +1,7 @@
 // Package mem provides the memory structures the MSSP simulator is built on:
-// a sparse, word-addressed 64-bit memory with O(pages) copy-on-write
-// snapshots (Memory), and a sparse overlay that additionally distinguishes
-// "written" from "zero" cells (Overlay).
+// a sparse, word-addressed 64-bit memory with O(1) copy-on-write snapshots
+// (Memory), and a sparse overlay that additionally distinguishes "written"
+// from "zero" cells (Overlay).
 //
 // Snapshots are the workhorse of the simulator. Architected state is
 // snapshotted at every task spawn so that slave processors read the state the
@@ -9,12 +9,17 @@
 // the MSSP verify/commit unit exists to catch. The master's write log is an
 // Overlay snapshotted at every fork to form the checkpoint's live-in diff.
 //
+// Both structures keep their pages in a persistent radix trie (trie.go):
+// Snapshot shares the root, the first write after it copies one
+// root-to-page path, and Diff/Equal skip every subtree the two sides still
+// share.
+//
 // Both structures carry a one-entry last-page cache on their access paths
 // (see docs/PERFORMANCE.md): the common sequential / stack-local access
 // patterns of MIR programs hit the same page repeatedly, and the cache
-// turns those accesses from a map lookup into a pointer compare. The caches
-// are invalidated on Snapshot, which is what keeps them coherent with
-// copy-on-write sharing.
+// turns those accesses from a trie walk into one compare. Snapshot drops
+// the write caches (the cached pages become shared); read caches stay valid,
+// because a copy-on-write of the cached page refreshes them.
 //
 // # Concurrency contract
 //
@@ -29,9 +34,9 @@
 //     Snapshot itself — from different goroutines concurrently, provided
 //     each value is handed off with ordinary happens-before edges (channel
 //     send, mutex). The shared generation counter is advanced atomically,
-//     so generations stay unique family-wide; in-place page writes only
-//     ever hit pages whose generation matches the writing value's own
-//     (exclusively owned pages), and shared pages are only ever read.
+//     so generations stay unique family-wide; in-place writes only ever hit
+//     nodes and pages whose generation matches the writing value's own
+//     (exclusively owned), and shared ones are only ever read.
 //   - A logically frozen Overlay (one nobody will mutate again, such as a
 //     checkpoint diff) may be read from many goroutines at once through
 //     per-goroutine OverlayReader cursors, which keep their page cache on
@@ -42,48 +47,46 @@
 // lifecycle, pooling and aliasing contract lives in docs/MEMORY.md.
 package mem
 
-import "sync/atomic"
-
-// PageWords is the number of 64-bit words per page. Pages are the unit of
-// copy-on-write sharing.
-const PageWords = 1024
+// PageWords is the number of 64-bit words per page. Pages are the trie's
+// leaves and the unit of copy-on-write sharing.
+const PageWords = 128
 
 const (
-	pageShift = 10
+	pageShift = 7
 	pageMask  = PageWords - 1
 )
 
-type page struct {
-	gen  uint64
-	data [PageWords]uint64
-}
+// words is a Memory page's payload, and page the Memory trie's leaf. page is
+// pointer-free, so the garbage collector never scans its words.
+type (
+	words = [PageWords]uint64
+	page  = leaf[words]
+)
 
-// zeroPageData is the all-zero page contents, for fast whole-page compares.
-var zeroPageData [PageWords]uint64
+// zeroPage is the shared, never-written stand-in for an absent page. The
+// read cache may hold it, which keeps repeated reads of unmapped pages off
+// the trie walk; the write cache never does, and a write that materializes
+// the page refreshes the read cache.
+var zeroPage page
 
 // Memory is a sparse word-addressed memory. Absent words read as zero.
 //
-// A Memory value and its snapshots share pages copy-on-write: Snapshot is
-// O(number of pages), and the first write to a shared page after a snapshot
-// copies that page. The zero value... is not usable; call New.
+// A Memory value and its snapshots share the page trie copy-on-write:
+// Snapshot is O(1), and the first write to a page after a snapshot copies
+// that page and the trie nodes above it. The zero value is not usable; call
+// New.
 //
 // A Memory is not safe for concurrent use; the page caches make even Read
 // a mutating operation. Snapshots are independent values and may be used
 // from different goroutines.
 type Memory struct {
-	pages map[uint64]*page
-	gen   uint64
-	// genCounter is shared across a snapshot family so generations stay
-	// unique even when snapshots of snapshots are taken. It is advanced
-	// atomically so family members on different goroutines can snapshot
-	// concurrently (see the package concurrency contract).
-	genCounter *uint64
+	t trie[words]
 
-	// Last-page caches. Invariants, whenever the pointers are non-nil:
-	// readPg == pages[readPN], and writePg == pages[writePN] with
-	// writePg.gen == gen (the page is exclusively owned, so writing
-	// through the cache can never clobber a snapshot). Snapshot changes
-	// gen and therefore drops both caches.
+	// Last-page caches. Invariants: readPN == noPN or readPg is the page at
+	// readPN; writePN == noPN or writePg is the page at writePN with
+	// writePg.gen == t.gen (exclusively owned, so writing through the cache
+	// can never clobber a snapshot). Snapshot changes t.gen and therefore
+	// drops the write cache.
 	readPN  uint64
 	readPg  *page
 	writePN uint64
@@ -92,107 +95,90 @@ type Memory struct {
 
 // New returns an empty memory.
 func New() *Memory {
-	var ctr uint64 = 1
-	return &Memory{pages: make(map[uint64]*page), gen: 1, genCounter: &ctr}
+	return &Memory{t: newTrie[words](), readPN: noPN, writePN: noPN}
 }
 
 // Read returns the word at addr (zero if never written).
 func (m *Memory) Read(addr uint64) uint64 {
-	pn := addr >> pageShift
-	if p := m.readPg; p != nil && pn == m.readPN {
-		return p.data[addr&pageMask]
+	if addr>>pageShift == m.readPN {
+		return m.readPg.d[addr&pageMask]
 	}
-	p, ok := m.pages[pn]
-	if !ok {
-		return 0
-	}
-	m.readPg, m.readPN = p, pn
-	return p.data[addr&pageMask]
+	return m.readMiss(addr)
 }
 
-// Write stores v at addr, copying the containing page if it is shared with
-// a snapshot.
+// readMiss is kept out of line so Read stays inlinable.
+//
+//go:noinline
+func (m *Memory) readMiss(addr uint64) uint64 {
+	m.readPN = addr >> pageShift
+	m.readPg = m.t.lookup(m.readPN)
+	if m.readPg == nil {
+		m.readPg = &zeroPage
+	}
+	return m.readPg.d[addr&pageMask]
+}
+
+// Write stores v at addr, copying the containing page (and its trie path) if
+// it is shared with a snapshot.
 func (m *Memory) Write(addr uint64, v uint64) {
-	pn := addr >> pageShift
-	if p := m.writePg; p != nil && pn == m.writePN {
-		p.data[addr&pageMask] = v
+	if addr>>pageShift == m.writePN {
+		m.writePg.d[addr&pageMask] = v
 		return
 	}
-	p, ok := m.pages[pn]
-	switch {
-	case !ok:
-		if v == 0 {
-			return // writing zero to an absent page is a no-op
+	m.writeMiss(addr, v)
+}
+
+// writeMiss is kept out of line so Write stays inlinable.
+//
+//go:noinline
+func (m *Memory) writeMiss(addr uint64, v uint64) {
+	pn := addr >> pageShift
+	if v == 0 {
+		// Writing zero to an absent page is a no-op. The read cache also
+		// remembers absent pages (as zeroPage), so a run of zero writes — a
+		// program image's zero-filled data — walks the trie once per page.
+		if m.readPN != pn {
+			m.readMiss(addr)
 		}
-		p = &page{gen: m.gen}
-		m.pages[pn] = p
-	case p.gen != m.gen:
-		cp := *p
-		cp.gen = m.gen
-		p = &cp
-		m.pages[pn] = p
+		if m.readPg == &zeroPage {
+			return
+		}
 	}
-	p.data[addr&pageMask] = v
+	p := m.t.mutable(pn, nil)
+	p.d[addr&pageMask] = v
 	m.writePg, m.writePN = p, pn
 	// Keep the read cache coherent: a copy-on-write just replaced the page
 	// the read cache may be holding.
-	if m.readPg != nil && m.readPN == pn {
+	if m.readPN == pn {
 		m.readPg = p
 	}
 }
 
-// Snapshot returns a logically independent copy of the memory. The copy and
-// the receiver share pages until either side writes.
+// Snapshot returns a logically independent copy of the memory in O(1). The
+// copy and the receiver share the page trie until either side writes.
 //
 // Snapshot may be called concurrently on different members of one family
 // (the generation counter is atomic); the receiver itself must still be
 // goroutine-confined.
 func (m *Memory) Snapshot() *Memory {
-	// One atomic bump hands out two fresh generations: one for the clone,
-	// one for the receiver (which must also stop writing into now-shared
-	// pages in place).
-	gen := atomic.AddUint64(m.genCounter, 2)
-	clone := &Memory{
-		pages:      make(map[uint64]*page, len(m.pages)),
-		gen:        gen - 1,
-		genCounter: m.genCounter,
-	}
-	for pn, p := range m.pages {
-		clone.pages[pn] = p
-	}
-	m.gen = gen
-	m.readPg = nil
-	m.writePg = nil
-	return clone
+	return m.SnapshotInto(new(Memory))
 }
 
-// SnapshotInto is Snapshot with the clone's allocations recycled from dst:
-// dst's page map is cleared and refilled (keeping its buckets) and dst is
-// adopted into m's snapshot family. It exists for the task pools
-// (internal/task.Pool), which re-issue the same architected-snapshot value
-// life after life instead of allocating a map per spawn; in steady state the
-// call allocates nothing.
+// SnapshotInto is Snapshot with the clone written into dst instead of a new
+// value. It exists for the task pools (internal/task.Pool), which re-issue
+// the same architected-snapshot value life after life; the call allocates
+// nothing.
 //
 // dst must be retired: no goroutine may still use it, and it must not alias
-// a value anyone else holds. Its previous page references are dropped
-// (copy-on-write siblings keep their own). A nil dst falls back to a plain
-// Snapshot. See docs/MEMORY.md for the pooling contract.
+// a value anyone else holds. Its previous contents are dropped (copy-on-write
+// siblings keep their own). A nil dst falls back to a plain Snapshot. See
+// docs/MEMORY.md for the pooling contract.
 func (m *Memory) SnapshotInto(dst *Memory) *Memory {
 	if dst == nil || dst == m {
 		return m.Snapshot()
 	}
-	gen := atomic.AddUint64(m.genCounter, 2)
-	clear(dst.pages)
-	for pn, p := range m.pages {
-		dst.pages[pn] = p
-	}
-	dst.gen = gen - 1
-	dst.genCounter = m.genCounter
-	dst.readPg = nil
-	dst.writePg = nil
-	m.gen = gen
-	m.readPg = nil
-	m.writePg = nil
+	*dst = Memory{t: m.t.fork(), readPN: m.readPN, readPg: m.readPg, writePN: noPN}
+	m.writePN, m.writePg = noPN, nil
 	return dst
 }
 
@@ -203,66 +189,32 @@ func (m *Memory) CopyWords(base uint64, words []uint64) {
 	}
 }
 
-// PageCount returns the number of materialized pages (for metrics).
-func (m *Memory) PageCount() int { return len(m.pages) }
-
 // Equal reports whether two memories hold identical contents. Pages absent
-// on one side compare equal to all-zero pages on the other.
+// on one side compare equal to all-zero pages on the other. Subtrees the two
+// share are skipped, so comparing members of one snapshot family costs
+// O(pages written since they diverged).
 func (m *Memory) Equal(o *Memory) bool {
-	return m.subsetZero(o) && o.subsetZero(m)
-}
-
-// subsetZero checks every page of m against o, treating absence as zeros.
-func (m *Memory) subsetZero(o *Memory) bool {
-	for pn, p := range m.pages {
-		q, ok := o.pages[pn]
-		if ok {
-			if p == q {
-				continue
-			}
-			if p.data != q.data {
-				return false
-			}
-			continue
-		}
-		if p.data != zeroPageData {
-			return false
-		}
-	}
-	return true
+	d := differ{f: func(_ uint64, p, q *page) bool {
+		return p.d == q.d
+	}}
+	return d.run(&m.t, &o.t)
 }
 
 // Diff calls f for every address whose value differs between m and o,
-// passing the values in each. Useful for debugging refinement failures.
-// Iteration order is unspecified. Diff allocates nothing: membership in m
-// is checked directly instead of through a scratch set.
+// passing the values in each, in ascending address order. Like Equal it
+// skips shared subtrees, so its cost is proportional to the pages that
+// differ, not to the size of either memory.
 func (m *Memory) Diff(o *Memory, f func(addr uint64, mv, ov uint64)) {
-	for pn, p := range m.pages {
-		q := o.pages[pn]
-		if q != nil && (p == q || p.data == q.data) {
-			continue
+	d := differ{f: func(pn uint64, p, q *page) bool {
+		if p.d == q.d {
+			return true
 		}
-		for i := 0; i < PageWords; i++ {
-			var ov uint64
-			if q != nil {
-				ov = q.data[i]
-			}
-			if p.data[i] != ov {
-				f(pn<<pageShift|uint64(i), p.data[i], ov)
+		for i := range p.d {
+			if p.d[i] != q.d[i] {
+				f(pn<<pageShift|uint64(i), p.d[i], q.d[i])
 			}
 		}
-	}
-	for pn, q := range o.pages {
-		if _, ok := m.pages[pn]; ok {
-			continue
-		}
-		if q.data == zeroPageData {
-			continue
-		}
-		for i := 0; i < PageWords; i++ {
-			if q.data[i] != 0 {
-				f(pn<<pageShift|uint64(i), 0, q.data[i])
-			}
-		}
-	}
+		return true
+	}}
+	d.run(&m.t, &o.t)
 }

@@ -26,7 +26,7 @@ func TestMemoryReadWrite(t *testing.T) {
 func TestMemoryZeroWriteToAbsentPage(t *testing.T) {
 	m := New()
 	m.Write(5000, 0)
-	if m.PageCount() != 0 {
+	if countPages(&m.t) != 0 {
 		t.Error("writing zero materialized a page")
 	}
 	if m.Read(5000) != 0 {
@@ -135,7 +135,38 @@ func TestCopyWords(t *testing.T) {
 	}
 }
 
-// Property: a memory behaves like a map with zero default, across snapshots.
+// modelAddr draws an address for the model tests: mostly a dense low range,
+// sometimes near the top of the 64-bit space, so the trie grows taller
+// mid-run and snapshots taken earlier keep their shorter height. The first
+// quarter of a run stays low.
+func modelAddr(rng *rand.Rand, i int, low int) uint64 {
+	if i < 75 {
+		return uint64(rng.Intn(low))
+	}
+	switch rng.Intn(8) {
+	case 0:
+		return 1<<40 + uint64(rng.Intn(300))
+	case 1:
+		return 1<<60 + uint64(rng.Intn(300))
+	case 2:
+		return ^uint64(0) - uint64(rng.Intn(300))
+	case 3:
+		return rng.Uint64()
+	default:
+		return uint64(rng.Intn(low))
+	}
+}
+
+func copyModel(m map[uint64]uint64) map[uint64]uint64 {
+	c := make(map[uint64]uint64, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
+}
+
+// Property: a memory behaves like a map with zero default, across snapshots
+// and across the whole 64-bit address range.
 func TestMemoryVsModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -147,14 +178,10 @@ func TestMemoryVsModel(t *testing.T) {
 		}
 		var snaps []snap
 		for i := 0; i < 300; i++ {
-			addr := uint64(rng.Intn(5000))
+			addr := modelAddr(rng, i, 5000)
 			switch rng.Intn(10) {
 			case 0: // snapshot
-				mc := map[uint64]uint64{}
-				for k, v := range model {
-					mc[k] = v
-				}
-				snaps = append(snaps, snap{m.Snapshot(), mc})
+				snaps = append(snaps, snap{m.Snapshot(), copyModel(model)})
 			case 1, 2, 3: // read
 				if m.Read(addr) != model[addr] {
 					return false
@@ -168,6 +195,11 @@ func TestMemoryVsModel(t *testing.T) {
 		for _, s := range snaps {
 			for k, v := range s.model {
 				if s.m.Read(k) != v {
+					return false
+				}
+			}
+			for k := range model { // words written after the snapshot
+				if s.m.Read(k) != s.model[k] {
 					return false
 				}
 			}
@@ -221,19 +253,12 @@ func TestOverlaySnapshotIsolation(t *testing.T) {
 
 func TestOverlayRange(t *testing.T) {
 	o := NewOverlay()
-	want := map[uint64]uint64{0: 5, 63: 1, 64: 2, 1023: 3, 1024: 4, 99999: 6}
+	want := map[uint64]uint64{0: 5, 63: 1, 64: 2, 1023: 3, 1024: 4, 99999: 6, 1 << 60: 7, ^uint64(0): 8}
 	for k, v := range want {
 		o.Set(k, v)
 	}
-	got := map[uint64]uint64{}
-	o.Range(func(a, v uint64) bool { got[a] = v; return true })
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("Range[%d] = %d, want %d", k, got[k], v)
-		}
+	if !overlayMatches(o, want) {
+		t.Fatal("Range does not visit exactly the bindings in ascending address order")
 	}
 	// Early stop.
 	n := 0
@@ -243,62 +268,71 @@ func TestOverlayRange(t *testing.T) {
 	}
 }
 
-func TestOverlayClear(t *testing.T) {
-	o := NewOverlay()
-	o.Set(1, 1)
-	s := o.Snapshot()
-	o.Clear()
-	if o.Len() != 0 {
-		t.Error("Clear did not empty overlay")
-	}
-	if _, ok := o.Get(1); ok {
-		t.Error("Clear left entries behind")
-	}
-	if v, ok := s.Get(1); !ok || v != 1 {
-		t.Error("Clear damaged outstanding snapshot")
-	}
-	o.Set(2, 2)
-	if v, ok := o.Get(2); !ok || v != 2 {
-		t.Error("overlay unusable after Clear")
-	}
-}
-
 func TestOverlayVsModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		o := NewOverlay()
 		model := map[uint64]uint64{}
+		type snap struct {
+			o     *Overlay
+			model map[uint64]uint64
+		}
+		var snaps []snap
 		for i := 0; i < 400; i++ {
-			addr := uint64(rng.Intn(3000))
-			if rng.Intn(3) == 0 {
+			addr := modelAddr(rng, i, 3000)
+			switch rng.Intn(12) {
+			case 0:
+				snaps = append(snaps, snap{o.Snapshot(), copyModel(model)})
+			case 1, 2, 3:
 				v, ok := o.Get(addr)
 				mv, mok := model[addr]
 				if ok != mok || v != mv {
 					return false
 				}
-			} else {
+			case 4:
+				v := rng.Uint64() % 50
+				_, had := model[addr]
+				if o.SetIfAbsent(addr, v) == had {
+					return false
+				}
+				if !had {
+					model[addr] = v
+				}
+			default:
 				v := rng.Uint64() % 50
 				o.Set(addr, v)
 				model[addr] = v
 			}
 		}
-		if o.Len() != len(model) {
-			return false
-		}
-		n := 0
-		ok := true
-		o.Range(func(a, v uint64) bool {
-			n++
-			if mv, present := model[a]; !present || mv != v {
-				ok = false
+		snaps = append(snaps, snap{o, model})
+		for _, s := range snaps {
+			if !overlayMatches(s.o, s.model) {
+				return false
 			}
-			return true
-		})
-		return ok && n == len(model)
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// overlayMatches checks o against a model: same length, and Range visits
+// exactly the model's bindings in ascending address order.
+func overlayMatches(o *Overlay, model map[uint64]uint64) bool {
+	if o.Len() != len(model) {
+		return false
+	}
+	n, ok := 0, true
+	var prev uint64
+	o.Range(func(a, v uint64) bool {
+		if mv, present := model[a]; !present || mv != v || (n > 0 && a <= prev) {
+			ok = false
+		}
+		n, prev = n+1, a
+		return true
+	})
+	return ok && n == len(model)
 }
 
 func BenchmarkMemoryWrite(b *testing.B) {

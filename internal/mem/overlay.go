@@ -1,226 +1,187 @@
 package mem
 
-import (
-	"math/bits"
-	"sync/atomic"
+import "math/bits"
+
+// cells is an Overlay page's payload: the words and which of them are
+// bound. Binding is recorded twice: ok keeps Get a two-load inlinable hit,
+// and mask (bit i of word i/64) lets Range skip unbound words. A word whose
+// ok flag is clear always holds zero (pages start zeroed and only a binding
+// writes data), and opage is the Overlay trie's leaf.
+type (
+	cells struct {
+		ok   [PageWords]bool
+		mask [PageWords / 64]uint64
+		data [PageWords]uint64
+	}
+	opage = leaf[cells]
 )
 
-type opage struct {
-	gen     uint64
-	present [PageWords / 64]uint64
-	data    [PageWords]uint64
+// bind marks word idx bound.
+func (c *cells) bind(idx uint64) {
+	c.ok[idx] = true
+	c.mask[idx>>6] |= 1 << (idx & 63)
 }
 
+// zeroOPage is the shared, never-written stand-in for an absent page in the
+// get caches, like Memory's zeroPage.
+var zeroOPage opage
+
 // Overlay is a sparse word-addressed map from address to value that, unlike
-// Memory, distinguishes "written with zero" from "never written". It supports
-// the same O(pages) copy-on-write Snapshot.
+// Memory, distinguishes "written with zero" from "never written". It keeps
+// its pages in the same persistent trie and supports the same O(1)
+// copy-on-write Snapshot.
 //
 // Overlays model the master processor's write log: at each fork point the
 // current overlay snapshot becomes the checkpoint's memory live-in diff, and
 // slave reads consult it before falling back to the architected snapshot.
 //
 // Like Memory, an Overlay carries one-entry last-page caches on Get and Set
-// (invalidated on Snapshot and Clear), so repeated accesses to one page —
-// the dominant pattern in slave write buffers and live-in sets — skip the
-// page map. The caches make Get a mutating operation: an Overlay is not
-// safe for concurrent use, but snapshots are independent values and follow
-// the package-level concurrency contract (atomic generation counter, so
-// different family members may be used and snapshotted from different
-// goroutines).
+// (the set cache is dropped on Snapshot, both on Reset), so repeated
+// accesses to one page — the dominant pattern in slave write buffers and
+// live-in sets — skip the trie walk. The caches make Get a mutating
+// operation: an Overlay is not safe for concurrent use, but snapshots are
+// independent values and follow the package-level concurrency contract
+// (atomic generation counter, so different family members may be used and
+// snapshotted from different goroutines).
 type Overlay struct {
-	pages      map[uint64]*opage
-	gen        uint64
-	genCounter *uint64
-	count      int // number of present words
-	// version counts content mutations (Set, Clear, Reset). Snapshot leaves
-	// it unchanged: equal versions across a snapshot mean equal contents,
-	// which is what lets checkpoint producers reuse a previous snapshot
-	// verbatim (see docs/MEMORY.md).
-	version uint64
+	t     trie[cells]
+	count int // number of present words
+	// free holds the nodes and pages the last Reset reclaimed, so a pooled
+	// overlay refills itself without allocating.
+	free freeList[cells]
 
-	// Last-page caches; same invariants as Memory's: getPg ==
-	// pages[getPN], setPg == pages[setPN] with setPg.gen == gen.
-	getPN uint64
-	getPg *opage
-	setPN uint64
-	setPg *opage
+	// Last-page caches; same invariants as Memory's. The get cache holds
+	// slices of the page at getPN (zeroOPage when absent) rather than the
+	// page pointer, which keeps Get within the inlining budget; setPN ==
+	// noPN or setPg is the page at setPN with setPg.gen == t.gen.
+	getPN   uint64
+	getData []uint64
+	getOK   []bool
+	setPN   uint64
+	setPg   *opage
+}
+
+// view returns the slices a get cache holds for page p (nil: absent).
+func view(p *opage) ([]uint64, []bool) {
+	if p == nil {
+		p = &zeroOPage
+	}
+	return p.d.data[:], p.d.ok[:]
 }
 
 // NewOverlay returns an empty overlay.
 func NewOverlay() *Overlay {
-	var ctr uint64 = 1
-	return &Overlay{pages: make(map[uint64]*opage), gen: 1, genCounter: &ctr}
+	return &Overlay{t: newTrie[cells](), getPN: noPN, setPN: noPN}
 }
 
 // Get returns the value at addr and whether it is present.
 func (o *Overlay) Get(addr uint64) (uint64, bool) {
-	pn := addr >> pageShift
-	p := o.getPg
-	if p == nil || pn != o.getPN {
-		var ok bool
-		p, ok = o.pages[pn]
-		if !ok {
-			return 0, false
-		}
-		o.getPg, o.getPN = p, pn
+	if addr>>pageShift != o.getPN {
+		o.getMiss(addr)
 	}
-	idx := addr & pageMask
-	if p.present[idx/64]&(1<<(idx%64)) == 0 {
-		return 0, false
-	}
-	return p.data[idx], true
+	return o.getData[addr&pageMask], o.getOK[addr&pageMask]
+}
+
+// getMiss refills the get cache for addr's page. It is kept out of line so
+// Get stays inlinable.
+//
+//go:noinline
+func (o *Overlay) getMiss(addr uint64) {
+	o.getPN = addr >> pageShift
+	o.getData, o.getOK = view(o.t.lookup(o.getPN))
 }
 
 // Set stores v at addr.
 func (o *Overlay) Set(addr uint64, v uint64) {
-	pn := addr >> pageShift
 	p := o.setPg
-	if p == nil || pn != o.setPN {
-		var ok bool
-		p, ok = o.pages[pn]
-		switch {
-		case !ok:
-			p = &opage{gen: o.gen}
-			o.pages[pn] = p
-		case p.gen != o.gen:
-			cp := *p
-			cp.gen = o.gen
-			p = &cp
-			o.pages[pn] = p
-		}
-		o.setPg, o.setPN = p, pn
-		// A copy-on-write may have replaced the page the get cache holds.
-		if o.getPg != nil && o.getPN == pn {
-			o.getPg = p
-		}
+	if addr>>pageShift != o.setPN {
+		p = o.setMiss(addr)
 	}
 	idx := addr & pageMask
-	if p.present[idx/64]&(1<<(idx%64)) == 0 {
-		p.present[idx/64] |= 1 << (idx % 64)
+	if !p.d.ok[idx] {
+		p.d.bind(idx)
 		o.count++
 	}
-	p.data[idx] = v
-	o.version++
+	p.d.data[idx] = v
+}
+
+// setMiss makes the page holding addr writable (copying it and its trie path
+// if shared), caches it, and returns it.
+func (o *Overlay) setMiss(addr uint64) *opage {
+	pn := addr >> pageShift
+	p := o.t.mutable(pn, &o.free)
+	o.setPg, o.setPN = p, pn
+	// A copy-on-write may have replaced the page the get cache views.
+	if o.getPN == pn {
+		o.getData, o.getOK = view(p)
+	}
+	return p
 }
 
 // SetIfAbsent binds addr to v only if addr is not already present, and
 // reports whether it stored the value. It is the single-lookup form of the
 // Get-then-Set pattern live-in capture uses on every memory read: one page
-// walk instead of two.
+// walk instead of two. A present word on a shared page is refused without
+// copying anything.
 func (o *Overlay) SetIfAbsent(addr, v uint64) bool {
-	pn := addr >> pageShift
 	p := o.setPg
-	if p == nil || pn != o.setPN {
-		var ok bool
-		p, ok = o.pages[pn]
-		switch {
-		case !ok:
-			p = &opage{gen: o.gen}
-			o.pages[pn] = p
-		case p.gen != o.gen:
-			idx := addr & pageMask
-			if p.present[idx/64]&(1<<(idx%64)) != 0 {
-				return false // present in a shared page: no write, no CoW
-			}
-			cp := *p
-			cp.gen = o.gen
-			p = &cp
-			o.pages[pn] = p
-		}
-		o.setPg, o.setPN = p, pn
-		// A copy-on-write may have replaced the page the get cache holds.
-		if o.getPg != nil && o.getPN == pn {
-			o.getPg = p
-		}
-	}
 	idx := addr & pageMask
-	if p.present[idx/64]&(1<<(idx%64)) != 0 {
+	if addr>>pageShift != o.setPN {
+		if q := o.t.lookup(addr >> pageShift); q != nil && q.d.ok[idx] {
+			return false
+		}
+		p = o.setMiss(addr)
+	}
+	if p.d.ok[idx] {
 		return false
 	}
-	p.present[idx/64] |= 1 << (idx % 64)
-	p.data[idx] = v
+	p.d.bind(idx)
+	p.d.data[idx] = v
 	o.count++
-	o.version++
 	return true
 }
 
 // Len returns the number of present words.
 func (o *Overlay) Len() int { return o.count }
 
-// Version returns the overlay's content version: it advances on every
-// mutation (Set, SetIfAbsent binding a new word, Clear, Reset) and is left
-// alone by Snapshot. A producer that recorded the version at its last
-// Snapshot can therefore prove "nothing changed since" with one compare and
-// hand out the previous snapshot again — the checkpoint-reuse fast path of
-// the master engines (docs/MEMORY.md).
-func (o *Overlay) Version() uint64 { return o.version }
-
-// Snapshot returns a logically independent copy sharing pages copy-on-write.
-// As with Memory.Snapshot, distinct family members may snapshot concurrently.
+// Snapshot returns a logically independent copy in O(1), sharing the page
+// trie copy-on-write. As with Memory.Snapshot, distinct family members may
+// snapshot concurrently.
 func (o *Overlay) Snapshot() *Overlay {
-	gen := atomic.AddUint64(o.genCounter, 2)
-	clone := &Overlay{
-		pages:      make(map[uint64]*opage, len(o.pages)),
-		gen:        gen - 1,
-		genCounter: o.genCounter,
-		count:      o.count,
-	}
-	for pn, p := range o.pages {
-		clone.pages[pn] = p
-	}
-	o.gen = gen
-	o.getPg = nil
-	o.setPg = nil
-	return clone
+	c := &Overlay{t: o.t.fork(), count: o.count, getPN: o.getPN, getData: o.getData, getOK: o.getOK, setPN: noPN}
+	o.setPN, o.setPg = noPN, nil
+	return c
 }
 
-// Range calls f for every present (addr, value) pair until f returns false.
-// Iteration order is unspecified.
+// Range calls f for every present (addr, value) pair, in ascending address
+// order, until f returns false.
 func (o *Overlay) Range(f func(addr uint64, v uint64) bool) {
-	for pn, p := range o.pages {
-		for w, mask := range p.present {
-			for mask != 0 {
-				b := bits.TrailingZeros64(mask)
-				mask &^= 1 << b
-				idx := uint64(w*64 + b)
-				if !f(pn<<pageShift|idx, p.data[idx]) {
-					return
+	o.t.leaves(func(pn uint64, p *opage) bool {
+		for w, m := range p.d.mask {
+			for ; m != 0; m &= m - 1 {
+				i := uint64(w*64 + bits.TrailingZeros64(m))
+				if !f(pn<<pageShift|i, p.d.data[i]) {
+					return false
 				}
 			}
 		}
-	}
+		return true
+	})
 }
 
-// Clear removes all entries. The overlay remains usable and keeps its
-// snapshot family, so outstanding snapshots are unaffected.
-func (o *Overlay) Clear() {
-	o.pages = make(map[uint64]*opage)
-	o.gen = atomic.AddUint64(o.genCounter, 1)
-	o.count = 0
-	o.version++
-	o.getPg = nil
-	o.setPg = nil
-}
-
-// Reset removes all entries like Clear but reuses the overlay's allocations:
-// the page map keeps its buckets, and pages the overlay exclusively owns
-// (generation tag equal to the overlay's own — provably unaliased, because
-// every Snapshot retags both sides) are kept and wiped in place. Shared
-// pages may be referenced by snapshots and are dropped instead. This
-// generation check is what makes pooled reuse safe: a Reset can never
-// scribble on a page some outstanding snapshot still reads.
+// Reset removes all entries and keeps the overlay's allocations: every node
+// and page the overlay exclusively owns (generation tag equal to its own —
+// provably unaliased, because every Snapshot retags both sides) moves to
+// the overlay's free lists for its next writes. Shared nodes and pages may
+// be referenced by snapshots and are dropped instead. This generation check
+// is what makes pooled reuse safe: a Reset can never scribble on a page some
+// outstanding snapshot still reads. Reset costs O(nodes and pages owned),
+// and afterwards Range visits only words bound since.
 func (o *Overlay) Reset() {
-	for pn, p := range o.pages {
-		if p.gen != o.gen {
-			delete(o.pages, pn)
-			continue
-		}
-		p.present = [PageWords / 64]uint64{}
-	}
+	o.t.reclaim(&o.free)
 	o.count = 0
-	o.version++
-	o.getPg = nil
-	o.setPg = nil
+	o.getPN, o.getData, o.getOK = noPN, nil, nil
+	o.setPN, o.setPg = noPN, nil
 }
 
 // OverlayReader is a read-only cursor over an overlay, carrying its own
@@ -230,39 +191,37 @@ func (o *Overlay) Reset() {
 // through per-reader cursors — each goroutine owns its OverlayReader, the
 // shared overlay is never written, and the reads race with nothing.
 //
-// The cursor caches a page pointer, so it must only be used while the
-// underlying overlay is logically frozen: a Set/Clear/Reset on the overlay
+// The cursor caches a page view, so it must only be used while the
+// underlying overlay is logically frozen: a Set/Reset on the overlay
 // invalidates every outstanding reader (docs/MEMORY.md has the aliasing
 // table).
 type OverlayReader struct {
-	o  *Overlay
-	pn uint64
-	pg *opage
+	o    *Overlay
+	pn   uint64
+	data []uint64
+	ok   []bool
 }
 
 // Init points the reader at o and drops any cached page. A reader is a
 // plain value; Init (re)initializes it without allocating.
 func (r *OverlayReader) Init(o *Overlay) {
-	r.o = o
-	r.pg = nil
+	*r = OverlayReader{o: o, pn: noPN}
 }
 
 // Get returns the value at addr and whether it is present, without mutating
 // the underlying overlay.
 func (r *OverlayReader) Get(addr uint64) (uint64, bool) {
-	pn := addr >> pageShift
-	p := r.pg
-	if p == nil || pn != r.pn {
-		var ok bool
-		p, ok = r.o.pages[pn]
-		if !ok {
-			return 0, false
-		}
-		r.pg, r.pn = p, pn
+	if addr>>pageShift != r.pn {
+		r.miss(addr)
 	}
-	idx := addr & pageMask
-	if p.present[idx/64]&(1<<(idx%64)) == 0 {
-		return 0, false
-	}
-	return p.data[idx], true
+	return r.data[addr&pageMask], r.ok[addr&pageMask]
+}
+
+// miss refills the cursor's cache for addr's page. It is kept out of line so
+// Get stays inlinable.
+//
+//go:noinline
+func (r *OverlayReader) miss(addr uint64) {
+	r.pn = addr >> pageShift
+	r.data, r.ok = view(r.o.t.lookup(r.pn))
 }

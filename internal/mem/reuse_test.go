@@ -74,13 +74,12 @@ func TestOverlaySetIfAbsent(t *testing.T) {
 
 	// Present word on a shared page: must refuse without copying the page.
 	s := o.Snapshot()
-	pages := len(o.pages)
-	before := o.pages[10>>pageShift]
+	root, before := o.t.root, o.t.lookup(10>>pageShift)
 	if o.SetIfAbsent(10, 3) {
 		t.Error("SetIfAbsent stored over a present word on a shared page")
 	}
-	if o.pages[10>>pageShift] != before || len(o.pages) != pages {
-		t.Error("SetIfAbsent copy-on-wrote a page it never needed to write")
+	if o.t.root != root || o.t.lookup(10>>pageShift) != before {
+		t.Error("SetIfAbsent copy-on-wrote a path it never needed to write")
 	}
 
 	// Absent word on a shared page: must CoW and leave the snapshot alone.
@@ -92,37 +91,6 @@ func TestOverlaySetIfAbsent(t *testing.T) {
 	}
 	if v, ok := o.Get(11); !ok || v != 4 {
 		t.Error("SetIfAbsent write lost after CoW")
-	}
-}
-
-func TestOverlayVersion(t *testing.T) {
-	o := NewOverlay()
-	v0 := o.Version()
-	o.Set(1, 1)
-	if o.Version() == v0 {
-		t.Error("Set did not advance version")
-	}
-	v1 := o.Version()
-	_ = o.Snapshot()
-	if o.Version() != v1 {
-		t.Error("Snapshot changed version")
-	}
-	if o.SetIfAbsent(1, 2) || o.Version() != v1 {
-		t.Error("no-op SetIfAbsent advanced version")
-	}
-	o.SetIfAbsent(2, 2)
-	if o.Version() == v1 {
-		t.Error("binding SetIfAbsent did not advance version")
-	}
-	v2 := o.Version()
-	o.Reset()
-	if o.Version() == v2 {
-		t.Error("Reset did not advance version")
-	}
-	v3 := o.Version()
-	o.Clear()
-	if o.Version() == v3 {
-		t.Error("Clear did not advance version")
 	}
 }
 

@@ -69,9 +69,9 @@ const masterChunk = 4096
 
 // runMaster is the master goroutine body. It runs the shared fork gate
 // (core.ForkGate) on top of the devirtualized cpu.RunToStop loop, and
-// computes checkpoint diffs by page-diffing against the previous fork's
-// snapshot instead of teeing every store through an overlay — the hot loop
-// is the same one the SEQ baseline runs.
+// computes checkpoint diffs by diffing against the previous fork's snapshot
+// instead of teeing every store through an overlay — the hot loop is the
+// same one the SEQ baseline runs.
 func (e *Engine) runMaster(l *masterLife) {
 	st := l.st
 	// A local copy keeps the gate's counters off the cache lines the
@@ -83,16 +83,6 @@ func (e *Engine) runMaster(l *masterLife) {
 	// reseed image); cum accumulates all predicted writes since reseed.
 	diffBase := st.Mem.Snapshot()
 	cum := mem.NewOverlay()
-
-	// storesSince counts store instructions since the last materialized
-	// checkpoint; prevCk is that checkpoint's diff snapshot. When a fork
-	// arrives with storesSince == 0 the memory image is untouched, so the
-	// previous snapshot (or the engine's shared empty diff) is bit-identical
-	// to what diffing would produce — the checkpoint is register-only and
-	// the O(pages) diff + snapshots are skipped entirely (lazy checkpoints,
-	// docs/MEMORY.md). Fault injection disables the sharing (Engine.shareCk).
-	var storesSince uint64
-	var prevCk *mem.Overlay
 
 	for {
 		select {
@@ -106,7 +96,6 @@ func (e *Engine) runMaster(l *masterLife) {
 		res, err := l.code.RunToStop(st, g.Budget(masterChunk))
 		exit.insts += res.Steps
 		g.Retire(res.Steps)
-		storesSince += res.Stores
 		if err != nil {
 			exit.stop = masterLost
 			l.exitCh <- exit
@@ -130,24 +119,8 @@ func (e *Engine) runMaster(l *masterLife) {
 				break
 			}
 
-			var ck task.Checkpoint
-			if e.shareCk && storesSince == 0 {
-				d := prevCk
-				if d == nil {
-					d = e.emptyDiff
-				}
-				ck = task.Checkpoint{Regs: st.Regs, MemDiff: d}
-				if e.Cfg.MasterSuppliesAllData {
-					ck.FullMem = st.Mem.Snapshot()
-				}
-			} else {
-				ck = e.masterCheckpoint(st, diffBase, cum)
-				diffBase = st.Mem.Snapshot()
-				if e.shareCk {
-					prevCk = ck.MemDiff
-				}
-				storesSince = 0
-			}
+			ck := e.masterCheckpoint(st, diffBase, cum)
+			diffBase = st.Mem.Snapshot()
 			select {
 			case l.forkCh <- forkMsg{anchor: res.Anchor, count: c, ck: ck}:
 			case <-l.stop:
@@ -176,8 +149,9 @@ func (e *Engine) runMaster(l *masterLife) {
 
 // masterCheckpoint captures the master's current prediction. New writes
 // since the previous fork are folded into the cumulative overlay by diffing
-// memory images (page-granular, proportional to pages actually written), and
-// the checkpoint carries a snapshot of the cumulative overlay — the same
+// memory images (diffBase shares every untouched subtree, so the diff costs
+// O(pages written since the previous fork)), and the checkpoint carries an
+// O(1) snapshot of the cumulative overlay — the same
 // reads-fall-through-to-architected-snapshot contract as the deterministic
 // machine's write log, modulo stores that rewrote a value in place (which
 // the diff cannot see; they only make the prediction marginally sparser,

@@ -62,7 +62,6 @@ import (
 	"mssp/internal/distill"
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
-	"mssp/internal/mem"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -103,16 +102,6 @@ type Engine struct {
 	// epoch is the squash epoch, read by slave workers and Cancel hooks.
 	epoch atomic.Uint64
 
-	// shareCk allows checkpoints to reuse the previous diff snapshot (or the
-	// shared empty diff) over store-free master stretches. Disabled under
-	// fault injection, whose CorruptCheckpoint hook mutates checkpoint diffs
-	// in place and must corrupt exactly one task.
-	shareCk bool
-	// emptyDiff is the immutable empty overlay handed to checkpoints taken
-	// before the master's first store; slaves read it through per-task
-	// OverlayReader cursors, so cross-task sharing is race-free.
-	emptyDiff *mem.Overlay
-
 	ring *ring
 	life *masterLife // nil while the master is dead
 
@@ -134,11 +123,10 @@ type Engine struct {
 func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engine, error) {
 	// Structural validation only: the timing parameters core validates are
 	// ignored here.
-	e := &Engine{emptyDiff: mem.NewOverlay()}
+	e := &Engine{}
 	if err := e.Init(orig, dist, cfg, e.tick); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	e.shareCk = e.Cfg.Fault == nil
 	e.ring = newRing(e.Cfg.TaskBuffer)
 	e.dispatchCh = make(chan *slot, e.Cfg.TaskBuffer)
 	e.resultCh = make(chan *slot, e.Cfg.TaskBuffer+e.Cfg.Slaves+4)

@@ -82,9 +82,10 @@ func (d *Delta) Clone() *Delta {
 
 // Reset empties the delta in place, reusing its allocations: the register
 // file keeps its array (the presence mask hides stale values) and the
-// memory overlay keeps its owned pages (mem.Overlay.Reset's generation
-// check protects outstanding snapshots). This is what lets the task pool
-// run delta capture allocation-free across task lives (docs/MEMORY.md).
+// memory overlay keeps the pages it owns for reuse (mem.Overlay.Reset's
+// generation check protects outstanding snapshots). This is what lets the
+// task pool run delta capture allocation-free across task lives
+// (docs/MEMORY.md).
 func (d *Delta) Reset() {
 	d.regPresent = 0
 	d.HasPC = false
@@ -154,10 +155,10 @@ func (d *Delta) String() string {
 		out += fmt.Sprintf("%spc=%d", sep, d.PC)
 		sep = " "
 	}
-	for _, a := range sortedAddrs(d.Mem) {
-		v, _ := d.Mem.Get(a)
+	d.Mem.Range(func(a, v uint64) bool {
 		out += fmt.Sprintf("%sm%d=%d", sep, a, v)
 		sep = " "
-	}
+		return true
+	})
 	return out + "}"
 }

@@ -20,7 +20,6 @@ package state
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"mssp/internal/isa"
 	"mssp/internal/mem"
@@ -142,22 +141,17 @@ func (s *State) FirstInconsistency(d *Delta) *Inconsistency {
 	if d.HasPC && s.PC != d.PC {
 		return &Inconsistency{Cell: "pc", Delta: d.PC, Got: s.PC}
 	}
+	// Range visits addresses in ascending order, so the first mismatch is
+	// the lowest one.
 	var bad *Inconsistency
 	d.Mem.Range(func(a, v uint64) bool {
 		if got := s.Mem.Read(a); got != v {
-			if bad == nil || a < badAddr(bad) {
-				bad = &Inconsistency{Cell: fmt.Sprintf("m%d", a), Delta: v, Got: got}
-			}
+			bad = &Inconsistency{Cell: fmt.Sprintf("m%d", a), Delta: v, Got: got}
+			return false
 		}
 		return true
 	})
 	return bad
-}
-
-func badAddr(i *Inconsistency) uint64 {
-	var a uint64
-	fmt.Sscanf(i.Cell, "m%d", &a)
-	return a
 }
 
 // Digest returns a short, order-independent fingerprint of the state,
@@ -195,12 +189,4 @@ func (s *State) Dump() string {
 		}
 	}
 	return out
-}
-
-// sortedAddrs returns the addresses bound by an overlay in ascending order.
-func sortedAddrs(o *mem.Overlay) []uint64 {
-	addrs := make([]uint64, 0, o.Len())
-	o.Range(func(a, _ uint64) bool { addrs = append(addrs, a); return true })
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
 }

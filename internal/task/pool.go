@@ -3,8 +3,8 @@ package task
 // This file implements the task pool: recycled per-execution machinery
 // (capture environments, live-in/live-out deltas, write buffers) and
 // recycled architected snapshots. One task execution used to cost a dozen
-// allocations before it retired — env, two deltas, their overlays, page maps,
-// snapshot page map — and the engines retire thousands of tasks per run, so
+// allocations before it retired — env, two deltas, their overlays and pages,
+// the snapshot — and the engines retire thousands of tasks per run, so
 // the garbage collector was a standing tax on exactly the speculative work
 // MSSP adds over sequential execution (docs/PERFORMANCE.md "task-machinery
 // premium"). Pooled execution allocates nothing in steady state
@@ -111,8 +111,7 @@ func (p *Pool) Release(ex *Exec) {
 }
 
 // CloneState is state.Clone with the copy's allocations recycled from the
-// pool: the page map of a previously released snapshot is reused via
-// state.CloneInto. Engines call it on every spawn for the task's architected
+// pool: a previously released snapshot value is reused via state.CloneInto. Engines call it on every spawn for the task's architected
 // snapshot and return the snapshot with ReleaseState when the task retires.
 func (p *Pool) CloneState(s *state.State) *state.State {
 	p.mu.Lock()
@@ -126,8 +125,8 @@ func (p *Pool) CloneState(s *state.State) *state.State {
 }
 
 // ReleaseState returns a snapshot obtained from CloneState to the pool. The
-// caller must be the last holder: the snapshot's page map is scribbled over
-// on the next CloneState. A nil s is a no-op.
+// caller must be the last holder: the snapshot is overwritten on the next
+// CloneState. A nil s is a no-op.
 func (p *Pool) ReleaseState(s *state.State) {
 	if s == nil {
 		return

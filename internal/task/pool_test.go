@@ -158,9 +158,12 @@ func TestPoolConcurrentSharedCheckpoint(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
-		// Each worker gets its own snapshot-family member to clone from; a
-		// single Memory value must stay goroutine-confined.
+		// Each worker gets its own snapshot-family member to clone from, and
+		// its own copy of the expected deltas to compare against: a single
+		// Memory or Overlay value must stay goroutine-confined, because even
+		// Get moves its page cache.
 		base := arch.Clone()
+		wantIn, wantOut := want.LiveIn.Clone(), want.LiveOut.Clone()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -172,7 +175,7 @@ func TestPoolConcurrentSharedCheckpoint(t *testing.T) {
 					Code:       code,
 				}
 				ex := p.Execute(tk, 1000)
-				if ex.Outcome != want.Outcome || !ex.LiveOut.Equal(want.LiveOut) || !ex.LiveIn.Equal(want.LiveIn) {
+				if ex.Outcome != want.Outcome || !ex.LiveOut.Equal(wantOut) || !ex.LiveIn.Equal(wantIn) {
 					errs <- errMismatch
 					p.Release(ex)
 					return

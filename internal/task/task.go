@@ -163,9 +163,8 @@ type slaveEnv struct {
 	writes *mem.Overlay // local write buffer (live-outs)
 	liveIn *state.Delta
 
-	// ckRd reads the checkpoint diff through a reader-owned cursor: the
-	// diff may be shared by every in-flight task of a fork epoch (lazy
-	// checkpoints), so the env must not touch its page caches.
+	// ckRd reads the checkpoint diff through a reader-owned cursor, so the
+	// env never mutates the frozen diff's own page caches.
 	ckRd mem.OverlayReader
 
 	pc uint64
