@@ -1,9 +1,9 @@
 // Command experiments regenerates the tables and figures of the
 // reconstructed MSSP evaluation (see DESIGN.md and EXPERIMENTS.md).
 //
-// Sweep points run concurrently through the internal/sched worker pool by
-// default; results are merged in submission order, so the rendered output
-// is byte-identical to -parallel=false.
+// Sweep points run on -workers goroutines (default GOMAXPROCS); results
+// are merged in index order, so the rendered output is byte-identical to
+// -workers 1.
 //
 // Usage:
 //
@@ -11,8 +11,7 @@
 //	experiments -run E3,E4           # a subset
 //	experiments -scale train         # quick pass on training inputs
 //	experiments -workloads compress,mtf
-//	experiments -parallel=false      # serial harness
-//	experiments -workers 4           # bound the worker pool
+//	experiments -workers 1           # one sweep point at a time
 //
 // Every requested experiment runs even if an earlier one fails; failures
 // are summarized on stderr and reflected in a non-zero exit code.
@@ -24,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 
@@ -38,30 +38,26 @@ func main() {
 		run      = flag.String("run", "", "comma-separated experiment ids (default: all)")
 		scale    = flag.String("scale", "ref", "workload input scale: train or ref")
 		names    = flag.String("workloads", "", "comma-separated workload subset (default: all)")
-		parallel = flag.Bool("parallel", true, "fan sweep points out across a worker pool")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("stats", false, "print scheduler and cache counters to stderr at exit")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "sweep points run at once (0 or 1 = one at a time)")
+		verbose  = flag.Bool("stats", false, "print artifact-cache counters to stderr at exit")
 		traceOut = flag.String("trace", "", "write every simulation's task-lifecycle events to this JSONL file (lines labeled by workload)")
 	)
 	flag.Parse()
 
-	s := workloads.Ref
-	if *scale == "train" {
-		s = workloads.Train
+	s, err := workloads.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
-	// Ctrl-C / SIGTERM cancels the shared context: the serial harness stops
-	// at the next sweep point, the parallel harness fails queued jobs, and
-	// the experiment loop below stops starting new experiments — so an
-	// interrupted run exits promptly with a summary instead of finishing
-	// the suite.
+	// Ctrl-C / SIGTERM cancels the shared context: sweep points not yet
+	// started fail, and the experiment loop below stops starting new
+	// experiments — so an interrupted run exits promptly with a summary
+	// instead of finishing the suite.
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	ctx := bench.NewContext(s)
-	ctx.Parallel = *parallel
 	ctx.Workers = *workers
 	ctx.Ctx = sigCtx
-	defer ctx.Close()
 	if *names != "" {
 		// Resolve every name before anything runs: an unknown one would
 		// otherwise filter silently to an empty table.
@@ -81,8 +77,9 @@ func main() {
 		}
 		sink = obs.NewJSONL(f)
 		defer closeSink(sink, *traceOut)
-		// With -parallel the streams of concurrent sweep points interleave;
-		// the job label tells them apart and each line stays atomic.
+		// With several workers the streams of concurrent sweep points
+		// interleave; the job label tells them apart and each line stays
+		// atomic.
 		ctx.Instrument = func(label string, cfg *core.Config) {
 			obs.Attach(cfg, obs.WithJob(sink, label))
 		}
@@ -120,7 +117,6 @@ func main() {
 	}
 
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "scheduler: %+v\n", ctx.SchedulerMetrics())
 		for kind, m := range ctx.CacheMetrics() {
 			fmt.Fprintf(os.Stderr, "cache[%s]: %+v (hit rate %.3f)\n", kind, m, m.HitRate())
 		}

@@ -182,7 +182,7 @@ func run(quick bool, in, out, label string) error {
 	upsert(f, "task/delta_allocs", "allocs/task", "unpooled", tp.allocsUnpooled)
 	upsert(f, "task/delta_allocs", "allocs/task", "pooled", tp.allocsPooled)
 
-	// Superinstruction dispatch: a fused/unfused/threaded ablation on the
+	// Superinstruction dispatch: a fused/unfused ablation on the
 	// micro workloads (same run, fixed labels, like distill/*) plus the
 	// dynamic fused-retirement ratio, gated so fusion can never regress
 	// below single-instruction dispatch while still being recorded.
@@ -190,10 +190,10 @@ func run(quick bool, in, out, label string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-24s %10.3f (unfused) %7.3f (fused) %7.3f (threaded) ns/inst\n",
-		"cpu/run_tight_fused", fb.tightUnfused, fb.tightFused, fb.tightThreaded)
-	fmt.Printf("%-24s %10.3f (unfused) %7.3f (fused) %7.3f (threaded) ns/inst\n",
-		"cpu/run_mem_fused", fb.memUnfused, fb.memFused, fb.memThreaded)
+	fmt.Printf("%-24s %10.3f (unfused) %7.3f (fused) ns/inst\n",
+		"cpu/run_tight_fused", fb.tightUnfused, fb.tightFused)
+	fmt.Printf("%-24s %10.3f (unfused) %7.3f (fused) ns/inst\n",
+		"cpu/run_mem_fused", fb.memUnfused, fb.memFused)
 	fmt.Printf("%-24s %10.4f (tight) %8.4f (mem)\n", "dispatch/fused_ratio", fb.ratioTight, fb.ratioMem)
 	if fb.tightFused > fb.tightUnfused || fb.memFused > fb.memUnfused {
 		return fmt.Errorf("fusion regression: fused dispatch slower than unfused (tight %.3f vs %.3f, mem %.3f vs %.3f ns/inst)",
@@ -201,10 +201,8 @@ func run(quick bool, in, out, label string) error {
 	}
 	upsert(f, "cpu/run_tight_fused", "ns/inst", "unfused", fb.tightUnfused)
 	upsert(f, "cpu/run_tight_fused", "ns/inst", "fused", fb.tightFused)
-	upsert(f, "cpu/run_tight_fused", "ns/inst", "threaded", fb.tightThreaded)
 	upsert(f, "cpu/run_mem_fused", "ns/inst", "unfused", fb.memUnfused)
 	upsert(f, "cpu/run_mem_fused", "ns/inst", "fused", fb.memFused)
-	upsert(f, "cpu/run_mem_fused", "ns/inst", "threaded", fb.memThreaded)
 	upsert(f, "dispatch/fused_ratio", "fraction", "tight", fb.ratioTight)
 	upsert(f, "dispatch/fused_ratio", "fraction", "mem", fb.ratioMem)
 
@@ -462,80 +460,74 @@ func taskPoolBench() (taskPoolResult, error) {
 }
 
 // fusionResult carries the superinstruction ablation: ns/inst for
-// single-instruction (unfused), fused-switch, and threaded dispatch over the
-// same predecoded programs, plus the dynamic fused-retirement ratio
+// single-instruction (unfused) and fused-switch dispatch over the same
+// predecoded programs, plus the dynamic fused-retirement ratio
 // (instructions retired through fused groups / total instructions).
 type fusionResult struct {
-	tightUnfused, tightFused, tightThreaded float64
-	memUnfused, memFused, memThreaded       float64
-	ratioTight, ratioMem                    float64
+	tightUnfused, tightFused float64
+	memUnfused, memFused     float64
+	ratioTight, ratioMem     float64
 }
 
-// fusionBench measures the dispatch ablation on the micro workloads. All
-// three paths are equivalence-checked against each other by benchRun's rerun
+// fusionBench measures the dispatch ablation on the micro workloads. Both
+// paths are equivalence-checked against each other by benchRun's rerun
 // assertion plus an explicit digest comparison here, so the recorded numbers
 // can never come from runs that computed different answers.
 func fusionBench() (fusionResult, error) {
 	var res fusionResult
-	measure := func(p *isa.Program) (unfused, fused, threaded, ratio float64, err error) {
-		df := fuse.Predecode(p, fuse.Options{})
+	measure := func(p *isa.Program) (unfused, fused, ratio float64, err error) {
 		plain := cpu.NewCode(isa.Predecode(p))
-		fc := cpu.NewCode(df)
-		th := cpu.NewThreaded(df)
+		fc := cpu.NewCode(fuse.Predecode(p, fuse.Options{}))
 
-		states := make([]*state.State, 3)
-		for i, run := range []func(*state.State, uint64) (cpu.RunResult, error){plain.RunState, fc.RunState, th.RunState} {
+		states := make([]*state.State, 2)
+		for i, run := range []func(*state.State, uint64) (cpu.RunResult, error){plain.RunState, fc.RunState} {
 			s := state.NewFromProgram(p, 1<<28)
 			r, rerr := run(s, 1_000_000)
 			if rerr != nil || !r.Halted {
-				return 0, 0, 0, 0, fmt.Errorf("fusion bench: dispatcher %d failed (%v, halted=%v)", i, rerr, r.Halted)
+				return 0, 0, 0, fmt.Errorf("fusion bench: dispatcher %d failed (%v, halted=%v)", i, rerr, r.Halted)
 			}
 			states[i] = s
 		}
-		if d0 := states[0].Digest(); d0 != states[1].Digest() || d0 != states[2].Digest() {
-			return 0, 0, 0, 0, fmt.Errorf("fusion bench: dispatchers diverged (digests %#x %#x %#x)",
-				states[0].Digest(), states[1].Digest(), states[2].Digest())
+		if states[0].Digest() != states[1].Digest() {
+			return 0, 0, 0, fmt.Errorf("fusion bench: dispatchers diverged (digests %#x %#x)",
+				states[0].Digest(), states[1].Digest())
 		}
 
 		unfused = benchRun(p, plain.RunState)
 		fused = benchRun(p, fc.RunState)
-		threaded = benchRun(p, th.RunState)
 
 		s := state.NewFromProgram(p, 1<<28)
 		stop, serr := cpu.NewCode(fuse.Predecode(p, fuse.Options{})).RunToStop(s, 1_000_000)
 		if serr != nil {
-			return 0, 0, 0, 0, serr
+			return 0, 0, 0, serr
 		}
 		if stop.Kind != cpu.StopHalt || stop.Steps == 0 {
-			return 0, 0, 0, 0, fmt.Errorf("fusion bench: ratio run stopped %v after %d steps, want halt", stop.Kind, stop.Steps)
+			return 0, 0, 0, fmt.Errorf("fusion bench: ratio run stopped %v after %d steps, want halt", stop.Kind, stop.Steps)
 		}
-		return unfused, fused, threaded, float64(stop.Fused) / float64(stop.Steps), nil
+		return unfused, fused, float64(stop.Fused) / float64(stop.Steps), nil
 	}
 
 	var err error
-	if res.tightUnfused, res.tightFused, res.tightThreaded, res.ratioTight, err = measure(workloads.MicroTight(1000)); err != nil {
+	if res.tightUnfused, res.tightFused, res.ratioTight, err = measure(workloads.MicroTight(1000)); err != nil {
 		return res, err
 	}
-	if res.memUnfused, res.memFused, res.memThreaded, res.ratioMem, err = measure(workloads.MicroMem(1000)); err != nil {
+	if res.memUnfused, res.memFused, res.ratioMem, err = measure(workloads.MicroMem(1000)); err != nil {
 		return res, err
 	}
 	return res, nil
 }
 
-// checkZeroAlloc asserts the devirtualized run loops — plain, fused, and
-// threaded — do not allocate after warm-up, mirroring internal/cpu's
+// checkZeroAlloc asserts the devirtualized run loops — plain and fused —
+// do not allocate after warm-up, mirroring internal/cpu's
 // TestRunLoopZeroAlloc.
 func checkZeroAlloc() error {
 	p := workloads.MicroTight(100)
-	df := fuse.Predecode(p, fuse.Options{})
-	th := cpu.NewThreaded(df)
 	for _, c := range []struct {
 		name string
 		run  func(s *state.State, max uint64) (cpu.RunResult, error)
 	}{
 		{"plain", cpu.NewCode(isa.Predecode(p)).RunState},
-		{"fused", cpu.NewCode(df).RunState},
-		{"threaded", th.RunState},
+		{"fused", cpu.NewCode(fuse.Predecode(p, fuse.Options{})).RunState},
 	} {
 		s := state.NewFromProgram(p, 1<<28)
 		if _, err := c.run(s, 1_000_000); err != nil {
@@ -555,8 +547,8 @@ func checkZeroAlloc() error {
 }
 
 // checkEquivalence spot-checks that the slow Env interpreter and every
-// devirtualized loop — plain predecoded, fused, and threaded — agree (the
-// full suite lives in internal/cpu's equivalence tests).
+// devirtualized loop — plain predecoded and fused — agree (the full suite
+// lives in internal/cpu's equivalence tests).
 func checkEquivalence() error {
 	for _, p := range []*isa.Program{workloads.MicroTight(1000), workloads.MicroMem(1000)} {
 		slow := state.NewFromProgram(p, 1<<28)
@@ -564,14 +556,12 @@ func checkEquivalence() error {
 		if serr != nil {
 			return fmt.Errorf("equivalence run failed: slow %v", serr)
 		}
-		df := fuse.Predecode(p, fuse.Options{})
 		for _, c := range []struct {
 			name string
 			run  func(s *state.State, max uint64) (cpu.RunResult, error)
 		}{
 			{"plain", cpu.NewCode(isa.Predecode(p)).RunState},
-			{"fused", cpu.NewCode(df).RunState},
-			{"threaded", cpu.NewThreaded(df).RunState},
+			{"fused", cpu.NewCode(fuse.Predecode(p, fuse.Options{})).RunState},
 		} {
 			fast := state.NewFromProgram(p, 1<<28)
 			fres, ferr := c.run(fast, 1_000_000)
@@ -730,8 +720,7 @@ func experimentsWall(quick bool) (float64, error) {
 		scale = workloads.Train
 	}
 	ctx := bench.NewContext(scale)
-	ctx.Parallel = true
-	defer ctx.Close()
+	ctx.Workers = runtime.GOMAXPROCS(0)
 	start := time.Now()
 	for _, id := range []string{"E3", "E4"} {
 		e, err := bench.ByID(id)

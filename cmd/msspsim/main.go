@@ -41,6 +41,11 @@ func main() {
 	)
 	flag.Parse()
 
+	s, err := workloads.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
+	}
+
 	if *list {
 		for _, w := range workloads.All() {
 			fmt.Printf("%-10s models %-12s %s\n", w.Name, w.Models, w.Description)
@@ -55,7 +60,7 @@ func main() {
 		return
 	}
 
-	prog, train, err := loadProgram(*workload, *file, *scale)
+	prog, train, err := loadProgram(*workload, *file, s)
 	if err != nil {
 		fatal(err)
 	}
@@ -193,7 +198,7 @@ func replayTrace(path string) error {
 
 // loadProgram resolves the measured program and (for workloads) the train
 // build used for profiling.
-func loadProgram(workload, file, scale string) (prog, train *mssp.Program, err error) {
+func loadProgram(workload, file string, scale workloads.Scale) (prog, train *mssp.Program, err error) {
 	switch {
 	case workload != "" && file != "":
 		return nil, nil, fmt.Errorf("msspsim: -workload and -file are mutually exclusive")
@@ -202,11 +207,7 @@ func loadProgram(workload, file, scale string) (prog, train *mssp.Program, err e
 		if err != nil {
 			return nil, nil, err
 		}
-		s := workloads.Ref
-		if scale == "train" {
-			s = workloads.Train
-		}
-		return w.Build(s), w.Build(workloads.Train), nil
+		return w.Build(scale), w.Build(workloads.Train), nil
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {

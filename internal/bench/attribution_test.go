@@ -44,8 +44,6 @@ func TestAttributionZeroTotal(t *testing.T) {
 // metrics' *BoundCycles counters, and the Instrument hook fires for it.
 func TestAttributeFromRun(t *testing.T) {
 	ctx := NewContext(workloads.Train)
-	ctx.Parallel = false
-	defer ctx.Close()
 	instrumented := 0
 	ctx.Instrument = func(label string, cfg *core.Config) {
 		if label == "" {

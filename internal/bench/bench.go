@@ -3,21 +3,23 @@
 // renders the same rows/series the paper reports; EXPERIMENTS.md records
 // the paper-shape expectation next to the measured result.
 //
-// Sweep points execute through internal/sched when Context.Parallel is set
-// (the default for cmd/experiments): independent (workload × config) jobs
-// fan out across GOMAXPROCS workers and their results are merged in
-// submission order, so rendered tables and figures are byte-identical to
-// the serial harness. Expensive shared artifacts — assembled programs,
-// profiles, distillations, baseline runs — are memoized content-keyed in
-// internal/cache with single-flight semantics, so concurrent sweep points
-// needing the same distillation compute it once.
+// Sweep points — independent (workload × config) jobs — fan out across
+// Context.Workers goroutines (cmd/experiments defaults to GOMAXPROCS) and
+// their results are merged in index order, so rendered tables and figures
+// are byte-identical to a one-worker run. Expensive shared artifacts —
+// assembled programs, profiles, distillations, baseline runs — are
+// memoized content-keyed in internal/cache with single-flight semantics,
+// so concurrent sweep points needing the same distillation compute it once.
 package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mssp/internal/baseline"
 	"mssp/internal/cache"
@@ -25,15 +27,8 @@ import (
 	"mssp/internal/distill"
 	"mssp/internal/isa"
 	"mssp/internal/profile"
-	"mssp/internal/sched"
 	"mssp/internal/workloads"
 )
-
-// artifactCacheCap bounds each artifact cache. The full experiment suite
-// needs well under this many distinct artifacts per kind, so within one
-// run the caches behave as pure memoization; the bound exists so a
-// long-lived caller (cmd/msspd) cannot grow without limit.
-const artifactCacheCap = 512
 
 // Context carries the experiment configuration and caches the expensive
 // shared artifacts (programs, profiles, distillations, baseline runs) so
@@ -46,34 +41,28 @@ type Context struct {
 	Stride uint64
 	// Names restricts the workload set (nil = all).
 	Names []string
-	// Parallel fans each experiment's sweep points out across a worker
-	// pool; results are merged in submission order, so output is
-	// byte-identical to a serial run.
-	Parallel bool
-	// Workers bounds the pool when Parallel is set (0 = GOMAXPROCS).
+	// Workers bounds how many sweep points run at once. Zero or one runs
+	// them one at a time; results are merged in index order either way, so
+	// output does not depend on the worker count.
 	Workers int
-	// Ctx, when non-nil, cancels sweeps in flight: the serial path checks
-	// it between sweep points and the parallel path hands it to the
-	// scheduler, which fails queued-but-unstarted jobs with ctx.Err().
-	// cmd/experiments wires its Ctrl-C/SIGTERM signal context here so an
-	// interrupted run stops promptly instead of finishing the sweep. Nil
-	// means context.Background() (never canceled).
+	// Ctx, when non-nil, cancels sweeps in flight: points not yet started
+	// when it ends fail with its error. cmd/experiments wires its
+	// Ctrl-C/SIGTERM signal context here so an interrupted run stops
+	// promptly instead of finishing the sweep. Nil means
+	// context.Background() (never canceled).
 	Ctx context.Context
 	// Instrument, when non-nil, is called with each MSSP machine's
 	// configuration just before it runs (label is the workload name), so
 	// callers can attach observers — e.g. cmd/experiments -trace wires a
-	// shared JSONL sink here via obs.Attach. Runs may be concurrent when
-	// Parallel is set, so attached sinks must be safe for concurrent use;
-	// rendered experiment output is unaffected either way.
+	// shared JSONL sink here via obs.Attach. Runs are concurrent when
+	// Workers exceeds one, so attached sinks must then be safe for
+	// concurrent use; rendered experiment output is unaffected either way.
 	Instrument func(label string, cfg *core.Config)
 
 	progs     *cache.Cache[string, *isa.Program]
 	profiles  *cache.Cache[string, *profile.Profile]
 	distills  *cache.Cache[string, *distill.Result]
 	baselines *cache.Cache[string, *baseline.Result]
-
-	mu    sync.Mutex
-	sched *sched.Scheduler
 }
 
 // NewContext returns a context with the default experiment configuration.
@@ -81,32 +70,10 @@ func NewContext(scale workloads.Scale) *Context {
 	return &Context{
 		Scale:     scale,
 		Stride:    100,
-		progs:     cache.New[string, *isa.Program](artifactCacheCap),
-		profiles:  cache.New[string, *profile.Profile](artifactCacheCap),
-		distills:  cache.New[string, *distill.Result](artifactCacheCap),
-		baselines: cache.New[string, *baseline.Result](artifactCacheCap),
-	}
-}
-
-// scheduler lazily starts the context's worker pool.
-func (c *Context) scheduler() *sched.Scheduler {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sched == nil {
-		c.sched = sched.New(sched.Options{Workers: c.Workers})
-	}
-	return c.sched
-}
-
-// Close drains the context's worker pool, if one was started. The context
-// remains usable; a later parallel run starts a fresh pool.
-func (c *Context) Close() {
-	c.mu.Lock()
-	s := c.sched
-	c.sched = nil
-	c.mu.Unlock()
-	if s != nil {
-		s.Close()
+		progs:     cache.New[string, *isa.Program](),
+		profiles:  cache.New[string, *profile.Profile](),
+		distills:  cache.New[string, *distill.Result](),
+		baselines: cache.New[string, *baseline.Result](),
 	}
 }
 
@@ -120,18 +87,6 @@ func (c *Context) CacheMetrics() map[string]cache.Metrics {
 	}
 }
 
-// SchedulerMetrics returns the worker pool's counters (zero value if no
-// parallel work has run yet).
-func (c *Context) SchedulerMetrics() sched.Metrics {
-	c.mu.Lock()
-	s := c.sched
-	c.mu.Unlock()
-	if s == nil {
-		return sched.Metrics{}
-	}
-	return s.Metrics()
-}
-
 // ctx returns the context governing sweeps (Background when unset).
 func (c *Context) ctx() context.Context {
 	if c.Ctx != nil {
@@ -140,29 +95,60 @@ func (c *Context) ctx() context.Context {
 	return context.Background()
 }
 
-// fanOut computes fn(i) for every index in [0,n) — concurrently through
-// the context's scheduler when Parallel is set, serially otherwise — and
-// returns the results in index order either way, so callers render output
-// independent of completion order. Cancellation of c.Ctx aborts the sweep
-// with its error.
+// fanOut computes fn(i) for every index in [0,n) on at most c.Workers
+// goroutines (one when Workers is zero or one) and returns the results in
+// index order, so callers render output independent of completion order —
+// the discipline of MSSP's in-order commit unit. The first failure, or the
+// end of c.Ctx, stops every point not yet started; points that failed or
+// never ran keep zero values in their slots. The error returned is the
+// lowest-index one that is not a cancellation, or the cancellation itself
+// when nothing else failed; a panicking point fails with its panic.
 func fanOut[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
-	ctx := c.ctx()
-	if !c.Parallel {
-		out := make([]T, n)
-		for i := range out {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	ctx, cancel := context.WithCancel(c.ctx())
+	defer cancel()
+	out := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(max(c.Workers, 1), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = ctx.Err(); errs[i] == nil {
+					out[i], errs[i] = sweepPoint(fn, i)
+				}
+				if errs[i] != nil {
+					cancel()
+				}
 			}
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
+		}()
 	}
-	return sched.Map(ctx, c.scheduler(), n,
-		func(_ context.Context, i int) (T, error) { return fn(i) })
+	wg.Wait()
+	var first error
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return out, err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return out, first
+}
+
+// sweepPoint runs fn(i), turning a panic into the point's error.
+func sweepPoint[T any](fn func(i int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("bench: sweep point %d panicked: %v\n%s", i, p, debug.Stack())
+		}
+	}()
+	return fn(i)
 }
 
 // Workloads returns the selected workload list.

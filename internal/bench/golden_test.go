@@ -2,6 +2,7 @@ package bench
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,8 +26,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Fatalf("read golden: %v", err)
 	}
 	ctx := NewContext(workloads.Ref)
-	ctx.Parallel = true
-	defer ctx.Close()
+	ctx.Workers = runtime.GOMAXPROCS(0)
 	got, err := RunAll(ctx)
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)

@@ -1,14 +1,14 @@
 // Package cache provides content-keyed memoization of expensive pipeline
 // artifacts (assembled programs, profiles, distilled programs, baseline
-// runs). A Cache is an LRU-bounded map with hit/miss/eviction counters and
-// single-flight semantics: concurrent callers that need the same artifact
-// compute it exactly once and all receive the same value — for pointer
-// types, the identical pointer — so a parallel sweep never duplicates a
-// distillation the way independent goroutines otherwise would.
+// runs). A Cache is a map with hit/miss counters and single-flight
+// semantics: concurrent callers that need the same artifact compute it
+// exactly once and all receive the same value — for pointer types, the
+// identical pointer — so a parallel sweep never duplicates a distillation
+// the way independent goroutines otherwise would. Entries live as long as
+// the cache: one experiment run needs only a few hundred artifacts.
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -21,15 +21,11 @@ type Metrics struct {
 	Hits uint64 `json:"hits"`
 	// Misses counts lookups that had to run their compute function.
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries dropped to keep the cache within capacity.
-	Evictions uint64 `json:"evictions"`
 	// Shared counts callers that waited on another goroutine's in-flight
 	// compute instead of starting their own (single-flight coalescing).
 	Shared uint64 `json:"shared"`
 	// Size is the current number of resident entries.
 	Size int `json:"size"`
-	// Capacity is the LRU bound.
-	Capacity int `json:"capacity"`
 }
 
 // HitRate returns hits over total lookups (0 when the cache is unused).
@@ -41,24 +37,6 @@ func (m Metrics) HitRate() float64 {
 	return float64(m.Hits) / float64(total)
 }
 
-// Add returns the field-wise sum of two snapshots (capacity is summed too;
-// use it only for aggregate reporting).
-func (m Metrics) Add(o Metrics) Metrics {
-	return Metrics{
-		Hits:      m.Hits + o.Hits,
-		Misses:    m.Misses + o.Misses,
-		Evictions: m.Evictions + o.Evictions,
-		Shared:    m.Shared + o.Shared,
-		Size:      m.Size + o.Size,
-		Capacity:  m.Capacity + o.Capacity,
-	}
-}
-
-type entry[K comparable, V any] struct {
-	key K
-	val V
-}
-
 // flight is one in-progress compute; waiters block on done and then read
 // val/err, which are written exactly once before done is closed.
 type flight[V any] struct {
@@ -67,27 +45,20 @@ type flight[V any] struct {
 	err  error
 }
 
-// Cache is a concurrency-safe, LRU-bounded, single-flight memoization map.
-// The zero value is not usable; construct with New.
+// Cache is a concurrency-safe, single-flight memoization map. The zero
+// value is not usable; construct with New.
 type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
-	capacity int
-	entries  map[K]*list.Element // values are *entry[K, V]
-	order    *list.List          // front = most recently used
+	entries  map[K]V
 	inflight map[K]*flight[V]
 
-	hits, misses, evictions, shared uint64
+	hits, misses, shared uint64
 }
 
-// New returns a cache holding at most capacity entries (minimum 1).
-func New[K comparable, V any](capacity int) *Cache[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
+// New returns an empty cache.
+func New[K comparable, V any]() *Cache[K, V] {
 	return &Cache[K, V]{
-		capacity: capacity,
-		entries:  make(map[K]*list.Element),
-		order:    list.New(),
+		entries:  make(map[K]V),
 		inflight: make(map[K]*flight[V]),
 	}
 }
@@ -101,10 +72,8 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 func (c *Cache[K, V]) GetOrCompute(key K, compute func() (V, error)) (V, error) {
 	c.mu.Lock()
 	for {
-		if el, ok := c.entries[key]; ok {
+		if v, ok := c.entries[key]; ok {
 			c.hits++
-			c.order.MoveToFront(el)
-			v := el.Value.(*entry[K, V]).val
 			c.mu.Unlock()
 			return v, nil
 		}
@@ -131,56 +100,11 @@ func (c *Cache[K, V]) GetOrCompute(key K, compute func() (V, error)) (V, error) 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil {
-		c.put(key, v)
+		c.entries[key] = v
 	}
 	c.mu.Unlock()
 	close(fl.done)
 	return v, err
-}
-
-// Get returns the resident value for key, if any, marking it recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		return el.Value.(*entry[K, V]).val, true
-	}
-	c.misses++
-	var zero V
-	return zero, false
-}
-
-// Put inserts or replaces the value for key.
-func (c *Cache[K, V]) Put(key K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(key, v)
-}
-
-// put inserts with the lock held, evicting from the LRU tail as needed.
-func (c *Cache[K, V]) put(key K, v V) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*entry[K, V]).val = v
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&entry[K, V]{key: key, val: v})
-	for len(c.entries) > c.capacity {
-		back := c.order.Back()
-		victim := back.Value.(*entry[K, V])
-		c.order.Remove(back)
-		delete(c.entries, victim.key)
-		c.evictions++
-	}
-}
-
-// Len returns the number of resident entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Metrics returns a snapshot of the counters.
@@ -188,12 +112,10 @@ func (c *Cache[K, V]) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Metrics{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Shared:    c.shared,
-		Size:      len(c.entries),
-		Capacity:  c.capacity,
+		Hits:   c.hits,
+		Misses: c.misses,
+		Shared: c.shared,
+		Size:   len(c.entries),
 	}
 }
 

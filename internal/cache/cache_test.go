@@ -10,7 +10,7 @@ import (
 )
 
 func TestGetOrComputeBasics(t *testing.T) {
-	c := New[string, int](4)
+	c := New[string, int]()
 	calls := 0
 	get := func(k string, v int) int {
 		got, err := c.GetOrCompute(k, func() (int, error) { calls++; return v, nil })
@@ -38,7 +38,7 @@ func TestGetOrComputeBasics(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New[string, int](4)
+	c := New[string, int]()
 	boom := errors.New("boom")
 	calls := 0
 	_, err := c.GetOrCompute("k", func() (int, error) { calls++; return 0, boom })
@@ -52,31 +52,8 @@ func TestErrorsNotCached(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("compute ran %d times, want 2 (failure must not be cached)", calls)
 	}
-	if c.Len() != 1 {
-		t.Errorf("len = %d", c.Len())
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	c := New[int, int](3)
-	for i := 0; i < 3; i++ {
-		c.Put(i, i)
-	}
-	// Touch 0 so 1 becomes the LRU victim.
-	if _, ok := c.Get(0); !ok {
-		t.Fatal("0 missing")
-	}
-	c.Put(3, 3)
-	if _, ok := c.Get(1); ok {
-		t.Error("1 should have been evicted")
-	}
-	for _, k := range []int{0, 2, 3} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("%d should be resident", k)
-		}
-	}
-	if m := c.Metrics(); m.Evictions != 1 || m.Size != 3 {
-		t.Errorf("metrics = %+v", m)
+	if m := c.Metrics(); m.Size != 1 {
+		t.Errorf("size = %d", m.Size)
 	}
 }
 
@@ -85,7 +62,7 @@ func TestLRUEviction(t *testing.T) {
 // and all receive the identical pointer.
 func TestSingleFlightSharesPointer(t *testing.T) {
 	type artifact struct{ n int }
-	c := New[string, *artifact](8)
+	c := New[string, *artifact]()
 	var computes atomic.Int64
 	gate := make(chan struct{})
 
@@ -128,11 +105,11 @@ func TestSingleFlightSharesPointer(t *testing.T) {
 	}
 }
 
-// TestConcurrentDistinctKeysWithEviction hammers a small cache from many
-// goroutines over a larger keyspace: every lookup must return the value for
-// its own key (no cross-key contamination under eviction pressure).
-func TestConcurrentDistinctKeysWithEviction(t *testing.T) {
-	c := New[int, int](8)
+// TestConcurrentDistinctKeys hammers one cache from many goroutines over a
+// shared keyspace: every lookup must return the value for its own key (no
+// cross-key contamination), and each key is computed exactly once.
+func TestConcurrentDistinctKeys(t *testing.T) {
+	c := New[int, int]()
 	const goroutines, iters, keys = 16, 200, 64
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
@@ -160,11 +137,11 @@ func TestConcurrentDistinctKeysWithEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := c.Metrics()
-	if m.Size > 8 {
-		t.Errorf("size %d exceeds capacity", m.Size)
+	if m.Size != keys || m.Misses != keys {
+		t.Errorf("metrics = %+v, want %d resident entries each computed once", m, keys)
 	}
-	if m.Evictions == 0 {
-		t.Error("expected evictions with keyspace > capacity")
+	if total := m.Hits + m.Misses + m.Shared; total != goroutines*iters {
+		t.Errorf("lookups = %d, want %d", total, goroutines*iters)
 	}
 }
 
@@ -185,29 +162,5 @@ func TestKeyOfCollisionResistance(t *testing.T) {
 	}
 	if KeyOf("a", 1) != KeyOf("a", 1) {
 		t.Error("KeyOf not deterministic")
-	}
-}
-
-func TestCapacityFloorAndPutReplace(t *testing.T) {
-	c := New[string, int](0) // clamps to 1
-	c.Put("a", 1)
-	c.Put("a", 2)
-	if v, _ := c.Get("a"); v != 2 {
-		t.Errorf("replace failed: %d", v)
-	}
-	c.Put("b", 3)
-	if _, ok := c.Get("a"); ok {
-		t.Error("capacity-1 cache kept two entries")
-	}
-	if m := c.Metrics(); m.Capacity != 1 {
-		t.Errorf("capacity = %d", m.Capacity)
-	}
-}
-
-func TestMetricsAdd(t *testing.T) {
-	a := Metrics{Hits: 1, Misses: 2, Evictions: 3, Shared: 4, Size: 5, Capacity: 6}
-	sum := a.Add(a)
-	if sum.Hits != 2 || sum.Misses != 4 || sum.Evictions != 6 || sum.Shared != 8 || sum.Size != 10 || sum.Capacity != 12 {
-		t.Errorf("sum = %+v", sum)
 	}
 }

@@ -141,7 +141,6 @@ func TestRunLoopZeroAlloc(t *testing.T) {
 	p := tightLoopProgram(t, 1000)
 	d := isa.Predecode(p)
 	df := fuse.Predecode(p, fuse.Options{})
-	th := NewThreaded(df) // handler tables built once; runs must not allocate
 	for _, tc := range []struct {
 		name string
 		run  func(s *state.State) error
@@ -149,7 +148,6 @@ func TestRunLoopZeroAlloc(t *testing.T) {
 		{"devirt", func(s *state.State) error { _, err := RunState(s, 1_000_000); return err }},
 		{"predecoded", func(s *state.State) error { _, err := NewCode(d).RunState(s, 1_000_000); return err }},
 		{"fused", func(s *state.State) error { _, err := NewCode(df).RunState(s, 1_000_000); return err }},
-		{"threaded", func(s *state.State) error { _, err := th.RunState(s, 1_000_000); return err }},
 		{"slow-env", func(s *state.State) error { _, err := Run(StateEnv{S: s}, 1_000_000); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

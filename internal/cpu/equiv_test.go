@@ -208,9 +208,6 @@ var executors = []struct {
 		}
 		return total, nil
 	}},
-	{"threaded", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
-		return NewThreaded(fuse.Predecode(p, fuse.Options{})).RunState(s, max)
-	}},
 }
 
 // TestFastSlowEquivalence runs every program through every execution core and
@@ -246,7 +243,8 @@ func TestFastSlowEquivalence(t *testing.T) {
 
 // TestCodeDirtyTransition pins down the dirty-flag mechanics: a store into
 // the code segment flips Dirty, the flag persists across RunState calls, and
-// stores outside the segment leave it clear.
+// stores outside the segment leave it clear. A dirty fused table stays
+// demoted for good: a re-run from the entry fetches through memory.
 func TestCodeDirtyTransition(t *testing.T) {
 	p := selfModifyingProgram(t)
 	c := NewCode(isa.Predecode(p))
@@ -292,6 +290,27 @@ func TestCodeDirtyTransition(t *testing.T) {
 	if !c3.Dirty() {
 		t.Fatalf("Step path: store into code segment did not dirty the runner")
 	}
+
+	// A store into a fused pair's interior: the table goes permanently
+	// dirty and the rewritten instruction executes from memory, on this
+	// run and on a re-run from the entry.
+	t.Run("fused-pair-stays-dirty", func(t *testing.T) {
+		p4 := storeIntoPairProgram(t)
+		c4 := NewCode(fuse.Predecode(p4, fuse.Options{}))
+		for run := 0; run < 2; run++ {
+			s4 := state.NewFromProgram(p4, 1<<28)
+			res, err := c4.RunState(s4, 10_000)
+			if err != nil || !res.Halted {
+				t.Fatalf("fused run %d: halted=%v err=%v", run, res.Halted, err)
+			}
+			if !c4.Dirty() {
+				t.Fatalf("fused run %d: store into a fused pair did not leave the runner dirty", run)
+			}
+			if got := s4.Regs[5]; got != 99 {
+				t.Fatalf("fused run %d: r5 = %d, want 99 (rewritten instruction must execute)", run, got)
+			}
+		}
+	})
 }
 
 // TestPredecodeTable checks the DecodedProgram accessors against Decode.

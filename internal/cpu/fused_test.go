@@ -4,8 +4,8 @@ package cpu
 // interior, self-modifying stores landing inside groups (including mid-chain
 // from the loop dispatcher itself), and step budgets expiring at every
 // possible offset within fused groups. The programs double as equivalence
-// programs (equiv_test.go registers them), so every executor — slow, fused
-// switch, threaded — faces them.
+// programs (equiv_test.go registers them), so every executor — slow,
+// predecoded, fused switch — faces them.
 
 import (
 	"testing"
@@ -94,10 +94,10 @@ func TestChainSelfModifyResult(t *testing.T) {
 	}
 }
 
-// TestFusedStepLimitSweep runs fused and threaded dispatch with every step
-// budget from 0 to past-halt and demands bit-identical outcomes with the
-// slow path — a budget must be able to expire at any offset inside any fused
-// group (including mid-local-loop and mid-chain) without semantic drift.
+// TestFusedStepLimitSweep runs fused dispatch with every step budget from 0
+// to past-halt and demands bit-identical outcomes with the slow path — a
+// budget must be able to expire at any offset inside any fused group
+// (including mid-local-loop and mid-chain) without semantic drift.
 func TestFusedStepLimitSweep(t *testing.T) {
 	progs := []struct {
 		name string
@@ -113,61 +113,17 @@ func TestFusedStepLimitSweep(t *testing.T) {
 			for max := uint64(0); max <= 60; max++ {
 				ref := state.NewFromProgram(tp.prog, 1<<28)
 				refRes, refErr := Run(StateEnv{S: ref}, max)
-				for _, ex := range []struct {
-					name string
-					run  func(s *state.State) (RunResult, error)
-				}{
-					{"fused", func(s *state.State) (RunResult, error) {
-						return NewCode(d).RunState(s, max)
-					}},
-					{"threaded", func(s *state.State) (RunResult, error) {
-						return NewThreaded(d).RunState(s, max)
-					}},
-				} {
-					s := state.NewFromProgram(tp.prog, 1<<28)
-					res, err := ex.run(s)
-					if res != refRes || (err == nil) != (refErr == nil) {
-						t.Fatalf("max=%d %s: res=%+v err=%v, slow res=%+v err=%v",
-							max, ex.name, res, err, refRes, refErr)
-					}
-					if !s.Equal(ref) {
-						t.Fatalf("max=%d %s: state diverged\n%s\nvs slow\n%s",
-							max, ex.name, s.Dump(), ref.Dump())
-					}
+				s := state.NewFromProgram(tp.prog, 1<<28)
+				res, err := NewCode(d).RunState(s, max)
+				if res != refRes || (err == nil) != (refErr == nil) {
+					t.Fatalf("max=%d: res=%+v err=%v, slow res=%+v err=%v",
+						max, res, err, refRes, refErr)
+				}
+				if !s.Equal(ref) {
+					t.Fatalf("max=%d: state diverged\n%s\nvs slow\n%s",
+						max, s.Dump(), ref.Dump())
 				}
 			}
 		})
-	}
-}
-
-// TestThreadedStaysStale pins the permanent-demotion contract of the
-// threaded engine: once a store hits the code segment, later RunState calls
-// on the same executor keep fetching through memory.
-func TestThreadedStaysStale(t *testing.T) {
-	p := storeIntoPairProgram(t)
-	th := NewThreaded(fuse.Predecode(p, fuse.Options{}))
-	s := state.NewFromProgram(p, 1<<28)
-	if th.Dirty() {
-		t.Fatal("fresh executor reports dirty")
-	}
-	res, err := th.RunState(s, 10_000)
-	if err != nil || !res.Halted {
-		t.Fatalf("run: halted=%v err=%v", res.Halted, err)
-	}
-	if !th.Dirty() {
-		t.Fatal("store into code segment did not mark executor dirty")
-	}
-	if got := s.Regs[5]; got != 99 {
-		t.Fatalf("r5 = %d, want 99 (modified instruction must execute)", got)
-	}
-	// Re-run from entry on the stale executor: the table is gone for good,
-	// but execution through memory is still correct.
-	s2 := state.NewFromProgram(p, 1<<28)
-	res2, err := th.RunState(s2, 10_000)
-	if err != nil || !res2.Halted {
-		t.Fatalf("stale rerun: halted=%v err=%v", res2.Halted, err)
-	}
-	if got := s2.Regs[5]; got != 99 {
-		t.Fatalf("stale rerun: r5 = %d, want 99", got)
 	}
 }

@@ -5,10 +5,10 @@
 // table for hot multi-instruction idioms — load+op, op+store, compare+branch
 // and the addi-loop back-edge, ldi+op constant forms, and their triple
 // combinations — and emits an isa.FusedInst table alongside the instruction
-// table. The devirtualized interpreter loops (cpu.runConcrete, cpu.Threaded,
-// and the slave fast path in internal/task) then retire a whole group per
-// dispatch, eliminating the per-instruction fetch/dispatch overhead that
-// dominates the predecoded interpreter's cost.
+// table. The devirtualized interpreter loops (cpu.runConcrete and the slave
+// fast path in internal/task) then retire a whole group per dispatch,
+// eliminating the per-instruction fetch/dispatch overhead that dominates the
+// predecoded interpreter's cost.
 //
 // # Safety
 //

@@ -2,8 +2,8 @@ package isa
 
 // Superinstruction (fusion) support: a DecodedProgram can carry a parallel
 // dense table of fused instruction groups, built by internal/fuse and
-// consumed by the devirtualized interpreter loops (cpu.runConcrete, the
-// threaded engine, and the slave fast path in internal/task).
+// consumed by the devirtualized interpreter loops (cpu.runConcrete and the
+// slave fast path in internal/task).
 //
 // A fused entry at pc describes a group of 2–3 consecutive instructions that
 // an executor may retire in a single dispatch. Entries exist only at a

@@ -1,16 +1,12 @@
 // Package obs is the structured observability layer: it turns the MSSP
 // machine's task-lifecycle hook (core.Config.OnLifecycle) into a typed
-// event stream that any number of sinks can consume — a JSONL file for
-// offline analysis (cmd/msspsim -trace, cmd/experiments -trace), a bounded
-// in-memory ring for a long-running daemon (cmd/msspd's GET /trace), or the
-// ASCII timeline recorder (internal/trace), which is one consumer of this
-// stream. The package also carries the repository's Prometheus text-format
-// exposition primitives (ExpoWriter, Histogram), used by cmd/msspd's
-// GET /metrics.
+// event stream that sinks consume — a JSONL file for offline analysis
+// (cmd/msspsim -trace, cmd/experiments -trace), the chaos harness's
+// taxonomy coverage counter (chaos.Coverage), or the ASCII timeline
+// recorder (internal/trace), which is one consumer of this stream.
 //
-// The event schema and the metric catalog are documented in
-// docs/OBSERVABILITY.md; the schema is stable and round-trips through JSONL
-// (see ParseJSONL).
+// The event schema is documented in docs/OBSERVABILITY.md; it is stable
+// and round-trips through JSONL (see ParseJSONL).
 package obs
 
 import (
@@ -59,7 +55,7 @@ const NoTask int64 = -1
 // matrix.
 type Event struct {
 	// Seq is the event's position in its stream, dense from 0 per
-	// attachment (per machine run for Attach; per job for msspd's ring).
+	// attachment (one Attach numbers one machine run).
 	Seq uint64 `json:"seq"`
 	// Kind is the transition kind.
 	Kind Kind `json:"kind"`
@@ -92,15 +88,14 @@ type Event struct {
 	// Disabled is the number of fork sites the adaptive policy held
 	// ineligible in the reseed's frozen plan (policy only).
 	Disabled int `json:"disabled,omitempty"`
-	// Job labels the emitting run when one sink serves several (msspd job
-	// id, experiments workload name); empty for single-run sinks.
+	// Job labels the emitting run when one sink serves several (the
+	// workload name in cmd/experiments -trace); empty for single-run sinks.
 	Job string `json:"job,omitempty"`
 }
 
 // Sink consumes a stream of events. Emit is called from the machine's
-// simulation goroutine; sinks shared across machines (msspd's ring, the
-// experiments JSONL file) must be safe for concurrent use, and the sinks in
-// this package are.
+// simulation goroutine; sinks shared across machines (the experiments JSONL
+// file) must be safe for concurrent use, and the sinks in this package are.
 type Sink interface {
 	// Emit delivers one event. Implementations must not retain pointers
 	// into ev (it is a value; retaining copies is fine).
@@ -112,16 +107,6 @@ type SinkFunc func(Event)
 
 // Emit calls f(ev).
 func (f SinkFunc) Emit(ev Event) { f(ev) }
-
-// MultiSink fans each event out to every member, in order.
-type MultiSink []Sink
-
-// Emit delivers ev to every member sink.
-func (m MultiSink) Emit(ev Event) {
-	for _, s := range m {
-		s.Emit(ev)
-	}
-}
 
 // WithJob returns a sink that stamps every event's Job field before
 // forwarding to s, so one shared sink can tell interleaved runs apart.

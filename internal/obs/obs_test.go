@@ -181,14 +181,14 @@ func TestParseJSONLErrors(t *testing.T) {
 	}
 }
 
-// TestWithJobAndMultiSink: Job stamping and fan-out order.
-func TestWithJobAndMultiSink(t *testing.T) {
-	var got []string
-	a := SinkFunc(func(ev Event) { got = append(got, "a:"+ev.Job) })
-	b := SinkFunc(func(ev Event) { got = append(got, "b:"+ev.Job) })
-	WithJob(MultiSink{a, b}, "job-7").Emit(Event{Kind: KindCommit})
-	if len(got) != 2 || got[0] != "a:job-7" || got[1] != "b:job-7" {
-		t.Errorf("fan-out = %v", got)
+// TestWithJob: the wrapper stamps Job and forwards the rest unchanged.
+func TestWithJob(t *testing.T) {
+	var got []Event
+	sink := SinkFunc(func(ev Event) { got = append(got, ev) })
+	WithJob(sink, "mtf").Emit(Event{Seq: 4, Kind: KindCommit, Task: 2})
+	want := Event{Seq: 4, Kind: KindCommit, Task: 2, Job: "mtf"}
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("forwarded %+v, want [%+v]", got, want)
 	}
 }
 
@@ -212,34 +212,5 @@ func TestAttachChains(t *testing.T) {
 	}
 	if first[0].Kind != KindFork || first[1].Kind != KindCommit {
 		t.Errorf("first subscriber saw %v", first)
-	}
-}
-
-// TestRingOverflow: a full ring keeps the newest events and counts drops.
-func TestRingOverflow(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(Event{Seq: uint64(i)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Total() != 10 || r.Dropped() != 6 {
-		t.Errorf("Total/Dropped = %d/%d, want 10/6", r.Total(), r.Dropped())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		if want := uint64(6 + i); ev.Seq != want {
-			t.Errorf("retained[%d].Seq = %d, want %d (oldest-first, newest kept)", i, ev.Seq, want)
-		}
-	}
-}
-
-func TestRingMinimumCapacity(t *testing.T) {
-	r := NewRing(0)
-	r.Emit(Event{Seq: 1})
-	r.Emit(Event{Seq: 2})
-	if r.Len() != 1 || r.Events()[0].Seq != 2 {
-		t.Errorf("degenerate ring: len %d, events %v", r.Len(), r.Events())
 	}
 }

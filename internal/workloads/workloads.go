@@ -41,6 +41,18 @@ func (s Scale) String() string {
 	return "ref"
 }
 
+// ParseScale returns the scale whose String is name: exactly "train" or
+// "ref". Anything else is an error naming the value, so a mistyped flag
+// cannot fall through to the minutes-long Ref suite.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{Train, Ref} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("workloads: unknown scale %q (want train or ref)", name)
+}
+
 // Workload is one benchmark program generator.
 type Workload struct {
 	// Name is the short identifier used in tables.

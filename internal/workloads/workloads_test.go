@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"mssp/internal/baseline"
@@ -148,6 +150,27 @@ func TestCodeIdenticalAcrossScales(t *testing.T) {
 			if rf.Symbols[sym] != a {
 				t.Errorf("%s: symbol %q moved across scales", w.Name, sym)
 			}
+		}
+	}
+}
+
+// TestParseScale: ParseScale accepts exactly what Scale.String prints and
+// rejects everything else with an error naming the value.
+func TestParseScale(t *testing.T) {
+	for _, s := range []Scale{Train, Ref} {
+		got, err := ParseScale(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "Train", "trian", "huge"} {
+		_, err := ParseScale(bad)
+		if err == nil {
+			t.Errorf("ParseScale(%q) accepted", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("ParseScale(%q) error %q does not name the value", bad, err)
 		}
 	}
 }

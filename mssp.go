@@ -6,9 +6,7 @@
 // unit) with a deterministic event-timing model, a jumping-refinement
 // auditor derived from the companion formal model, a SPECint2000-shaped
 // workload suite, and an experiment harness reproducing the paper's tables
-// and figures. Independent simulations can be fanned out across a worker
-// pool with RunPipelines (or a Scheduler directly); results always come
-// back in submission order, the way MSSP's commit unit retires tasks.
+// and figures.
 //
 // # Quick start
 //
@@ -22,13 +20,11 @@
 package mssp
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"mssp/internal/asm"
 	"mssp/internal/baseline"
-	"mssp/internal/cache"
 	"mssp/internal/core"
 	"mssp/internal/distill"
 	"mssp/internal/isa"
@@ -36,7 +32,6 @@ import (
 	"mssp/internal/parallel"
 	"mssp/internal/profile"
 	"mssp/internal/refine"
-	"mssp/internal/sched"
 )
 
 // Program is a linked MIR program image.
@@ -217,27 +212,6 @@ func (p *Pipeline) AuditParallel() (*RefinementReport, error) {
 	return aud.Finish(res.Final), nil
 }
 
-// Scheduler is the concurrent simulation scheduler: a bounded worker pool
-// with cancellation, per-job timeouts, panic isolation and in-order result
-// assembly (see internal/sched). It backs the parallel experiment harness
-// and the msspd job service.
-type Scheduler = sched.Scheduler
-
-// SchedulerOptions configures NewScheduler.
-type SchedulerOptions = sched.Options
-
-// SchedulerJob is one unit of work for a Scheduler.
-type SchedulerJob = sched.Job
-
-// SchedulerMetrics is a snapshot of a scheduler's counters.
-type SchedulerMetrics = sched.Metrics
-
-// CacheMetrics is a snapshot of an artifact cache's counters.
-type CacheMetrics = cache.Metrics
-
-// NewScheduler starts a worker-pool scheduler. Close it to drain.
-func NewScheduler(opts SchedulerOptions) *Scheduler { return sched.New(opts) }
-
 // TraceEvent is one task-lifecycle transition (fork, dispatch, verify,
 // commit, squash, fallback-enter/-exit) with its model-time cycle stamp;
 // see internal/obs and docs/OBSERVABILITY.md for the schema.
@@ -249,9 +223,6 @@ type TraceKind = obs.Kind
 // TraceSink consumes a lifecycle event stream.
 type TraceSink = obs.Sink
 
-// TraceRing is a bounded in-memory sink retaining the newest events.
-type TraceRing = obs.Ring
-
 // JSONLTrace streams events as one JSON object per line.
 type JSONLTrace = obs.JSONL
 
@@ -259,24 +230,8 @@ type JSONLTrace = obs.JSONL
 // stream, chaining any observers already attached.
 func AttachTrace(cfg *MachineConfig, sink TraceSink) { obs.Attach(cfg, sink) }
 
-// NewTraceRing returns a ring sink retaining at most capacity events.
-func NewTraceRing(capacity int) *TraceRing { return obs.NewRing(capacity) }
-
 // NewJSONLTrace returns a JSONL sink writing to w; Close it to flush.
 func NewJSONLTrace(w io.Writer) *JSONLTrace { return obs.NewJSONL(w) }
 
 // ParseTrace reads a JSONL event stream back into events.
 func ParseTrace(r io.Reader) ([]TraceEvent, error) { return obs.ParseJSONL(r) }
-
-// RunPipelines executes prepared pipelines concurrently across a worker
-// pool (workers = 0 means GOMAXPROCS) and returns their results in input
-// order — completion order never affects the output, mirroring MSSP's own
-// in-order commit unit. On the first failure, pipelines not yet started
-// are cancelled and the lowest-index failure is returned.
-func RunPipelines(ctx context.Context, workers int, pls ...*Pipeline) ([]*RunResult, error) {
-	s := sched.New(sched.Options{Workers: workers})
-	defer s.Close()
-	return sched.Map(ctx, s, len(pls), func(_ context.Context, i int) (*RunResult, error) {
-		return pls[i].Run()
-	})
-}

@@ -1,7 +1,6 @@
 package mssp
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -82,37 +81,6 @@ func TestFacadeDefaults(t *testing.T) {
 	opts := DefaultPipelineOptions()
 	if opts.Stride != 100 {
 		t.Error("default stride wrong")
-	}
-}
-
-func TestFacadeRunPipelines(t *testing.T) {
-	pl, err := Prepare(MustAssemble(facadeSrc), DefaultPipelineOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same prepared pipeline run three times concurrently must give
-	// three identical, in-order results (the simulator is deterministic).
-	results, err := RunPipelines(context.Background(), 3, pl, pl, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r == nil || r.Speedup() <= 0 {
-			t.Fatalf("result %d bad: %+v", i, r)
-		}
-		if r.MSSP.Cycles != results[0].MSSP.Cycles || r.Baseline.Cycles != results[0].Baseline.Cycles {
-			t.Errorf("result %d diverged from result 0", i)
-		}
-	}
-
-	// A failing pipeline fails the batch with its own error, not a panic.
-	bad := &Pipeline{Prog: pl.Prog, Distilled: pl.Distilled, Opts: pl.Opts}
-	bad.Opts.Machine.Slaves = 0
-	if _, err := RunPipelines(context.Background(), 2, pl, bad); err == nil {
-		t.Error("bad pipeline accepted")
 	}
 }
 
