@@ -168,7 +168,7 @@ func (r *Retirer) Init(orig *isa.Program, dist *distill.Result, cfg Config, cloc
 		} else {
 			// Slaves retire fused groups; the anchor set keeps every fork
 			// target out of group interiors so a task can always stop on an
-			// end-anchor crossing (the slave loop guards dynamically too).
+			// end-anchor crossing (the slave run loop guards dynamically too).
 			r.origCode = fuse.Predecode(orig, fuse.Options{Anchors: r.anchors})
 		}
 		r.codeClean = true

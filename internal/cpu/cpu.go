@@ -82,10 +82,8 @@ func stepExec(env Env, in isa.Inst, pc uint64) {
 		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))-env.ReadReg(int(in.Rs2)))
 	case isa.OpMul:
 		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))*env.ReadReg(int(in.Rs2)))
-	case isa.OpDiv:
-		env.WriteReg(int(in.Rd), divSigned(env.ReadReg(int(in.Rs1)), env.ReadReg(int(in.Rs2))))
-	case isa.OpRem:
-		env.WriteReg(int(in.Rd), remSigned(env.ReadReg(int(in.Rs1)), env.ReadReg(int(in.Rs2))))
+	case isa.OpDiv, isa.OpRem:
+		env.WriteReg(int(in.Rd), isa.ALU(in.Op, env.ReadReg(int(in.Rs1)), env.ReadReg(int(in.Rs2))))
 	case isa.OpAnd:
 		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))&env.ReadReg(int(in.Rs2)))
 	case isa.OpOr:
@@ -182,32 +180,6 @@ func boolWord(b bool) uint64 {
 	return 0
 }
 
-// divSigned implements MIR signed division: division by zero yields all
-// ones, and the INT64_MIN / -1 overflow case wraps to INT64_MIN.
-func divSigned(a, b uint64) uint64 {
-	if b == 0 {
-		return ^uint64(0)
-	}
-	sa, sb := int64(a), int64(b)
-	if sa == -1<<63 && sb == -1 {
-		return a
-	}
-	return uint64(sa / sb)
-}
-
-// remSigned implements MIR signed remainder: remainder by zero yields rs1,
-// and the INT64_MIN % -1 overflow case yields 0.
-func remSigned(a, b uint64) uint64 {
-	if b == 0 {
-		return a
-	}
-	sa, sb := int64(a), int64(b)
-	if sa == -1<<63 && sb == -1 {
-		return 0
-	}
-	return uint64(sa % sb)
-}
-
 // RunResult summarizes a bounded run.
 type RunResult struct {
 	Steps  uint64 // instructions executed (a halt instruction counts once)
@@ -253,7 +225,7 @@ var _ Env = StateEnv{}
 // fault). This is the seq(S, n) of the formal model.
 //
 // Seq runs on the devirtualized fast path (RunState); callers that hold the
-// program can go faster still by predecoding it and using Code.Run.
+// program can go faster still by predecoding it and using Code.RunState.
 func Seq(s *state.State, n uint64) (uint64, error) {
 	res, err := RunState(s, n)
 	return res.Steps, err

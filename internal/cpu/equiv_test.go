@@ -152,9 +152,6 @@ var executors = []struct {
 	{"devirt", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
 		return RunState(s, max)
 	}},
-	{"predecode-env", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
-		return NewCode(isa.Predecode(p)).Run(StateEnv{S: s}, max)
-	}},
 	{"predecode-devirt", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
 		return NewCode(isa.Predecode(p)).RunState(s, max)
 	}},

@@ -7,13 +7,15 @@ package cpu
 // calls. The fast path removes those costs in two independent layers:
 //
 //   - Predecode: a Code runner serves instructions from an
-//     isa.DecodedProgram table instead of Fetch+Decode. This layer keeps
-//     the Env interface, so the master and slave contexts (which need
-//     their read/write interception) use it unchanged.
-//   - Devirtualization: RunState / Code.RunState execute directly against
-//     a concrete *state.State and *mem.Memory, with no interface dispatch
-//     at all. The SEQ baseline, cpu.Seq and the refinement checker's
-//     replay run here.
+//     isa.DecodedProgram table instead of Fetch+Decode. Code.Step keeps the
+//     Env interface, for the deterministic master's write log and the
+//     reference slave path.
+//   - Devirtualization: RunState / Code.RunState / RunToStop / RunCapture
+//     execute directly against a concrete *state.State and *mem.Memory on
+//     one run loop, runConcrete. The SEQ baseline, cpu.Seq, the refinement
+//     checker's replay and the parallel master run it with no hook; slaves
+//     run it through a Capture, which logs their live-ins, buffers their
+//     stores and adds their stop rules.
 //
 // Semantics are identical to the slow path by construction and by test
 // (TestFastSlowEquivalence, the chaos corpus differential): MIR is not
@@ -23,6 +25,8 @@ package cpu
 // path.
 
 import (
+	"math/bits"
+
 	"mssp/internal/isa"
 	"mssp/internal/state"
 )
@@ -86,24 +90,6 @@ func (c *Code) Step(env Env) (isa.Inst, error) {
 	return in, nil
 }
 
-// Run executes at most max instructions in env through the predecoded
-// table, with Run's stopping rules.
-func (c *Code) Run(env Env, max uint64) (RunResult, error) {
-	var res RunResult
-	for res.Steps < max {
-		in, err := c.Step(env)
-		if err != nil {
-			return res, err
-		}
-		res.Steps++
-		if in.Op == isa.OpHalt {
-			res.Halted = true
-			break
-		}
-	}
-	return res, nil
-}
-
 // RunState executes at most max instructions directly against s on the
 // fully devirtualized loop: concrete register file and memory accesses,
 // predecoded fetches, no interface dispatch. Stopping rules and semantics
@@ -112,7 +98,7 @@ func (c *Code) Run(env Env, max uint64) (RunResult, error) {
 // for this runner's whole life.
 func (c *Code) RunState(s *state.State, max uint64) (RunResult, error) {
 	var stop StopResult
-	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, false, &stop)
+	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, false, &stop, nil)
 	c.dirty = dirty
 	return res, err
 }
@@ -122,11 +108,11 @@ func (c *Code) RunState(s *state.State, max uint64) (RunResult, error) {
 // table). This is the devirtualized drop-in for Run(StateEnv{S: s}, max).
 func RunState(s *state.State, max uint64) (RunResult, error) {
 	var stop StopResult
-	res, _, err := runConcrete(s, nil, false, max, false, &stop)
+	res, _, err := runConcrete(s, nil, false, max, false, &stop, nil)
 	return res, err
 }
 
-// StopKind classifies why RunToStop returned.
+// StopKind classifies why RunToStop or RunCapture returned.
 type StopKind uint8
 
 const (
@@ -142,9 +128,14 @@ const (
 	StopJalr
 	// StopFault: an invalid instruction word (also reported as an error).
 	StopFault
+	// StopEnd: a capturing run arrived at its end anchor for the last time.
+	StopEnd
+	// StopNonSpec: a capturing run's load or store touched a
+	// non-speculative region; that instruction has executed.
+	StopNonSpec
 )
 
-// StopResult reports a RunToStop stop.
+// StopResult reports a RunToStop or RunCapture stop.
 type StopResult struct {
 	Steps  uint64   // instructions executed this call (stop event included)
 	Kind   StopKind //
@@ -168,34 +159,104 @@ type StopResult struct {
 // Env interface. The dirty flag persists like RunState's.
 func (c *Code) RunToStop(s *state.State, max uint64) (StopResult, error) {
 	var stop StopResult
-	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, true, &stop)
+	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, true, &stop, nil)
 	c.dirty = dirty
 	stop.Steps = res.Steps
 	return stop, err
 }
 
-// DivSigned exposes the MIR signed-division semantics (divide by zero yields
-// all ones; INT64_MIN / -1 wraps) for execution loops outside this package,
-// such as the slave fast path in internal/task.
-func DivSigned(a, b uint64) uint64 { return divSigned(a, b) }
+// RunCapture executes at most max instructions directly against s on the
+// devirtualized loop for a speculative task: s holds the task's registers
+// and PC, s.Mem is the image instructions are fetched from, and cp carries
+// everything that makes the run a slave's — its loads and stores, its
+// register live-ins and live-outs, and its extra stop rules (StopEnd,
+// StopNonSpec). A run may be resumed by calling RunCapture again with the
+// same cp; the dirty flag persists like RunState's.
+func (c *Code) RunCapture(s *state.State, max uint64, cp *Capture) (StopResult, error) {
+	var stop StopResult
+	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, false, &stop, cp)
+	c.dirty = dirty
+	stop.Steps = res.Steps
+	return stop, err
+}
 
-// RemSigned exposes the MIR signed-remainder semantics (remainder by zero
-// yields rs1; INT64_MIN % -1 yields 0); see DivSigned.
-func RemSigned(a, b uint64) uint64 { return remSigned(a, b) }
+// MemPort is where a capturing run sends its data loads and stores.
+type MemPort interface {
+	ReadMem(addr uint64) uint64
+	WriteMem(addr, v uint64)
+}
 
-// BoolWord returns 1 for true and 0 for false, the MIR comparison result
-// encoding.
-func BoolWord(b bool) uint64 { return boolWord(b) }
+// Capture is the run loop's slave hook (RunCapture). A slave differs from
+// the SEQ machine only in what it observes and where it stops, so the
+// Capture holds exactly that: data accesses go to Mem, registers the run
+// reads before writing are logged to LiveIn once per dispatch from the
+// dispatch's read-before-write mask, and the run also stops on the last
+// arrival at End and after any access that sets NonSpec. The SEQ and master
+// paths pass a nil Capture.
+type Capture struct {
+	// Mem performs every data load and store (instruction fetches read the
+	// run's state memory).
+	Mem MemPort
+	// LiveIn receives each register the run reads before writing it, with
+	// the value read.
+	LiveIn *state.Delta
+	// Read and Written are the registers read before being written, and the
+	// registers written, so far.
+	Read, Written uint32
+	// End is the end anchor and Ends the arrivals at it still to come; the
+	// run stops with StopEnd on the last one. Ends == 0 means no anchor.
+	End, Ends uint64
+	// NonSpec is set by Mem when an access touches a non-speculative
+	// region; the run then stops with StopNonSpec.
+	NonSpec bool
+	// Unfused makes every instruction dispatch singly, for tasks whose
+	// NonSpec stop must fall right after the offending access even inside
+	// what would be a fused group.
+	Unfused bool
+}
+
+// note logs one dispatch's register footprint (isa.Inst.Regs, precomputed
+// per table slot as RegsAt and FusedRegsAt): registers it reads before
+// writing that the run has neither read nor written yet become live-ins at
+// their current values, and its writes join Written.
+func (c *Capture) note(s *state.State, reads, writes uint32) {
+	if in := reads &^ (c.Read | c.Written); in != 0 {
+		c.Read |= in
+		for ; in != 0; in &= in - 1 {
+			r := bits.TrailingZeros32(in)
+			c.LiveIn.SetReg(r, s.Regs[r])
+		}
+	}
+	c.Written |= writes
+}
+
+// endWithin reports whether the end anchor lies in [pc, pc+n).
+func (c *Capture) endWithin(pc, n uint64) bool { return c.Ends != 0 && c.End-pc < n }
+
+// stopAfter applies the stop rules a capturing run checks after every
+// dispatch: a non-speculative access, then arrival at the end anchor. It
+// returns StopSteps to keep going.
+func (c *Capture) stopAfter(pc uint64) StopKind {
+	if c.NonSpec {
+		return StopNonSpec
+	}
+	if pc == c.End && c.Ends != 0 {
+		if c.Ends--; c.Ends == 0 {
+			return StopEnd
+		}
+	}
+	return StopSteps
+}
 
 // aluQuick computes one straight-line register-writing fused component's
 // value (OpAdd..OpLdih) for the ops that dominate fused groups in practice —
 // the addi back-edge/induction forms, constant loads and register adds —
 // reporting ok=false for everything else so the dispatch site falls back to
-// the full-switch aluVal. The split exists purely for the inliner: aluVal's
-// 26-way switch is far past the inline budget, and an out-of-line call per
-// component was measured to cancel the entire fused-dispatch win
-// (docs/PERFORMANCE.md); keeping the fallback call out of this function
-// keeps it under the budget, so the hot ops execute with zero call overhead.
+// aluVal. The split exists purely for the inliner: isa.ALU's switch is far
+// past the inline budget, and an out-of-line call per component was measured
+// to cancel the entire fused-dispatch win (docs/PERFORMANCE.md); keeping the
+// fallback call out of this function keeps it under the budget, so the hot
+// ops execute with zero call overhead.
 func aluQuick(s *state.State, in *isa.Inst) (uint64, bool) {
 	switch in.Op {
 	case isa.OpAddi:
@@ -210,8 +271,7 @@ func aluQuick(s *state.State, in *isa.Inst) (uint64, bool) {
 
 // brQuick evaluates a conditional-branch fused component's condition for the
 // loop back-edge compares (bne, blt), with ok=false sending the dispatch
-// site to the full brTaken; see aluQuick for why the fallback lives at the
-// call site.
+// site to brTaken; see aluQuick for why the fallback lives at the call site.
 func brQuick(s *state.State, in *isa.Inst) (taken, ok bool) {
 	// Every branch op reads both source registers, so the reads hoist out of
 	// the switch (which also keeps this function under the inline budget).
@@ -225,82 +285,19 @@ func brQuick(s *state.State, in *isa.Inst) (taken, ok bool) {
 	return false, false
 }
 
-// aluVal computes one fused ALU component's value (OpAdd..OpLdih); the
-// per-op semantics mirror runConcrete's cases exactly.
+// aluVal computes one fused ALU component's value (OpAdd..OpLdih) through
+// isa.ALU: b is rs2 for the three-register ops and the immediate otherwise.
 func aluVal(s *state.State, in *isa.Inst) uint64 {
-	var v uint64
-	switch in.Op {
-	case isa.OpAdd:
-		v = rdr(s, in.Rs1) + rdr(s, in.Rs2)
-	case isa.OpSub:
-		v = rdr(s, in.Rs1) - rdr(s, in.Rs2)
-	case isa.OpMul:
-		v = rdr(s, in.Rs1) * rdr(s, in.Rs2)
-	case isa.OpDiv:
-		v = divSigned(rdr(s, in.Rs1), rdr(s, in.Rs2))
-	case isa.OpRem:
-		v = remSigned(rdr(s, in.Rs1), rdr(s, in.Rs2))
-	case isa.OpAnd:
-		v = rdr(s, in.Rs1) & rdr(s, in.Rs2)
-	case isa.OpOr:
-		v = rdr(s, in.Rs1) | rdr(s, in.Rs2)
-	case isa.OpXor:
-		v = rdr(s, in.Rs1) ^ rdr(s, in.Rs2)
-	case isa.OpSll:
-		v = rdr(s, in.Rs1) << (rdr(s, in.Rs2) & 63)
-	case isa.OpSrl:
-		v = rdr(s, in.Rs1) >> (rdr(s, in.Rs2) & 63)
-	case isa.OpSra:
-		v = uint64(int64(rdr(s, in.Rs1)) >> (rdr(s, in.Rs2) & 63))
-	case isa.OpSlt:
-		v = boolWord(int64(rdr(s, in.Rs1)) < int64(rdr(s, in.Rs2)))
-	case isa.OpSltu:
-		v = boolWord(rdr(s, in.Rs1) < rdr(s, in.Rs2))
-	case isa.OpAddi:
-		v = rdr(s, in.Rs1) + uint64(in.Imm)
-	case isa.OpAndi:
-		v = rdr(s, in.Rs1) & uint64(in.Imm)
-	case isa.OpOri:
-		v = rdr(s, in.Rs1) | uint64(in.Imm)
-	case isa.OpXori:
-		v = rdr(s, in.Rs1) ^ uint64(in.Imm)
-	case isa.OpSlli:
-		v = rdr(s, in.Rs1) << (uint64(in.Imm) & 63)
-	case isa.OpSrli:
-		v = rdr(s, in.Rs1) >> (uint64(in.Imm) & 63)
-	case isa.OpSrai:
-		v = uint64(int64(rdr(s, in.Rs1)) >> (uint64(in.Imm) & 63))
-	case isa.OpSlti:
-		v = boolWord(int64(rdr(s, in.Rs1)) < in.Imm)
-	case isa.OpSltui:
-		v = boolWord(rdr(s, in.Rs1) < uint64(in.Imm))
-	case isa.OpMuli:
-		v = rdr(s, in.Rs1) * uint64(in.Imm)
-	case isa.OpLdi:
-		v = uint64(in.Imm)
-	case isa.OpLdih:
-		v = uint64(in.Imm)<<32 | rdr(s, in.Rs1)&0xffffffff
+	b := uint64(in.Imm)
+	if in.Op <= isa.OpSltu {
+		b = rdr(s, in.Rs2)
 	}
-	return v
+	return isa.ALU(in.Op, rdr(s, in.Rs1), b)
 }
 
-// brTaken evaluates a conditional-branch fused component's condition,
-// mirroring runConcrete's branch cases exactly.
+// brTaken evaluates a conditional-branch fused component through isa.Taken.
 func brTaken(s *state.State, in *isa.Inst) bool {
-	switch in.Op {
-	case isa.OpBeq:
-		return rdr(s, in.Rs1) == rdr(s, in.Rs2)
-	case isa.OpBne:
-		return rdr(s, in.Rs1) != rdr(s, in.Rs2)
-	case isa.OpBlt:
-		return int64(rdr(s, in.Rs1)) < int64(rdr(s, in.Rs2))
-	case isa.OpBge:
-		return int64(rdr(s, in.Rs1)) >= int64(rdr(s, in.Rs2))
-	case isa.OpBltu:
-		return rdr(s, in.Rs1) < rdr(s, in.Rs2)
-	}
-	// isa.OpBgeu: the builder admits only branch opcodes here.
-	return rdr(s, in.Rs1) >= rdr(s, in.Rs2)
+	return isa.Taken(in.Op, rdr(s, in.Rs1), rdr(s, in.Rs2))
 }
 
 // rdr reads register r of s; register 0 reads as zero. The &31 lets the
@@ -319,12 +316,15 @@ func wrr(s *state.State, r uint8, v uint64) {
 	}
 }
 
-// runConcrete is the devirtualized interpreter loop shared by RunState,
-// Code.RunState and Code.RunToStop. When code is non-nil and not dirty,
-// instructions come from the predecode table; otherwise each fetch reads
-// memory and decodes. It returns the (possibly updated) dirty flag. With
-// stops set, fork and jalr instructions end the run after executing (the
-// RunToStop contract); the StopResult's Steps field is filled by the caller.
+// runConcrete is the devirtualized interpreter loop behind RunState,
+// Code.RunState, Code.RunToStop and Code.RunCapture. When code is non-nil
+// and not dirty, instructions come from the predecode table; otherwise each
+// fetch reads memory and decodes. It returns the (possibly updated) dirty
+// flag. With stops set, fork and jalr instructions end the run after
+// executing (the RunToStop contract); the StopResult's Steps field is filled
+// by the caller. A non-nil c makes the run a slave's (see Capture); every
+// hook site tests c first, so the SEQ and master paths pay one predictable
+// branch per dispatch and per memory access.
 //
 // The stop report is filled through an out-pointer rather than returned:
 // returning it by value pushed the function's return state past the
@@ -334,7 +334,7 @@ func wrr(s *state.State, r uint8, v uint64) {
 //
 // Per-instruction semantics mirror stepExec exactly; the equivalence suite
 // and the chaos corpus differential hold the two definitions together.
-func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint64, stops bool, stop *StopResult) (RunResult, bool, error) {
+func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint64, stops bool, stop *StopResult, c *Capture) (RunResult, bool, error) {
 	var res RunResult
 	m := s.Mem
 	pc := s.PC
@@ -357,6 +357,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 	if code == nil || dirty {
 		ilen, flen = 0, 0
 	}
+	if c != nil && c.Unfused {
+		flen = 0
+	}
 
 	// Stores and fused-retire counts accumulate in locals (registers) and
 	// flush to the out-parameter at every exit: a through-the-pointer
@@ -369,175 +372,211 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 
 	var in isa.Inst
 	for left != 0 {
-		if i := pc - base; i < ilen {
-			// Superinstruction dispatch: a fused group headed at this pc
-			// retires in one trip around the loop, provided the remaining
-			// step budget covers the whole group — otherwise the components
-			// execute singly below, so a budget expires mid-group exactly as
-			// it would unfused. Groups perform every architectural write in
-			// program order (modulo proved-dead elisions, see internal/fuse),
-			// contain no stopping ops, and end any store last, so the dirty
-			// transition happens after the group like after a single store.
-			if i < flen {
-				f := &fusedTab[i]
-				if k := f.Kind; k != isa.FuseNone && uint64(f.N) <= left {
-					if k >= isa.FuseLoopAB {
-						// Loop superinstruction: the final branch targets this
-						// group's own head, so iterate locally while the branch
-						// is taken and the budget allows whole groups. The
-						// components are pure register ops (no loads, stores,
-						// or stopping instructions), so nothing inside an
-						// iteration can fault, stop, or dirty the table; when
-						// the budget ceiling (iters) is hit, pc is back at the
-						// head and the remaining <N steps execute singly below.
-						if k == isa.FuseLoopChain {
-							// Chained loop: this ld+op+st group plus the
-							// alu+alu+br group at head+3, whose branch
-							// returns here. Each local iteration retires all
-							// six instructions; the store ends the first
-							// half, so a self-modifying hit leaves the local
-							// loop with pc at the second group's head and the
-							// rest executes singly off the (now stale) table
-							// path, exactly like the unfused order.
-							g := &fusedTab[i+3]
-							if left < 6 {
-								// Budget tail: dispatch the head group alone,
-								// like a plain ld+op+st.
-								wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
-								v, ok := aluQuick(s, &f.B)
-								if !ok {
-									v = aluVal(s, &f.B)
-								}
-								wrr(s, f.RdB, v)
-								addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
-								m.Write(addr, rdr(s, f.C.Rs2))
-								stores++
-								if addr-base < ilen {
-									ilen, flen, dirty = 0, 0, true
-								}
-								pc += 3
-								left -= 3
-								fusedN += 3
-								continue
-							}
-							iters := left / 6
-							var done uint64
-							for it := uint64(0); it < iters; it++ {
-								wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
-								v, ok := aluQuick(s, &f.B)
-								if !ok {
-									v = aluVal(s, &f.B)
-								}
-								wrr(s, f.RdB, v)
-								addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
-								m.Write(addr, rdr(s, f.C.Rs2))
-								stores++
-								done += 3
-								if addr-base < ilen {
-									ilen, flen, dirty = 0, 0, true
-									pc += 3
-									break
-								}
-								if v, ok = aluQuick(s, &g.A); !ok {
-									v = aluVal(s, &g.A)
-								}
-								wrr(s, g.RdA, v)
-								if v, ok = aluQuick(s, &g.B); !ok {
-									v = aluVal(s, &g.B)
-								}
-								wrr(s, g.RdB, v)
-								done += 3
-								t, ok := brQuick(s, &g.C)
-								if !ok {
-									t = brTaken(s, &g.C)
-								}
-								if !t {
-									pc += 6
-									break
-								}
-							}
-							left -= done
-							fusedN += done
-							continue
-						}
-						n := uint64(f.N)
-						iters := left / n
-						var done uint64
-						exit := false
-						if k == isa.FuseLoopAAB {
-							for done < iters {
-								v, ok := aluQuick(s, &f.A)
-								if !ok {
-									v = aluVal(s, &f.A)
-								}
-								wrr(s, f.RdA, v)
-								if v, ok = aluQuick(s, &f.B); !ok {
-									v = aluVal(s, &f.B)
-								}
-								wrr(s, f.RdB, v)
-								done++
-								t, ok := brQuick(s, &f.C)
-								if !ok {
-									t = brTaken(s, &f.C)
-								}
-								if !t {
-									exit = true
-									break
-								}
-							}
-						} else {
-							for done < iters {
-								v, ok := aluQuick(s, &f.A)
-								if !ok {
-									v = aluVal(s, &f.A)
-								}
-								wrr(s, f.RdA, v)
-								done++
-								t, ok := brQuick(s, &f.B)
-								if !ok {
-									t = brTaken(s, &f.B)
-								}
-								if !t {
-									exit = true
-									break
-								}
-							}
-						}
-						if exit {
-							pc += n
-						}
-						fusedN += done * n
-						left -= done * n
-						continue
+		// Superinstruction dispatch: a fused group headed at this pc retires
+		// in one trip around the loop, provided the remaining step budget
+		// covers the whole group — otherwise the components execute singly
+		// below, so a budget expires mid-group exactly as it would unfused.
+		// Groups perform every architectural write in program order (modulo
+		// proved-dead elisions, see internal/fuse), contain no stopping ops,
+		// and end any store last, so the dirty transition happens after the
+		// group like after a single store. A capturing run also declines a
+		// group whose interior holds its end anchor: every arrival there must
+		// be seen (fuse.Options.Anchors keeps known anchors out of interiors;
+		// this guard covers ends the fusion pass was not told of).
+		if i := pc - base; i < flen && fusedTab[i].Kind != isa.FuseNone && uint64(fusedTab[i].N) <= left &&
+			(c == nil || !c.endWithin(pc+1, uint64(fusedTab[i].N)-1)) {
+			f := &fusedTab[i]
+			k := f.Kind
+			if k == isa.FuseLoopChain && (left < 6 || c != nil && c.endWithin(pc, 6)) {
+				// A chained iteration needs six steps of budget and must not
+				// cross the end anchor: otherwise the head group runs alone,
+				// like a plain ld+op+st.
+				k = isa.FuseLdAluSt
+			}
+			if c != nil {
+				reads, writes := code.FusedRegsAt(i)
+				c.note(s, reads, writes)
+				if k == isa.FuseLoopChain {
+					reads, writes = code.FusedRegsAt(i + 3)
+					c.note(s, reads, writes)
+				}
+			}
+			n := uint64(f.N)
+			done := n
+			switch k {
+			case isa.FuseAluAlu:
+				v, ok := aluQuick(s, &f.A)
+				if !ok {
+					v = aluVal(s, &f.A)
+				}
+				wrr(s, f.RdA, v)
+				if v, ok = aluQuick(s, &f.B); !ok {
+					v = aluVal(s, &f.B)
+				}
+				wrr(s, f.B.Rd, v)
+				pc += 2
+			case isa.FuseAluBr:
+				v, ok := aluQuick(s, &f.A)
+				if !ok {
+					v = aluVal(s, &f.A)
+				}
+				wrr(s, f.RdA, v)
+				t, ok := brQuick(s, &f.B)
+				if !ok {
+					t = brTaken(s, &f.B)
+				}
+				if t {
+					pc = uint64(f.B.Imm)
+				} else {
+					pc += 2
+				}
+			case isa.FuseAluAluBr:
+				v, ok := aluQuick(s, &f.A)
+				if !ok {
+					v = aluVal(s, &f.A)
+				}
+				wrr(s, f.RdA, v)
+				if v, ok = aluQuick(s, &f.B); !ok {
+					v = aluVal(s, &f.B)
+				}
+				wrr(s, f.RdB, v)
+				t, ok := brQuick(s, &f.C)
+				if !ok {
+					t = brTaken(s, &f.C)
+				}
+				if t {
+					pc = uint64(f.C.Imm)
+				} else {
+					pc += 3
+				}
+			case isa.FuseLdOp:
+				var v uint64
+				if a := rdr(s, f.A.Rs1) + uint64(f.A.Imm); c == nil {
+					v = m.Read(a)
+				} else {
+					v = c.Mem.ReadMem(a)
+				}
+				wrr(s, f.RdA, v)
+				v, ok := aluQuick(s, &f.B)
+				if !ok {
+					v = aluVal(s, &f.B)
+				}
+				wrr(s, f.B.Rd, v)
+				pc += 2
+			case isa.FuseOpSt:
+				v, ok := aluQuick(s, &f.A)
+				if !ok {
+					v = aluVal(s, &f.A)
+				}
+				wrr(s, f.RdA, v)
+				addr := rdr(s, f.B.Rs1) + uint64(f.B.Imm)
+				if c == nil {
+					m.Write(addr, rdr(s, f.B.Rs2))
+				} else {
+					c.Mem.WriteMem(addr, rdr(s, f.B.Rs2))
+				}
+				stores++
+				if addr-base < ilen {
+					ilen, flen, dirty = 0, 0, true
+				}
+				pc += 2
+			case isa.FuseLdAluSt:
+				var v uint64
+				if a := rdr(s, f.A.Rs1) + uint64(f.A.Imm); c == nil {
+					v = m.Read(a)
+				} else {
+					v = c.Mem.ReadMem(a)
+				}
+				wrr(s, f.RdA, v)
+				v, ok := aluQuick(s, &f.B)
+				if !ok {
+					v = aluVal(s, &f.B)
+				}
+				wrr(s, f.RdB, v)
+				addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
+				if c == nil {
+					m.Write(addr, rdr(s, f.C.Rs2))
+				} else {
+					c.Mem.WriteMem(addr, rdr(s, f.C.Rs2))
+				}
+				stores++
+				if addr-base < ilen {
+					ilen, flen, dirty = 0, 0, true
+				}
+				pc += 3
+			case isa.FuseLoopChain:
+				// Chained loop: this ld+op+st group plus the alu+alu+br group
+				// at head+3, whose branch returns here. Each local iteration
+				// retires all six instructions; the store ends the first half,
+				// so a self-modifying hit leaves the local loop with pc at the
+				// second group's head and the rest executes singly off the
+				// (now stale) table path, exactly like the unfused order.
+				g := &fusedTab[i+3]
+				iters := left / 6
+				done = 0
+				for it := uint64(0); it < iters; it++ {
+					var v uint64
+					if a := rdr(s, f.A.Rs1) + uint64(f.A.Imm); c == nil {
+						v = m.Read(a)
+					} else {
+						v = c.Mem.ReadMem(a)
 					}
-					switch k {
-					case isa.FuseAluAlu:
-						v, ok := aluQuick(s, &f.A)
-						if !ok {
-							v = aluVal(s, &f.A)
-						}
-						wrr(s, f.RdA, v)
-						if v, ok = aluQuick(s, &f.B); !ok {
-							v = aluVal(s, &f.B)
-						}
-						wrr(s, f.B.Rd, v)
-						pc += 2
-					case isa.FuseAluBr:
-						v, ok := aluQuick(s, &f.A)
-						if !ok {
-							v = aluVal(s, &f.A)
-						}
-						wrr(s, f.RdA, v)
-						t, ok := brQuick(s, &f.B)
-						if !ok {
-							t = brTaken(s, &f.B)
-						}
-						if t {
-							pc = uint64(f.B.Imm)
-						} else {
-							pc += 2
-						}
-					case isa.FuseAluAluBr:
+					wrr(s, f.RdA, v)
+					v, ok := aluQuick(s, &f.B)
+					if !ok {
+						v = aluVal(s, &f.B)
+					}
+					wrr(s, f.RdB, v)
+					addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
+					if c == nil {
+						m.Write(addr, rdr(s, f.C.Rs2))
+					} else {
+						c.Mem.WriteMem(addr, rdr(s, f.C.Rs2))
+					}
+					stores++
+					done += 3
+					if addr-base < ilen {
+						ilen, flen, dirty = 0, 0, true
+						pc += 3
+						break
+					}
+					if v, ok = aluQuick(s, &g.A); !ok {
+						v = aluVal(s, &g.A)
+					}
+					wrr(s, g.RdA, v)
+					if v, ok = aluQuick(s, &g.B); !ok {
+						v = aluVal(s, &g.B)
+					}
+					wrr(s, g.RdB, v)
+					done += 3
+					t, ok := brQuick(s, &g.C)
+					if !ok {
+						t = brTaken(s, &g.C)
+					}
+					if !t {
+						pc += 6
+						break
+					}
+				}
+			default: // isa.FuseLoopAB, isa.FuseLoopAAB
+				// Loop superinstruction: the final branch targets this
+				// group's own head, so iterate locally while the branch is
+				// taken and the budget allows whole groups. The components
+				// are pure register ops (no loads, stores, or stopping
+				// instructions), so nothing inside an iteration can fault,
+				// stop, or dirty the table; when the budget ceiling (iters)
+				// is hit, pc is back at the head and the remaining <N steps
+				// execute singly below. A capturing run whose end anchor is
+				// the head runs one iteration per dispatch, so every pass
+				// over the head counts as an arrival.
+				iters := left / n
+				if c != nil && c.endWithin(pc, 1) {
+					iters = 1
+				}
+				var it uint64
+				exit := false
+				if k == isa.FuseLoopAAB {
+					for it < iters {
 						v, ok := aluQuick(s, &f.A)
 						if !ok {
 							v = aluVal(s, &f.A)
@@ -547,208 +586,221 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 							v = aluVal(s, &f.B)
 						}
 						wrr(s, f.RdB, v)
+						it++
 						t, ok := brQuick(s, &f.C)
 						if !ok {
 							t = brTaken(s, &f.C)
 						}
-						if t {
-							pc = uint64(f.C.Imm)
-						} else {
-							pc += 3
+						if !t {
+							exit = true
+							break
 						}
-					case isa.FuseLdOp:
-						wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
-						v, ok := aluQuick(s, &f.B)
-						if !ok {
-							v = aluVal(s, &f.B)
-						}
-						wrr(s, f.B.Rd, v)
-						pc += 2
-					case isa.FuseOpSt:
+					}
+				} else {
+					for it < iters {
 						v, ok := aluQuick(s, &f.A)
 						if !ok {
 							v = aluVal(s, &f.A)
 						}
 						wrr(s, f.RdA, v)
-						addr := rdr(s, f.B.Rs1) + uint64(f.B.Imm)
-						m.Write(addr, rdr(s, f.B.Rs2))
-						stores++
-						if addr-base < ilen {
-							ilen, flen, dirty = 0, 0, true
-						}
-						pc += 2
-					case isa.FuseLdAluSt:
-						wrr(s, f.RdA, m.Read(rdr(s, f.A.Rs1)+uint64(f.A.Imm)))
-						v, ok := aluQuick(s, &f.B)
+						it++
+						t, ok := brQuick(s, &f.B)
 						if !ok {
-							v = aluVal(s, &f.B)
+							t = brTaken(s, &f.B)
 						}
-						wrr(s, f.RdB, v)
-						addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
-						m.Write(addr, rdr(s, f.C.Rs2))
-						stores++
-						if addr-base < ilen {
-							ilen, flen, dirty = 0, 0, true
+						if !t {
+							exit = true
+							break
 						}
-						pc += 3
 					}
-					left -= uint64(f.N)
-					fusedN += uint64(f.N)
-					continue
+				}
+				if exit {
+					pc += n
+				}
+				done = it * n
+			}
+			left -= done
+			fusedN += done
+		} else {
+			if i < ilen {
+				if !valid[i] {
+					s.PC = pc
+					stop.Kind = StopFault
+					res.Steps = max - left
+					stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+					return res, dirty, &Fault{PC: pc, Word: words[i]}
+				}
+				in = insts[i]
+				if c != nil {
+					reads, writes := code.RegsAt(i)
+					c.note(s, reads, writes)
+				}
+			} else {
+				w := m.Read(pc)
+				in = isa.Decode(w)
+				if !in.Op.Valid() {
+					s.PC = pc
+					stop.Kind = StopFault
+					res.Steps = max - left
+					stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+					return res, dirty, &Fault{PC: pc, Word: w}
+				}
+				if c != nil {
+					reads, writes := in.Regs()
+					c.note(s, reads, writes)
 				}
 			}
-			if !valid[i] {
-				s.PC = pc
-				stop.Kind = StopFault
-				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
-				return res, dirty, &Fault{PC: pc, Word: words[i]}
-			}
-			in = insts[i]
-		} else {
-			w := m.Read(pc)
-			in = isa.Decode(w)
-			if !in.Op.Valid() {
-				s.PC = pc
-				stop.Kind = StopFault
-				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
-				return res, dirty, &Fault{PC: pc, Word: w}
-			}
-		}
 
-		next := pc + 1
-		switch in.Op {
-		case isa.OpNop:
+			next := pc + 1
+			switch in.Op {
+			case isa.OpNop:
 
-		case isa.OpFork:
-			if stops {
-				s.PC = next
+			case isa.OpFork:
+				if stops {
+					s.PC = next
+					left--
+					stop.Kind, stop.Anchor = StopFork, uint64(in.Imm)
+					res.Steps = max - left
+					stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+					return res, dirty, nil
+				}
+
+			case isa.OpAdd:
+				wrr(s, in.Rd, rdr(s, in.Rs1)+rdr(s, in.Rs2))
+			case isa.OpSub:
+				wrr(s, in.Rd, rdr(s, in.Rs1)-rdr(s, in.Rs2))
+			case isa.OpMul:
+				wrr(s, in.Rd, rdr(s, in.Rs1)*rdr(s, in.Rs2))
+			case isa.OpDiv, isa.OpRem:
+				wrr(s, in.Rd, isa.ALU(in.Op, rdr(s, in.Rs1), rdr(s, in.Rs2)))
+			case isa.OpAnd:
+				wrr(s, in.Rd, rdr(s, in.Rs1)&rdr(s, in.Rs2))
+			case isa.OpOr:
+				wrr(s, in.Rd, rdr(s, in.Rs1)|rdr(s, in.Rs2))
+			case isa.OpXor:
+				wrr(s, in.Rd, rdr(s, in.Rs1)^rdr(s, in.Rs2))
+			case isa.OpSll:
+				wrr(s, in.Rd, rdr(s, in.Rs1)<<(rdr(s, in.Rs2)&63))
+			case isa.OpSrl:
+				wrr(s, in.Rd, rdr(s, in.Rs1)>>(rdr(s, in.Rs2)&63))
+			case isa.OpSra:
+				wrr(s, in.Rd, uint64(int64(rdr(s, in.Rs1))>>(rdr(s, in.Rs2)&63)))
+			case isa.OpSlt:
+				wrr(s, in.Rd, boolWord(int64(rdr(s, in.Rs1)) < int64(rdr(s, in.Rs2))))
+			case isa.OpSltu:
+				wrr(s, in.Rd, boolWord(rdr(s, in.Rs1) < rdr(s, in.Rs2)))
+
+			case isa.OpAddi:
+				wrr(s, in.Rd, rdr(s, in.Rs1)+uint64(in.Imm))
+			case isa.OpAndi:
+				wrr(s, in.Rd, rdr(s, in.Rs1)&uint64(in.Imm))
+			case isa.OpOri:
+				wrr(s, in.Rd, rdr(s, in.Rs1)|uint64(in.Imm))
+			case isa.OpXori:
+				wrr(s, in.Rd, rdr(s, in.Rs1)^uint64(in.Imm))
+			case isa.OpSlli:
+				wrr(s, in.Rd, rdr(s, in.Rs1)<<(uint64(in.Imm)&63))
+			case isa.OpSrli:
+				wrr(s, in.Rd, rdr(s, in.Rs1)>>(uint64(in.Imm)&63))
+			case isa.OpSrai:
+				wrr(s, in.Rd, uint64(int64(rdr(s, in.Rs1))>>(uint64(in.Imm)&63)))
+			case isa.OpSlti:
+				wrr(s, in.Rd, boolWord(int64(rdr(s, in.Rs1)) < in.Imm))
+			case isa.OpSltui:
+				wrr(s, in.Rd, boolWord(rdr(s, in.Rs1) < uint64(in.Imm)))
+			case isa.OpMuli:
+				wrr(s, in.Rd, rdr(s, in.Rs1)*uint64(in.Imm))
+
+			case isa.OpLdi:
+				wrr(s, in.Rd, uint64(in.Imm))
+			case isa.OpLdih:
+				low := rdr(s, in.Rs1) & 0xffffffff
+				wrr(s, in.Rd, uint64(in.Imm)<<32|low)
+
+			case isa.OpLd:
+				var v uint64
+				if a := rdr(s, in.Rs1) + uint64(in.Imm); c == nil {
+					v = m.Read(a)
+				} else {
+					v = c.Mem.ReadMem(a)
+				}
+				wrr(s, in.Rd, v)
+			case isa.OpSt:
+				addr := rdr(s, in.Rs1) + uint64(in.Imm)
+				if c == nil {
+					m.Write(addr, rdr(s, in.Rs2))
+				} else {
+					c.Mem.WriteMem(addr, rdr(s, in.Rs2))
+				}
+				stores++
+				if addr-base < ilen {
+					// Self-modifying store: the table is stale from here on.
+					ilen, flen, dirty = 0, 0, true
+				}
+
+			case isa.OpBeq:
+				if rdr(s, in.Rs1) == rdr(s, in.Rs2) {
+					next = uint64(in.Imm)
+				}
+			case isa.OpBne:
+				if rdr(s, in.Rs1) != rdr(s, in.Rs2) {
+					next = uint64(in.Imm)
+				}
+			case isa.OpBlt:
+				if int64(rdr(s, in.Rs1)) < int64(rdr(s, in.Rs2)) {
+					next = uint64(in.Imm)
+				}
+			case isa.OpBge:
+				if int64(rdr(s, in.Rs1)) >= int64(rdr(s, in.Rs2)) {
+					next = uint64(in.Imm)
+				}
+			case isa.OpBltu:
+				if rdr(s, in.Rs1) < rdr(s, in.Rs2) {
+					next = uint64(in.Imm)
+				}
+			case isa.OpBgeu:
+				if rdr(s, in.Rs1) >= rdr(s, in.Rs2) {
+					next = uint64(in.Imm)
+				}
+
+			case isa.OpJal:
+				wrr(s, in.Rd, pc+1)
+				next = uint64(in.Imm)
+			case isa.OpJalr:
+				target := rdr(s, in.Rs1) + uint64(in.Imm)
+				wrr(s, in.Rd, pc+1)
+				next = target
+				if stops {
+					s.PC = next
+					left--
+					stop.Kind = StopJalr
+					res.Steps = max - left
+					stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+					return res, dirty, nil
+				}
+
+			case isa.OpHalt:
+				s.PC = pc // halt is a fixpoint
 				left--
-				stop.Kind, stop.Anchor = StopFork, uint64(in.Imm)
+				res.Halted = true
+				stop.Kind = StopHalt
 				res.Steps = max - left
 				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
 				return res, dirty, nil
 			}
 
-		case isa.OpAdd:
-			wrr(s, in.Rd, rdr(s, in.Rs1)+rdr(s, in.Rs2))
-		case isa.OpSub:
-			wrr(s, in.Rd, rdr(s, in.Rs1)-rdr(s, in.Rs2))
-		case isa.OpMul:
-			wrr(s, in.Rd, rdr(s, in.Rs1)*rdr(s, in.Rs2))
-		case isa.OpDiv:
-			wrr(s, in.Rd, divSigned(rdr(s, in.Rs1), rdr(s, in.Rs2)))
-		case isa.OpRem:
-			wrr(s, in.Rd, remSigned(rdr(s, in.Rs1), rdr(s, in.Rs2)))
-		case isa.OpAnd:
-			wrr(s, in.Rd, rdr(s, in.Rs1)&rdr(s, in.Rs2))
-		case isa.OpOr:
-			wrr(s, in.Rd, rdr(s, in.Rs1)|rdr(s, in.Rs2))
-		case isa.OpXor:
-			wrr(s, in.Rd, rdr(s, in.Rs1)^rdr(s, in.Rs2))
-		case isa.OpSll:
-			wrr(s, in.Rd, rdr(s, in.Rs1)<<(rdr(s, in.Rs2)&63))
-		case isa.OpSrl:
-			wrr(s, in.Rd, rdr(s, in.Rs1)>>(rdr(s, in.Rs2)&63))
-		case isa.OpSra:
-			wrr(s, in.Rd, uint64(int64(rdr(s, in.Rs1))>>(rdr(s, in.Rs2)&63)))
-		case isa.OpSlt:
-			wrr(s, in.Rd, boolWord(int64(rdr(s, in.Rs1)) < int64(rdr(s, in.Rs2))))
-		case isa.OpSltu:
-			wrr(s, in.Rd, boolWord(rdr(s, in.Rs1) < rdr(s, in.Rs2)))
-
-		case isa.OpAddi:
-			wrr(s, in.Rd, rdr(s, in.Rs1)+uint64(in.Imm))
-		case isa.OpAndi:
-			wrr(s, in.Rd, rdr(s, in.Rs1)&uint64(in.Imm))
-		case isa.OpOri:
-			wrr(s, in.Rd, rdr(s, in.Rs1)|uint64(in.Imm))
-		case isa.OpXori:
-			wrr(s, in.Rd, rdr(s, in.Rs1)^uint64(in.Imm))
-		case isa.OpSlli:
-			wrr(s, in.Rd, rdr(s, in.Rs1)<<(uint64(in.Imm)&63))
-		case isa.OpSrli:
-			wrr(s, in.Rd, rdr(s, in.Rs1)>>(uint64(in.Imm)&63))
-		case isa.OpSrai:
-			wrr(s, in.Rd, uint64(int64(rdr(s, in.Rs1))>>(uint64(in.Imm)&63)))
-		case isa.OpSlti:
-			wrr(s, in.Rd, boolWord(int64(rdr(s, in.Rs1)) < in.Imm))
-		case isa.OpSltui:
-			wrr(s, in.Rd, boolWord(rdr(s, in.Rs1) < uint64(in.Imm)))
-		case isa.OpMuli:
-			wrr(s, in.Rd, rdr(s, in.Rs1)*uint64(in.Imm))
-
-		case isa.OpLdi:
-			wrr(s, in.Rd, uint64(in.Imm))
-		case isa.OpLdih:
-			low := rdr(s, in.Rs1) & 0xffffffff
-			wrr(s, in.Rd, uint64(in.Imm)<<32|low)
-
-		case isa.OpLd:
-			wrr(s, in.Rd, m.Read(rdr(s, in.Rs1)+uint64(in.Imm)))
-		case isa.OpSt:
-			addr := rdr(s, in.Rs1) + uint64(in.Imm)
-			m.Write(addr, rdr(s, in.Rs2))
-			stores++
-			if addr-base < ilen {
-				// Self-modifying store: the table is stale from here on.
-				ilen, flen, dirty = 0, 0, true
-			}
-
-		case isa.OpBeq:
-			if rdr(s, in.Rs1) == rdr(s, in.Rs2) {
-				next = uint64(in.Imm)
-			}
-		case isa.OpBne:
-			if rdr(s, in.Rs1) != rdr(s, in.Rs2) {
-				next = uint64(in.Imm)
-			}
-		case isa.OpBlt:
-			if int64(rdr(s, in.Rs1)) < int64(rdr(s, in.Rs2)) {
-				next = uint64(in.Imm)
-			}
-		case isa.OpBge:
-			if int64(rdr(s, in.Rs1)) >= int64(rdr(s, in.Rs2)) {
-				next = uint64(in.Imm)
-			}
-		case isa.OpBltu:
-			if rdr(s, in.Rs1) < rdr(s, in.Rs2) {
-				next = uint64(in.Imm)
-			}
-		case isa.OpBgeu:
-			if rdr(s, in.Rs1) >= rdr(s, in.Rs2) {
-				next = uint64(in.Imm)
-			}
-
-		case isa.OpJal:
-			wrr(s, in.Rd, pc+1)
-			next = uint64(in.Imm)
-		case isa.OpJalr:
-			target := rdr(s, in.Rs1) + uint64(in.Imm)
-			wrr(s, in.Rd, pc+1)
-			next = target
-			if stops {
-				s.PC = next
-				left--
-				stop.Kind = StopJalr
-				res.Steps = max - left
-				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
-				return res, dirty, nil
-			}
-
-		case isa.OpHalt:
-			s.PC = pc // halt is a fixpoint
+			pc = next
 			left--
-			res.Halted = true
-			stop.Kind = StopHalt
-			res.Steps = max - left
-			stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
-			return res, dirty, nil
 		}
-
-		pc = next
-		left--
+		if c != nil {
+			if k := c.stopAfter(pc); k != StopSteps {
+				s.PC = pc
+				stop.Kind = k
+				res.Steps = max - left
+				stop.Stores, stop.Fused = stop.Stores+stores, stop.Fused+fusedN
+				return res, dirty, nil
+			}
+		}
 	}
 	s.PC = pc
 	stop.Kind = StopSteps

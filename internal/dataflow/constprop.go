@@ -211,7 +211,7 @@ func Consts(g *cfg.Graph, opts ConstOptions) *ConstFacts {
 				// Branch targets are absolute; the not-taken edge falls
 				// through to the next block.
 				target := b.End
-				if evalBranch(term.Op, a, c) {
+				if isa.Taken(term.Op, a, c) {
 					target = uint64(term.Imm)
 				}
 				for _, succ := range b.Succs {
@@ -274,84 +274,11 @@ func stepConst(in isa.Inst, vals *Regs) {
 			b, bok = vals.get(in.Rs2).Value()
 		}
 		if aok && bok {
-			if v, ok := evalALU(in.Op, a, b); ok {
-				vals.set(d, ConstOf(v))
-				return
-			}
+			vals.set(d, ConstOf(isa.ALU(in.Op, a, b)))
+			return
 		}
 		vals.set(d, Varying)
 	}
-}
-
-// evalALU mirrors the interpreter's ALU semantics exactly (wrapping
-// arithmetic, mod-64 shifts, trap-free division).
-func evalALU(op isa.Op, a, b uint64) (uint64, bool) {
-	switch op {
-	case isa.OpAdd, isa.OpAddi:
-		return a + b, true
-	case isa.OpSub:
-		return a - b, true
-	case isa.OpMul, isa.OpMuli:
-		return a * b, true
-	case isa.OpDiv:
-		switch {
-		case b == 0:
-			return ^uint64(0), true
-		case int64(a) == -1<<63 && int64(b) == -1:
-			return a, true
-		}
-		return uint64(int64(a) / int64(b)), true
-	case isa.OpRem:
-		switch {
-		case b == 0:
-			return a, true
-		case int64(a) == -1<<63 && int64(b) == -1:
-			return 0, true
-		}
-		return uint64(int64(a) % int64(b)), true
-	case isa.OpAnd, isa.OpAndi:
-		return a & b, true
-	case isa.OpOr, isa.OpOri:
-		return a | b, true
-	case isa.OpXor, isa.OpXori:
-		return a ^ b, true
-	case isa.OpSll, isa.OpSlli:
-		return a << (b & 63), true
-	case isa.OpSrl, isa.OpSrli:
-		return a >> (b & 63), true
-	case isa.OpSra, isa.OpSrai:
-		return uint64(int64(a) >> (b & 63)), true
-	case isa.OpSlt, isa.OpSlti:
-		if int64(a) < int64(b) {
-			return 1, true
-		}
-		return 0, true
-	case isa.OpSltu, isa.OpSltui:
-		if a < b {
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
-// evalBranch mirrors the interpreter's branch comparisons.
-func evalBranch(op isa.Op, a, b uint64) bool {
-	switch op {
-	case isa.OpBeq:
-		return a == b
-	case isa.OpBne:
-		return a != b
-	case isa.OpBlt:
-		return int64(a) < int64(b)
-	case isa.OpBge:
-		return int64(a) >= int64(b)
-	case isa.OpBltu:
-		return a < b
-	case isa.OpBgeu:
-		return a >= b
-	}
-	return false
 }
 
 // Executed reports whether any feasible path reaches the block containing

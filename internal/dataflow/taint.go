@@ -356,20 +356,19 @@ func stepTaint(in isa.Inst, pc uint64, secret []isa.Region, f *taintFact) {
 	}
 }
 
-// aluSpan approximates an ALU result. Exact when every operand is a single
-// point (reusing the interpreter-mirroring evaluator); otherwise only
-// input-independent or overflow-checked bounds are kept, so ranges stay
-// stable across loop back-edges.
+// aluSpan approximates an ALU result. Exact for the ALU groups (OpAdd..
+// OpMuli) when every operand is a single point (evaluated by isa.ALU);
+// otherwise only input-independent or overflow-checked bounds are kept, so
+// ranges stay stable across loop back-edges.
 func aluSpan(in isa.Inst, f *taintFact) span {
 	a := valOf(f, in.Rs1)
 	b := spanPoint(uint64(in.Imm))
 	if in.Op.ReadsRs2() {
 		b = valOf(f, in.Rs2)
 	}
-	if a.kind == spanRange && a.lo == a.hi && b.kind == spanRange && b.lo == b.hi {
-		if v, ok := evalALU(in.Op, a.lo, b.lo); ok {
-			return spanPoint(v)
-		}
+	if in.Op >= isa.OpAdd && in.Op <= isa.OpMuli &&
+		a.kind == spanRange && a.lo == a.hi && b.kind == spanRange && b.lo == b.hi {
+		return spanPoint(isa.ALU(in.Op, a.lo, b.lo))
 	}
 	switch in.Op {
 	case isa.OpLdih:

@@ -5,10 +5,10 @@
 // table for hot multi-instruction idioms — load+op, op+store, compare+branch
 // and the addi-loop back-edge, ldi+op constant forms, and their triple
 // combinations — and emits an isa.FusedInst table alongside the instruction
-// table. The devirtualized interpreter loops (cpu.runConcrete and the slave
-// fast path in internal/task) then retire a whole group per dispatch,
-// eliminating the per-instruction fetch/dispatch overhead that dominates the
-// predecoded interpreter's cost.
+// table. The devirtualized interpreter loop, cpu.runConcrete — which runs
+// the SEQ machine, the parallel master and every slave task — then retires a
+// whole group per dispatch, eliminating the per-instruction fetch/dispatch
+// overhead that dominates the predecoded interpreter's cost.
 //
 // # Safety
 //
@@ -29,8 +29,9 @@
 //     msspvet MV008 check.
 //   - Task anchor pcs (Options.Anchors) never fall in a group's interior,
 //     so a slave counting end-anchor crossings cannot step over one inside
-//     a single dispatch. (The slave loop additionally guards dynamically;
-//     correctness does not depend on the anchor set being complete.)
+//     a single dispatch. (A capturing run additionally guards its end
+//     anchor dynamically — see cpu.Capture; correctness does not depend on
+//     the anchor set being complete.)
 //   - Executors only take a fused dispatch when the remaining step budget
 //     covers the whole group; otherwise the components execute singly, so a
 //     budget can expire "mid-group" exactly as it would unfused.

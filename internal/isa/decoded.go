@@ -9,7 +9,7 @@ package isa
 // A DecodedProgram is immutable after Predecode and therefore safe to share
 // between any number of concurrent executions. Mutability concerns — a
 // store landing in the code segment, which would make the table stale —
-// are handled by the executors (cpu.Code and cpu.RunDecoded), which watch
+// are handled by the executors (cpu.Code's Step and run loop), which watch
 // store addresses and fall back to fetching through memory the moment one
 // hits the code segment. MIR programs are not self-modifying, so in
 // practice the fallback never triggers; it exists so the fast path is a
@@ -19,10 +19,19 @@ type DecodedProgram struct {
 	insts []Inst
 	valid []bool
 	words []uint64 // raw instruction words, for fault reporting
+	// regs[i] is insts[i]'s register footprint (Inst.Regs), precomputed for
+	// executors that log live-ins per dispatch.
+	regs []footprint
 	// fused, when non-nil, is the superinstruction table built by
 	// internal/fuse (see fused.go); attached via SetFused before sharing.
-	fused []FusedInst
+	// fusedRegs holds each group's footprint (see FusedRegsAt).
+	fused     []FusedInst
+	fusedRegs []footprint
 }
+
+// footprint is a register footprint: the read and written register
+// bitmasks of an instruction or a fused group.
+type footprint struct{ reads, writes uint32 }
 
 // Predecode decodes every instruction word of p's code segment into a dense
 // table. Validity is precomputed: executing an entry whose word does not
@@ -33,11 +42,13 @@ func Predecode(p *Program) *DecodedProgram {
 		insts: make([]Inst, len(p.Code.Words)),
 		valid: make([]bool, len(p.Code.Words)),
 		words: append([]uint64(nil), p.Code.Words...),
+		regs:  make([]footprint, len(p.Code.Words)),
 	}
 	for i, w := range p.Code.Words {
 		in := Decode(w)
 		d.insts[i] = in
 		d.valid[i] = in.Op.Valid()
+		d.regs[i].reads, d.regs[i].writes = in.Regs()
 	}
 	return d
 }
@@ -67,6 +78,12 @@ func (d *DecodedProgram) At(pc uint64) (in Inst, valid, ok bool) {
 // Word returns the raw instruction word at pc. It panics if pc is outside
 // the table; callers guard with Covers.
 func (d *DecodedProgram) Word(pc uint64) uint64 { return d.words[pc-d.base] }
+
+// RegsAt returns the register footprint (Inst.Regs) of table entry i,
+// which must be in range.
+func (d *DecodedProgram) RegsAt(i uint64) (reads, writes uint32) {
+	return d.regs[i].reads, d.regs[i].writes
+}
 
 // Table exposes the raw predecode arrays for the tightest interpreter
 // loops: the base address and the instruction, validity and word slices,

@@ -2,8 +2,8 @@ package isa
 
 // Superinstruction (fusion) support: a DecodedProgram can carry a parallel
 // dense table of fused instruction groups, built by internal/fuse and
-// consumed by the devirtualized interpreter loops (cpu.runConcrete and the
-// slave fast path in internal/task).
+// consumed by the devirtualized interpreter loop (cpu.runConcrete, which
+// also runs slave tasks).
 //
 // A fused entry at pc describes a group of 2–3 consecutive instructions that
 // an executor may retire in a single dispatch. Entries exist only at a
@@ -117,7 +117,38 @@ func (d *DecodedProgram) SetFused(fused []FusedInst) {
 	if fused != nil && len(fused) != len(d.insts) {
 		panic("isa: fused table length does not match instruction table")
 	}
-	d.fused = fused
+	d.fused, d.fusedRegs = fused, nil
+	if fused != nil {
+		d.fusedRegs = make([]footprint, len(fused))
+		for i := range fused {
+			if fused[i].Kind != FuseNone {
+				d.fusedRegs[i].reads, d.fusedRegs[i].writes = fused[i].regs()
+			}
+		}
+	}
+}
+
+// FusedRegsAt returns the register footprint of the group at fused-table
+// slot i, which must be in range: its components' Inst.Regs composed in
+// program order, so a register a component reads after an earlier
+// component wrote it is not a read of the group, with writes going to the
+// effective destinations RdA and RdB.
+func (d *DecodedProgram) FusedRegsAt(i uint64) (reads, writes uint32) {
+	return d.fusedRegs[i].reads, d.fusedRegs[i].writes
+}
+
+// regs computes the group footprint FusedRegsAt reports.
+func (f *FusedInst) regs() (reads, writes uint32) {
+	a, b := f.A, f.B
+	a.Rd, b.Rd = f.RdA, f.RdB
+	reads, writes = a.Regs()
+	r, w := b.Regs()
+	reads, writes = reads|r&^writes, writes|w
+	if f.N == 3 {
+		r, w = f.C.Regs()
+		reads, writes = reads|r&^writes, writes|w
+	}
+	return reads, writes
 }
 
 // FusedTable returns the fused-group table, nil when no fusion pass ran.

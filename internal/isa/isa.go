@@ -208,6 +208,87 @@ func (op Op) ReadsRs2() bool {
 	return false
 }
 
+// ALU returns the value register-writing op (OpAdd..OpLdih) computes from
+// a, the rs1 value, and b, the rs2 value for the three-register ops and the
+// immediate otherwise. Arithmetic wraps, shift amounts are taken mod 64,
+// comparisons yield 1 or 0, and division never traps: x/0 is all ones, x%0
+// is x, INT64_MIN/-1 wraps to INT64_MIN and INT64_MIN%-1 is 0. OpLdi yields
+// b, and OpLdih puts b's low half over a's low 32 bits. Any other op yields
+// 0. This is the semantics the interpreters in internal/cpu execute and the
+// constant folding in internal/dataflow evaluates.
+func ALU(op Op, a, b uint64) uint64 {
+	switch op {
+	case OpAdd, OpAddi:
+		return a + b
+	case OpSub:
+		return a - b
+	case OpMul, OpMuli:
+		return a * b
+	case OpDiv:
+		switch {
+		case b == 0:
+			return ^uint64(0)
+		case int64(a) == -1<<63 && int64(b) == -1:
+			return a
+		}
+		return uint64(int64(a) / int64(b))
+	case OpRem:
+		switch {
+		case b == 0:
+			return a
+		case int64(a) == -1<<63 && int64(b) == -1:
+			return 0
+		}
+		return uint64(int64(a) % int64(b))
+	case OpAnd, OpAndi:
+		return a & b
+	case OpOr, OpOri:
+		return a | b
+	case OpXor, OpXori:
+		return a ^ b
+	case OpSll, OpSlli:
+		return a << (b & 63)
+	case OpSrl, OpSrli:
+		return a >> (b & 63)
+	case OpSra, OpSrai:
+		return uint64(int64(a) >> (b & 63))
+	case OpSlt, OpSlti:
+		if int64(a) < int64(b) {
+			return 1
+		}
+	case OpSltu, OpSltui:
+		if a < b {
+			return 1
+		}
+	case OpLdi:
+		return b
+	case OpLdih:
+		return b<<32 | a&0xffffffff
+	}
+	return 0
+}
+
+// Taken reports whether conditional branch op is taken on a, the rs1
+// value, and b, the rs2 value; signed and unsigned compares as the mnemonics
+// say. Any other op is never taken.
+func Taken(op Op, a, b uint64) bool {
+	switch op {
+	case OpBeq:
+		return a == b
+	case OpBne:
+		return a != b
+	case OpBlt:
+		return int64(a) < int64(b)
+	case OpBge:
+		return int64(a) >= int64(b)
+	case OpBltu:
+		return a < b
+	case OpBgeu:
+		return a >= b
+	}
+	return false
+}
+
 // Inst is a decoded MIR instruction.
 type Inst struct {
 	Op  Op
@@ -216,6 +297,35 @@ type Inst struct {
 	Rs2 uint8 // second source register
 	Imm int64 // sign-extended 32-bit immediate
 }
+
+// Regs returns the registers executing in reads and writes, as bitmasks
+// with bit r standing for register r (r0, hardwired to zero, never set):
+// rs1 and rs2 as ReadsRs1 and ReadsRs2 say — except halt's rs1, an exit
+// code no interpreter reads — and rd as HasRd says. Executors that log a
+// task's register live-ins per dispatch go by it.
+func (in Inst) Regs() (reads, writes uint32) {
+	u := uint32(regUse[in.Op])
+	reads = (u&1)<<(in.Rs1&31) | (u>>1&1)<<(in.Rs2&31)
+	writes = (u >> 2 & 1) << (in.Rd & 31)
+	return reads &^ 1, writes &^ 1
+}
+
+// regUse flags, per opcode, whether Inst.Regs counts rs1 (1) and rs2 (2) as
+// read and rd (4) as written; undefined opcodes use nothing.
+var regUse = func() (u [256]uint8) {
+	for op := Op(0); op < numOps; op++ {
+		if op.ReadsRs1() && op != OpHalt {
+			u[op] |= 1
+		}
+		if op.ReadsRs2() {
+			u[op] |= 2
+		}
+		if op.HasRd() {
+			u[op] |= 4
+		}
+	}
+	return u
+}()
 
 // Instruction word layout (64 bits):
 //

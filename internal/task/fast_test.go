@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"mssp/internal/asm"
+	"mssp/internal/cpu"
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
 	"mssp/internal/state"
+	"mssp/internal/workloads"
 )
 
 // runBoth executes the same task once per path — fused (the production
@@ -48,7 +50,7 @@ func runBoth(t *testing.T, mk func() *Task, cap uint64) *Exec {
 }
 
 // mkCoded is mkTask plus a fused predecode table — deliberately built with
-// no anchor set, so the task-end guards in dispatchFused carry the whole
+// no anchor set, so the run loop's end-anchor guards carry the whole
 // correctness burden (production tables additionally exclude known anchors
 // from group interiors).
 func mkCoded(t *testing.T, src string, start, end uint64, hasEnd bool) func() *Task {
@@ -189,13 +191,77 @@ func TestExecuteFastSlowEquivalence(t *testing.T) {
 	})
 }
 
-// TestExecuteFusedBudgetSweep overflows the fused loop at every cap from 1
+// everyKindSrc holds all nine fused kinds in a table built with no anchor
+// set: ldi pairs (alu+alu), a two- and a three-component self-loop, the
+// six-instruction chained loop (whose halves also yield op+st, alu+alu+br and
+// alu+br entries), ld+op, and a plain ld+op+st. It ends in a halt that names
+// a register no instruction writes: halt does not read rs1, so r4 must never
+// become a live-in.
+const everyKindSrc = `
+	        ldi  r1, 3          ; 0
+	        ldi  r6, 100        ; 1
+	        ldi  r2, 4          ; 2
+	l1:     addi r2, r2, -1     ; 3
+	        bnez r2, l1         ; 4
+	        ldi  r2, 3          ; 5
+	l2:     addi r3, r3, 1      ; 6
+	        addi r2, r2, -1     ; 7
+	        bnez r2, l2         ; 8
+	        ldi  r7, 3          ; 9
+	l3:     ld   r5, 0(r6)      ; 10
+	        add  r5, r5, r1     ; 11
+	        st   r5, 0(r6)      ; 12
+	        addi r6, r6, 1      ; 13
+	        addi r7, r7, -1     ; 14
+	        bnez r7, l3         ; 15
+	        ld   r8, 0(r6)      ; 16
+	        addi r8, r8, 2      ; 17
+	        ld   r9, 1(r6)      ; 18
+	        add  r9, r9, r8     ; 19
+	        st   r9, 1(r6)      ; 20
+	        halt r4, 7          ; 21
+`
+
+// TestExecuteFusedBudgetSweep overflows fused execution at every cap from 1
 // up to past-halt: the budget must be able to expire at any offset inside a
 // fused group (the dispatcher declines groups that do not fit and executes
 // the tail singly) with step counts and live sets identical to the slow path.
+// Over a table holding every fused kind it also puts the end anchor at every
+// pc, consumed once and twice, so each end guard — the interior-anchor
+// decline, one loop iteration per dispatch at an anchored head, and the
+// chained loop's half dispatch — meets every budget.
 func TestExecuteFusedBudgetSweep(t *testing.T) {
 	for cap := uint64(1); cap <= 20; cap++ {
 		runBoth(t, mkCoded(t, sumSrc, 0, 0, false), cap)
+	}
+
+	kinds := make(map[isa.FuseKind]bool)
+	for _, f := range mkCoded(t, everyKindSrc, 0, 0, false)().Code.FusedTable() {
+		kinds[f.Kind] = true
+	}
+	for k := isa.FuseAluAlu; k <= isa.FuseLoopChain; k++ {
+		if !kinds[k] {
+			t.Fatalf("sweep program's fused table lacks %v", k)
+		}
+	}
+	halt := runBoth(t, mkCoded(t, everyKindSrc, 0, 0, false), 1000)
+	if halt.Outcome != OutcomeHalted {
+		t.Fatalf("sweep program: got %v, want halted", halt.Outcome)
+	}
+	for end := uint64(0); end <= 21; end++ {
+		for count := uint64(1); count <= 2; count++ {
+			mk := mkCoded(t, everyKindSrc, 0, end, true)
+			for cap := uint64(1); cap <= halt.Steps+1; cap++ {
+				ex := runBoth(t, func() *Task {
+					tk := mk()
+					tk.EndCount = count
+					return tk
+				}, cap)
+				if _, ok := ex.LiveIn.Reg(4); ok {
+					t.Fatalf("end %d count %d cap %d: halt's rs1 became a live-in", end, count, cap)
+				}
+			}
+		}
 	}
 }
 
@@ -247,5 +313,48 @@ func TestExecuteCancel(t *testing.T) {
 		if ex.Steps == 0 || ex.Steps >= 1<<20 {
 			t.Errorf("withCode=%v: steps = %d, want a few poll periods", withCode, ex.Steps)
 		}
+	}
+}
+
+// TestExecuteWorkloadEquivalence runs every Train workload as one open task —
+// the whole program from its entry, an exact checkpoint, no end anchor —
+// through all three slave paths, and holds the result against the
+// sequential core: the task halts, its live-ins verify against the snapshot
+// it started from, and committing its live-outs reproduces cpu.Seq's final
+// state.
+func TestExecuteWorkloadEquivalence(t *testing.T) {
+	const cap = 50_000_000
+	for _, w := range workloads.All() {
+		t.Run(w.Name, func(t *testing.T) {
+			p := w.Build(workloads.Train)
+			code := fuse.Predecode(p, fuse.Options{})
+			var snap *state.State
+			ex := runBoth(t, func() *Task {
+				arch := state.NewFromProgram(p, 1<<28)
+				if snap == nil {
+					snap = arch
+				}
+				return &Task{
+					Start:      arch.PC,
+					Checkpoint: Checkpoint{Regs: arch.Regs, MemDiff: mem.NewOverlay()},
+					Snap:       arch,
+					Code:       code,
+				}
+			}, cap)
+			if ex.Outcome != OutcomeHalted {
+				t.Fatalf("outcome %v after %d steps, want halted", ex.Outcome, ex.Steps)
+			}
+			if inc := snap.FirstInconsistency(ex.LiveIn); inc != nil {
+				t.Fatalf("live-ins do not verify against the snapshot: %v", inc)
+			}
+			seq := state.NewFromProgram(p, 1<<28)
+			if _, err := cpu.Seq(seq, cap); err != nil {
+				t.Fatal(err)
+			}
+			snap.Apply(ex.LiveOut)
+			if !snap.Equal(seq) {
+				t.Fatalf("snapshot with live-outs applied differs from cpu.Seq's final state")
+			}
+		})
 	}
 }

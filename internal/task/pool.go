@@ -59,14 +59,7 @@ func (sc *scratch) reset(t *Task) {
 	sc.liveIn.Reset()
 	sc.liveOut.Reset()
 	sc.writes.Reset()
-	sc.env = slaveEnv{
-		t:      t,
-		regs:   t.Checkpoint.Regs,
-		writes: sc.writes,
-		liveIn: sc.liveIn,
-		pc:     t.Start,
-	}
-	sc.env.ckRd.Init(t.Checkpoint.MemDiff)
+	sc.env.reset(t, sc.writes, sc.liveIn)
 	sc.ex = Exec{LiveIn: sc.liveIn, LiveOut: sc.liveOut, sc: sc}
 	sc.inUse = true
 }

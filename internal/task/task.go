@@ -151,37 +151,45 @@ type Exec struct {
 	sc *scratch
 }
 
-// slaveEnv implements cpu.Env with live-in/live-out capture over the
-// checkpoint overlay and architected snapshot.
+// slaveEnv is a slave processor: the task's register file and PC over its
+// architected snapshot, plus the capture machinery that logs live-ins and
+// buffers live-outs. It runs a task two ways. With a predecoded table the
+// task executes on cpu's run loop (Code.RunCapture), which sends loads and
+// stores to ReadMem/WriteMem through hook and logs register live-ins from
+// per-dispatch masks. Without one, slaveEnv is the cpu.Env that cpu.Step
+// drives, logging each register live-in as it is read: the reference path
+// the run-loop path is tested against (TestExecuteFastSlowEquivalence, the
+// chaos corpus's -interp differential).
 type slaveEnv struct {
 	t *Task
 
-	regs       [isa.NumRegs]uint64
-	regWritten uint32
-	regRead    uint32
+	// st holds the slave's registers and PC; st.Mem is the architected
+	// snapshot, which instruction fetches read.
+	st state.State
+	// hook holds the register masks, the live-in delta, the end-anchor count
+	// and the non-speculative-access flag both paths share; hook.Mem is this
+	// env.
+	hook cpu.Capture
 
 	writes *mem.Overlay // local write buffer (live-outs)
-	liveIn *state.Delta
 
 	// ckRd reads the checkpoint diff through a reader-owned cursor, so the
 	// env never mutates the frozen diff's own page caches.
 	ckRd mem.OverlayReader
-
-	pc uint64
-	// nonSpecHit is set when an access touches a non-speculative region.
-	nonSpecHit bool
 }
 
-func newSlaveEnv(t *Task) *slaveEnv {
-	e := &slaveEnv{
+// reset arms e for task t over an empty write buffer and live-in delta.
+func (e *slaveEnv) reset(t *Task, writes *mem.Overlay, liveIn *state.Delta) {
+	*e = slaveEnv{
 		t:      t,
-		regs:   t.Checkpoint.Regs,
-		writes: mem.NewOverlay(),
-		liveIn: state.NewDelta(),
-		pc:     t.Start,
+		st:     state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
+		writes: writes,
+	}
+	e.hook = cpu.Capture{Mem: e, LiveIn: liveIn, End: t.End, Unfused: len(t.NonSpec) != 0}
+	if t.HasEnd {
+		e.hook.Ends = max(t.EndCount, 1)
 	}
 	e.ckRd.Init(t.Checkpoint.MemDiff)
-	return e
 }
 
 func (e *slaveEnv) ReadReg(r int) uint64 {
@@ -189,24 +197,24 @@ func (e *slaveEnv) ReadReg(r int) uint64 {
 		return 0
 	}
 	bit := uint32(1) << r
-	if e.regWritten&bit == 0 && e.regRead&bit == 0 {
-		e.regRead |= bit
-		e.liveIn.SetReg(r, e.regs[r])
+	if (e.hook.Read|e.hook.Written)&bit == 0 {
+		e.hook.Read |= bit
+		e.hook.LiveIn.SetReg(r, e.st.Regs[r])
 	}
-	return e.regs[r]
+	return e.st.Regs[r]
 }
 
 func (e *slaveEnv) WriteReg(r int, v uint64) {
 	if r == isa.RegZero {
 		return
 	}
-	e.regWritten |= 1 << r
-	e.regs[r] = v
+	e.hook.Written |= 1 << r
+	e.st.Regs[r] = v
 }
 
 func (e *slaveEnv) ReadMem(addr uint64) uint64 {
 	if inRegions(e.t.NonSpec, addr) {
-		e.nonSpecHit = true
+		e.hook.NonSpec = true
 	}
 	if v, ok := e.writes.Get(addr); ok {
 		return v
@@ -217,15 +225,15 @@ func (e *slaveEnv) ReadMem(addr uint64) uint64 {
 	} else if e.t.Checkpoint.FullMem != nil {
 		v = e.t.Checkpoint.FullMem.Read(addr)
 	} else {
-		v = e.t.Snap.Mem.Read(addr)
+		v = e.st.Mem.Read(addr)
 	}
-	e.liveIn.SetMemIfAbsent(addr, v)
+	e.hook.LiveIn.SetMemIfAbsent(addr, v)
 	return v
 }
 
 func (e *slaveEnv) WriteMem(addr, v uint64) {
 	if inRegions(e.t.NonSpec, addr) {
-		e.nonSpecHit = true
+		e.hook.NonSpec = true
 	}
 	e.writes.Set(addr, v)
 }
@@ -233,93 +241,119 @@ func (e *slaveEnv) WriteMem(addr, v uint64) {
 // Fetch reads instruction words from the architected snapshot only: MIR
 // programs are not self-modifying and, like the real MSSP hardware, the
 // verify unit does not track code reads.
-func (e *slaveEnv) Fetch(addr uint64) uint64 { return e.t.Snap.Mem.Read(addr) }
+func (e *slaveEnv) Fetch(addr uint64) uint64 { return e.st.Mem.Read(addr) }
 
-func (e *slaveEnv) PC() uint64      { return e.pc }
-func (e *slaveEnv) SetPC(pc uint64) { e.pc = pc }
+func (e *slaveEnv) PC() uint64      { return e.st.PC }
+func (e *slaveEnv) SetPC(pc uint64) { e.st.PC = pc }
 
 var _ cpu.Env = (*slaveEnv)(nil)
 
 // Execute runs the task to completion on a virtual slave processor,
 // executing at most cap instructions.
 //
-// With a predecode table present the task runs on the devirtualized capture
-// loop (fast.go); otherwise it steps through the Env interface. The two
-// paths are semantically identical (TestExecuteFastSlowEquivalence).
+// With a predecode table present the task runs on cpu's run loop;
+// otherwise it steps through the Env interface. The two paths are
+// semantically identical (TestExecuteFastSlowEquivalence).
 func (t *Task) Execute(cap uint64) *Exec {
-	env := newSlaveEnv(t)
-	ex := &Exec{LiveIn: env.liveIn, LiveOut: state.NewDelta()}
+	env := new(slaveEnv)
+	env.reset(t, mem.NewOverlay(), state.NewDelta())
+	ex := &Exec{LiveIn: env.hook.LiveIn, LiveOut: state.NewDelta()}
 	return t.execute(env, ex, cap)
 }
 
 // execute is the shared body behind Execute and Pool.Execute: env and ex
 // carry the (fresh or recycled) capture machinery, already wired to t.
 func (t *Task) execute(env *slaveEnv, ex *Exec, cap uint64) *Exec {
-	remaining := t.EndCount
-	if remaining == 0 {
-		remaining = 1
-	}
 	if t.Code != nil {
-		t.executeFast(env, ex, cap, remaining)
-		return ex
+		t.run(env, ex, cap)
+	} else {
+		t.step(env, ex, cap)
 	}
-	// A per-execution runner over the shared predecode table (nil Code means
-	// every fetch decodes from the snapshot, as before). Its dirty tracking
-	// covers this task's own stores; cross-task code modifications are the
-	// machine's responsibility (it stops handing out Code once the
-	// architected code segment is written).
+	t.finish(env, ex)
+	return ex
+}
+
+// stopOutcome maps the run loop's stops to task outcomes; StopSteps is the
+// budget running out, which is an overflow only once the whole cap is spent.
+var stopOutcome = [...]Outcome{
+	cpu.StopHalt:    OutcomeHalted,
+	cpu.StopFault:   OutcomeFault,
+	cpu.StopEnd:     OutcomeReachedEnd,
+	cpu.StopNonSpec: OutcomeNonSpec,
+}
+
+// run executes the task on cpu's run loop. A per-execution runner over the
+// shared predecode table tracks this task's own stores into the code
+// segment; cross-task code modifications are the machine's responsibility
+// (it stops handing out Code once the architected code segment is written).
+// With a Cancel hook the budget runs in cancelEvery-step chunks, polled in
+// between.
+func (t *Task) run(env *slaveEnv, ex *Exec, cap uint64) {
 	code := cpu.NewCode(t.Code)
+	for ex.Steps < cap {
+		chunk := cap - ex.Steps
+		if t.Cancel != nil {
+			if t.Cancel() {
+				ex.Outcome = OutcomeCanceled
+				return
+			}
+			chunk = min(chunk, cancelEvery)
+		}
+		st, err := code.RunCapture(&env.st, chunk, &env.hook)
+		ex.Steps += st.Steps
+		if err != nil || st.Kind != cpu.StopSteps {
+			ex.Outcome = stopOutcome[st.Kind]
+			return
+		}
+	}
+	ex.Outcome = OutcomeOverflow
+}
+
+// step executes the task through the Env interface, one cpu.Step at a time.
+func (t *Task) step(env *slaveEnv, ex *Exec, cap uint64) {
 	for ex.Steps < cap {
 		if t.Cancel != nil && ex.Steps%cancelEvery == 0 && t.Cancel() {
 			ex.Outcome = OutcomeCanceled
-			t.finish(env, ex)
-			return ex
+			return
 		}
-		in, err := code.Step(env)
+		in, err := cpu.Step(env)
 		if err != nil {
 			ex.Outcome = OutcomeFault
-			t.finish(env, ex)
-			return ex
+			return
 		}
 		ex.Steps++
-		if env.nonSpecHit {
+		if env.hook.NonSpec {
 			// The offending instruction's effects stay in the local
 			// buffers and are discarded with the task; the machine
 			// performs the access non-speculatively instead.
 			ex.Outcome = OutcomeNonSpec
-			t.finish(env, ex)
-			return ex
+			return
 		}
 		if in.Op == isa.OpHalt {
 			ex.Outcome = OutcomeHalted
-			t.finish(env, ex)
-			return ex
+			return
 		}
-		if t.HasEnd && env.pc == t.End {
-			remaining--
-			if remaining == 0 {
+		if t.HasEnd && env.st.PC == t.End {
+			if env.hook.Ends--; env.hook.Ends == 0 {
 				ex.Outcome = OutcomeReachedEnd
-				t.finish(env, ex)
-				return ex
+				return
 			}
 		}
 	}
 	ex.Outcome = OutcomeOverflow
-	t.finish(env, ex)
-	return ex
 }
 
 // finish assembles the live-out delta: written registers, the write buffer,
 // and the final PC.
 func (t *Task) finish(env *slaveEnv, ex *Exec) {
 	for r := 1; r < isa.NumRegs; r++ {
-		if env.regWritten&(1<<r) != 0 {
-			ex.LiveOut.SetReg(r, env.regs[r])
+		if env.hook.Written&(1<<r) != 0 {
+			ex.LiveOut.SetReg(r, env.st.Regs[r])
 		}
 	}
 	env.writes.Range(func(a, v uint64) bool {
 		ex.LiveOut.SetMem(a, v)
 		return true
 	})
-	ex.LiveOut.SetPC(env.pc)
+	ex.LiveOut.SetPC(env.st.PC)
 }
