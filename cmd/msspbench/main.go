@@ -161,6 +161,17 @@ func run(quick bool, in, out, label string) error {
 	upsert(f, "distill/master_insts", "insts", "nopass", dq.masterOff)
 	upsert(f, "distill/master_insts", "insts", "analysis", dq.masterOn)
 
+	// Parallel-master checkpoint construction: a diff/journal ablation pair
+	// (same run, fixed labels, like distill/*), cross-checked before timing.
+	ckDiff, ckJournal, err := ckptBuildBench()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%-24s %10.3f ns (diff) %10.3f ns (journal) per fork\n",
+		"mem/ckpt_build", ckDiff, ckJournal)
+	upsert(f, "mem/ckpt_build", "ns/fork", "diff", ckDiff)
+	upsert(f, "mem/ckpt_build", "ns/fork", "journal", ckJournal)
+
 	// Task-machinery premium: an unpooled/pooled ablation pair (same run,
 	// fixed labels, like distill/*), plus the alloc gate — a pooled task
 	// execution must stay allocation-free, and the pool must keep at least a
@@ -346,6 +357,110 @@ func benchSnapshotChurn(pages uint64) float64 {
 		}
 	})
 	return nsPerOp(r)
+}
+
+// The master-shaped image of mem/ckpt_build: heap pages low in the address
+// space and a stack page just below 1<<28, four trie levels deep, as in the
+// machine's states.
+const (
+	ckptHeap      = 1 << 20
+	ckptHeapPages = 4096
+	ckptStack     = 1<<28 - 1
+)
+
+// ckptMaster replays the parallel master's checkpoint construction on a
+// synthetic fork interval, built either from a page journal or, as before
+// the journal, by diffing against a snapshot taken at the previous fork.
+type ckptMaster struct {
+	m, base *mem.Memory // base is nil on the journal path
+	j       mem.Journal
+	cum     *mem.Overlay
+	n, rng  uint64
+	words   int // NewDiffWords summed over all forks
+}
+
+func newCkptMaster(journal bool) *ckptMaster {
+	arch := mem.New()
+	for pn := uint64(0); pn < ckptHeapPages; pn++ {
+		arch.Write(ckptHeap+pn*mem.PageWords, pn+1)
+	}
+	arch.Write(ckptStack, 1)
+	// The master runs on a snapshot of the architected image, as after a
+	// reseed.
+	c := &ckptMaster{m: arch.Snapshot(), cum: mem.NewOverlay(), rng: 1}
+	if journal {
+		c.j.Attach(c.m)
+	} else {
+		c.base = c.m.Snapshot()
+	}
+	return c
+}
+
+// fork runs one interval and builds its checkpoint diff: four stores to the
+// stack page and one to each of 5 or 6 scattered heap pages (the par-heavy
+// masters write ~5.5 pages per fork on average), then the fold of the
+// changed words into the cumulative overlay and the overlay's snapshot.
+func (c *ckptMaster) fork() *mem.Overlay {
+	c.n++
+	for w := uint64(0); w < 4; w++ {
+		c.m.Write(ckptStack-w, c.n+w)
+	}
+	for p := uint64(0); p < 5+c.n%2; p++ {
+		c.rng = c.rng*6364136223846793005 + 1442695040888963407
+		pn := (c.rng >> 33) % ckptHeapPages
+		c.m.Write(ckptHeap+pn*mem.PageWords+c.n%mem.PageWords, c.n)
+	}
+	fold := func(a, v, _ uint64) {
+		if _, ok := c.cum.Get(a); !ok {
+			c.words++
+		}
+		c.cum.Set(a, v)
+	}
+	if c.base == nil {
+		c.j.Flush(fold)
+	} else {
+		c.m.Diff(c.base, fold)
+		c.base = c.m.Snapshot()
+	}
+	return c.cum.Snapshot()
+}
+
+// ckptBuildBench measures ns per checkpoint on both paths, after checking
+// that they build the same cumulative overlay and diff-word count over a
+// run of forks.
+func ckptBuildBench() (diff, journal float64, err error) {
+	d, j := newCkptMaster(false), newCkptMaster(true)
+	for i := 0; i < 2000; i++ {
+		d.fork()
+		j.fork()
+	}
+	same := d.words == j.words && d.cum.Len() == j.cum.Len()
+	d.cum.Range(func(a, v uint64) bool {
+		w, ok := j.cum.Get(a)
+		same = same && ok && w == v
+		return same
+	})
+	if !same {
+		return 0, 0, fmt.Errorf("mem/ckpt_build: journal checkpoints diverged from diff checkpoints (%d vs %d diff words)",
+			j.words, d.words)
+	}
+	// Best of three alternated rounds, like benchRun: a single in-process
+	// testing.Benchmark swings by well over 10% on a shared host.
+	var best [2]float64 // diff, journal
+	for rep := 0; rep < 3; rep++ {
+		for k := range best {
+			c := newCkptMaster(k == 1)
+			ns := nsPerOp(testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.fork()
+				}
+			}))
+			if rep == 0 || ns < best[k] {
+				best[k] = ns
+			}
+		}
+	}
+	return best[0], best[1], nil
 }
 
 func benchEqualShared() float64 {

@@ -7,7 +7,9 @@
 // snapshotted at every task spawn so that slave processors read the state the
 // machine was in when the master forked them — exactly the stale-read hazard
 // the MSSP verify/commit unit exists to catch. The master's write log is an
-// Overlay snapshotted at every fork to form the checkpoint's live-in diff.
+// Overlay snapshotted at every fork to form the checkpoint's live-in diff;
+// the parallel master learns what it wrote since the previous fork from a
+// Journal attached to its Memory (journal.go).
 //
 // Both structures keep their pages in a persistent radix trie (trie.go):
 // Snapshot shares the root, the first write after it copies one
@@ -91,6 +93,10 @@ type Memory struct {
 	readPg  *page
 	writePN uint64
 	writePg *page
+
+	// j, when non-nil, is the attached Journal (journal.go). Snapshots
+	// never copy it.
+	j *Journal
 }
 
 // New returns an empty memory.
@@ -145,6 +151,10 @@ func (m *Memory) writeMiss(addr uint64, v uint64) {
 		}
 	}
 	p := m.t.mutable(pn, nil)
+	if m.j != nil {
+		// Still the page's prior contents: a copy-on-write copies them.
+		m.j.record(pn, &p.d)
+	}
 	p.d[addr&pageMask] = v
 	m.writePg, m.writePN = p, pn
 	// Keep the read cache coherent: a copy-on-write just replaced the page

@@ -68,10 +68,10 @@ type masterExit struct {
 const masterChunk = 4096
 
 // runMaster is the master goroutine body. It runs the shared fork gate
-// (core.ForkGate) on top of the devirtualized cpu.RunToStop loop, and
-// computes checkpoint diffs by diffing against the previous fork's snapshot
-// instead of teeing every store through an overlay — the hot loop is the
-// same one the SEQ baseline runs.
+// (core.ForkGate) on top of the devirtualized cpu.RunToStop loop, and learns
+// what each fork interval wrote from the engine's page journal instead of
+// teeing every store through an overlay — the hot loop is the same one the
+// SEQ baseline runs.
 func (e *Engine) runMaster(l *masterLife) {
 	st := l.st
 	// A local copy keeps the gate's counters off the cache lines the
@@ -79,9 +79,10 @@ func (e *Engine) runMaster(l *masterLife) {
 	g := l.gate
 	var exit masterExit
 
-	// diffBase is the master's memory as of the previous fork (initially the
-	// reseed image); cum accumulates all predicted writes since reseed.
-	diffBase := st.Mem.Snapshot()
+	// The journal records the pages written since the previous fork
+	// (initially since the reseed image); cum accumulates all predicted
+	// writes since reseed.
+	e.journal.Attach(st.Mem)
 	cum := mem.NewOverlay()
 
 	for {
@@ -119,8 +120,7 @@ func (e *Engine) runMaster(l *masterLife) {
 				break
 			}
 
-			ck := e.masterCheckpoint(st, diffBase, cum)
-			diffBase = st.Mem.Snapshot()
+			ck := e.masterCheckpoint(st, cum)
 			select {
 			case l.forkCh <- forkMsg{anchor: res.Anchor, count: c, ck: ck}:
 			case <-l.stop:
@@ -147,18 +147,18 @@ func (e *Engine) runMaster(l *masterLife) {
 	}
 }
 
-// masterCheckpoint captures the master's current prediction. New writes
-// since the previous fork are folded into the cumulative overlay by diffing
-// memory images (diffBase shares every untouched subtree, so the diff costs
-// O(pages written since the previous fork)), and the checkpoint carries an
-// O(1) snapshot of the cumulative overlay — the same
+// masterCheckpoint captures the master's current prediction. The words that
+// changed since the previous fork come from flushing the journal, which
+// compares only the pages written since then with their recorded prior
+// contents, and are folded into the cumulative overlay; the checkpoint
+// carries an O(1) snapshot of it — the same
 // reads-fall-through-to-architected-snapshot contract as the deterministic
 // machine's write log, modulo stores that rewrote a value in place (which
-// the diff cannot see; they only make the prediction marginally sparser,
+// the flush cannot see; they only make the prediction marginally sparser,
 // and verification is indifferent to prediction quality).
-func (e *Engine) masterCheckpoint(st *state.State, diffBase *mem.Memory, cum *mem.Overlay) task.Checkpoint {
+func (e *Engine) masterCheckpoint(st *state.State, cum *mem.Overlay) task.Checkpoint {
 	newWords := 0
-	st.Mem.Diff(diffBase, func(a uint64, v, _ uint64) {
+	e.journal.Flush(func(a uint64, v, _ uint64) {
 		if _, ok := cum.Get(a); !ok {
 			newWords++
 		}

@@ -62,6 +62,7 @@ import (
 	"mssp/internal/distill"
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
+	"mssp/internal/mem"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -112,6 +113,13 @@ type Engine struct {
 	resultCh   chan *slot
 	workerWg   sync.WaitGroup
 	goroutines int
+
+	// journal records the current master life's page writes between forks.
+	// It is not coordinator-owned: each life attaches it on its own
+	// goroutine, and lives never overlap (the coordinator starts the next
+	// life only after receiving the previous one's exit report), so one
+	// journal, and the buffers it has grown, serves every life.
+	journal mem.Journal
 
 	// vclock is the virtual clock stamped on lifecycle events: a counter
 	// incremented per event, giving a deterministic, monotone Cycle field
