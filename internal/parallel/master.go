@@ -12,18 +12,32 @@ import (
 // the distilled program from a reseed point until it halts, gets lost, or is
 // stopped by a squash. The coordinator owns the life's creation (it builds
 // the memory image, so every architected-family snapshot the coordinator
-// depends on stays ordered) and its teardown (close stop, then receive the
-// exit report).
+// depends on stays ordered) and its teardown (close stop, then receive up to
+// the exit report).
 //
-// Channel discipline: forkCh is unbuffered, so a fork either transfers
-// synchronously to the coordinator or the master sees stop — a squashed
-// life can never leave a stale fork buffered. exitCh has capacity one, so
-// the master can always report its end and exit without waiting for the
-// coordinator.
+// Channel discipline: a life sends everything on the engine's one fork
+// queue (Engine.queue, capacity TaskBuffer), which every life reuses: each
+// taken fork in order, then its exit report as its last message. So the
+// coordinator receives every fork a life sent, in send order, before it
+// learns that the life ended. The run loop handles them; stopMaster
+// receives up to the exit report and drops them, which leaves the queue
+// empty for the next life.
+//
+// The master deposits a fork and keeps running; a credit window bounds how
+// far. The master takes a credit from the life's credit channel before it
+// builds each checkpoint. The coordinator returns the credit when it
+// receives the fork and grants one more each time a task of the life
+// commits, up to TaskBuffer, and a new life starts with one. So
+// speculation depth follows verified accuracy, and since the forks a life
+// has queued never outnumber its window, a fork send never blocks; the exit
+// report may wait behind a full queue, which the coordinator always drains.
 type masterLife struct {
-	forkCh chan forkMsg
-	exitCh chan masterExit
+	credit chan struct{}
 	stop   chan struct{}
+	// window is the number of credits granted to the life: those in
+	// credit, the one the master may hold, and those spent on forks still
+	// queued. Coordinator-owned.
+	window int
 
 	// st is the master's private machine state: distilled code overlaid on
 	// an architected-memory snapshot as of the reseed. Master-goroutine
@@ -42,6 +56,14 @@ type forkMsg struct {
 	anchor uint64
 	count  uint64
 	ck     task.Checkpoint
+}
+
+// lifeMsg is one message on the fork queue: a taken fork, or, as a life's
+// last message, its exit report.
+type lifeMsg struct {
+	fork forkMsg
+	exit masterExit
+	last bool // exit is the life's report; fork is unset
 }
 
 // masterStop says why a master life ended.
@@ -67,17 +89,25 @@ type masterExit struct {
 // predictable period even in fork-free distilled code.
 const masterChunk = 4096
 
-// runMaster is the master goroutine body. It runs the shared fork gate
-// (core.ForkGate) on top of the devirtualized cpu.RunToStop loop, and learns
-// what each fork interval wrote from the engine's page journal instead of
-// teeing every store through an overlay — the hot loop is the same one the
-// SEQ baseline runs.
+// runMaster is the master goroutine body: it runs the life, then sends the
+// life's exit report, its last message on the queue and its last touch of
+// anything the engine shares.
 func (e *Engine) runMaster(l *masterLife) {
+	var exit masterExit
+	exit.stop = e.master(l, &exit)
+	e.queue <- lifeMsg{exit: exit, last: true}
+}
+
+// master runs the shared fork gate (core.ForkGate) on top of the
+// devirtualized cpu.RunToStop loop until the life halts, gets lost or is
+// stopped, counting into exit, and learns what each fork interval wrote
+// from the engine's page journal instead of teeing every store through an
+// overlay — the hot loop is the same one the SEQ baseline runs.
+func (e *Engine) master(l *masterLife, exit *masterExit) masterStop {
 	st := l.st
 	// A local copy keeps the gate's counters off the cache lines the
-	// coordinator reads (the life's channels).
+	// coordinator reads (the life's channels and window).
 	g := l.gate
-	var exit masterExit
 
 	// The journal records the pages written since the previous fork
 	// (initially since the reseed image); cum accumulates all predicted
@@ -88,9 +118,7 @@ func (e *Engine) runMaster(l *masterLife) {
 	for {
 		select {
 		case <-l.stop:
-			exit.stop = masterStopped
-			l.exitCh <- exit
-			return
+			return masterStopped
 		default:
 		}
 
@@ -98,16 +126,12 @@ func (e *Engine) runMaster(l *masterLife) {
 		exit.insts += res.Steps
 		g.Retire(res.Steps)
 		if err != nil {
-			exit.stop = masterLost
-			l.exitCh <- exit
-			return
+			return masterLost
 		}
 
 		switch res.Kind {
 		case cpu.StopHalt:
-			exit.stop = masterHalted
-			l.exitCh <- exit
-			return
+			return masterHalted
 
 		case cpu.StopFork:
 			dec, c := g.Fork(res.Anchor)
@@ -120,29 +144,26 @@ func (e *Engine) runMaster(l *masterLife) {
 				break
 			}
 
-			ck := e.masterCheckpoint(st, cum)
 			select {
-			case l.forkCh <- forkMsg{anchor: res.Anchor, count: c, ck: ck}:
+			case <-l.credit:
 			case <-l.stop:
-				exit.stop = masterStopped
-				l.exitCh <- exit
-				return
+				return masterStopped
 			}
+			// With a credit in hand the send cannot block: the forks
+			// queued ahead of this one hold the rest of the window, which
+			// never exceeds the queue's capacity.
+			e.queue <- lifeMsg{fork: forkMsg{anchor: res.Anchor, count: c, ck: e.masterCheckpoint(st, cum)}}
 
 		case cpu.StopJalr:
 			pc, ok := g.Jump(st.PC)
 			if !ok {
-				exit.stop = masterLost
-				l.exitCh <- exit
-				return
+				return masterLost
 			}
 			st.PC = pc
 		}
 
 		if g.Overrun() {
-			exit.stop = masterLost
-			l.exitCh <- exit
-			return
+			return masterLost
 		}
 	}
 }

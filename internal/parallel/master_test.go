@@ -17,13 +17,14 @@ import (
 // checkpoints, which nothing else does: the end-to-end differentials see
 // only final state, and verification keeps that correct whatever the
 // prediction. The test plays coordinator for one master life (no slaves, no
-// commits) and runs a reference master in lockstep on its own copy of the
-// start image, with the same elided table and fork gate, computing each
-// checkpoint the plain way: diff the memory against a snapshot taken at the
-// previous fork and fold the changed words into a cumulative overlay. Every
-// fork the engine's master sends must match it in anchor, count, registers,
-// NewDiffWords and MemDiff contents (and FullMem, when the master supplies
-// all data, which also snapshots the master's memory mid-interval).
+// commits, so the life's credit window stays at one) and runs a reference
+// master in lockstep on its own copy of the start image, with the same
+// elided table and fork gate, computing each checkpoint the plain way: diff
+// the memory against a snapshot taken at the previous fork and fold the
+// changed words into a cumulative overlay. Every fork the engine's master
+// sends must match it in anchor, count, registers, NewDiffWords and MemDiff
+// contents (and FullMem, when the master supplies all data, which also
+// snapshots the master's memory mid-interval).
 func TestMasterCheckpointMatchesDiff(t *testing.T) {
 	forks := 1000
 	if testing.Short() {
@@ -62,112 +63,154 @@ func TestMasterCheckpointMatchesDiff(t *testing.T) {
 	}
 }
 
-// checkMasterLife starts one master life on e, compares up to forks of its
-// checkpoints with the reference master's, and returns how many it compared.
-func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
+// refMaster is the reference master: the engine's elided table and fork
+// gate on its own copy of a life's start image, building each checkpoint
+// the plain way.
+type refMaster struct {
+	st       *state.State
+	code     *cpu.Code
+	g        core.ForkGate
+	diffBase *mem.Memory
+	cum      *mem.Overlay
+	// insts counts the steps run so far, as a life's exit report does.
+	insts uint64
+}
+
+// newRefMaster starts a reference master where e's next reseed starts the
+// life, with the start image built the way reseed builds it. Its fork gate
+// takes e.Plan before that reseed, which is the plan the life gets: these
+// tests attach no predictor, so no reseed freezes a new one.
+func newRefMaster(t *testing.T, e *Engine) *refMaster {
 	t.Helper()
 	dpc, ok := e.Dist.OrigToDist[e.Arch.PC]
 	if !ok {
 		t.Fatal("entry PC does not map into the distilled program")
 	}
-	// The reference start image is built the way reseed builds the life's.
 	img := e.Arch.Mem.Snapshot()
 	img.CopyWords(e.Dist.Prog.Code.Base, e.Dist.Prog.Code.Words)
-	ref := &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img}
-
-	e.reseed()
-	l := e.life
-	if l == nil {
-		t.Fatal("reseed started no master life")
+	return &refMaster{
+		st:       &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
+		code:     cpu.NewCode(e.distCode),
+		g:        core.NewForkGate(&e.Cfg, e.Dist, e.Plan),
+		diffBase: img.Snapshot(),
+		cum:      mem.NewOverlay(),
 	}
-	defer e.stopMaster()
-	code := cpu.NewCode(e.distCode)
-	g := core.NewForkGate(&e.Cfg, e.Dist, e.Plan)
-	diffBase := ref.Mem.Snapshot()
-	cum := mem.NewOverlay()
+}
 
-	// end expects the life to report stop on its own, as the reference did.
-	end := func(stop masterStop) {
-		select {
-		case fm := <-l.forkCh:
-			t.Fatalf("reference master ended (%d) but the engine's forked at %#x", stop, fm.anchor)
-		case x := <-l.exitCh:
-			e.collectExit(x)
-			e.life = nil
-			if x.stop != stop {
-				t.Fatalf("engine master ended with %d, reference with %d", x.stop, stop)
-			}
-		}
-	}
-
-	var got, want []uint64
-	for n < forks {
-		res, err := code.RunToStop(ref, g.Budget(masterChunk))
-		g.Retire(res.Steps)
+// next runs the reference to its next taken fork and returns the fork, with
+// its checkpoint's MemDiff set to the cumulative overlay (FullMem is the
+// reference's memory, st.Mem, which the caller reads before the next call).
+// At the end of the life instead it reports how the life stopped, with ok
+// false.
+func (r *refMaster) next() (fm forkMsg, stop masterStop, ok bool) {
+	for {
+		res, err := r.code.RunToStop(r.st, r.g.Budget(masterChunk))
+		r.insts += res.Steps
+		r.g.Retire(res.Steps)
 		if err != nil {
-			end(masterLost)
-			return
+			return fm, masterLost, false
 		}
 		switch res.Kind {
 		case cpu.StopHalt:
-			end(masterHalted)
-			return
+			return fm, masterHalted, false
 		case cpu.StopFork:
-			dec, c := g.Fork(res.Anchor)
+			dec, c := r.g.Fork(res.Anchor)
 			if dec != core.ForkTaken {
 				break
 			}
 			newWords := 0
-			ref.Mem.Diff(diffBase, func(a, v, _ uint64) {
-				if _, ok := cum.Get(a); !ok {
+			r.st.Mem.Diff(r.diffBase, func(a, v, _ uint64) {
+				if _, ok := r.cum.Get(a); !ok {
 					newWords++
 				}
-				cum.Set(a, v)
+				r.cum.Set(a, v)
 			})
-			diffBase = ref.Mem.Snapshot()
-
-			var fm forkMsg
-			select {
-			case fm = <-l.forkCh:
-			case x := <-l.exitCh:
-				e.collectExit(x)
-				e.life = nil
-				t.Fatalf("fork %d: engine master ended (%d) where the reference forked at %#x", n, x.stop, res.Anchor)
-			}
-			ck := fm.ck
-			if fm.anchor != res.Anchor || fm.count != c {
-				t.Fatalf("fork %d: engine forked at %#x count %d, reference at %#x count %d",
-					n, fm.anchor, fm.count, res.Anchor, c)
-			}
-			if ck.Regs != ref.Regs {
-				t.Fatalf("fork %d at %#x: checkpoint registers differ from the reference's", n, fm.anchor)
-			}
-			if ck.NewDiffWords != newWords {
-				t.Fatalf("fork %d at %#x: NewDiffWords %d, reference %d", n, fm.anchor, ck.NewDiffWords, newWords)
-			}
-			got, want = rangeWords(ck.MemDiff, got[:0]), rangeWords(cum, want[:0])
-			if err := sameWords(got, want); err != nil {
-				t.Fatalf("fork %d at %#x: MemDiff %v", n, fm.anchor, err)
-			}
-			if full := ck.FullMem != nil; full != e.Cfg.MasterSuppliesAllData {
-				t.Fatalf("fork %d: FullMem present = %v with MasterSuppliesAllData = %v", n, full, !full)
-			}
-			if ck.FullMem != nil && !ck.FullMem.Equal(ref.Mem) {
-				t.Fatalf("fork %d at %#x: FullMem differs from the reference master's memory", n, fm.anchor)
-			}
-			n++
+			r.diffBase = r.st.Mem.Snapshot()
+			fm = forkMsg{anchor: res.Anchor, count: c}
+			fm.ck.Regs = r.st.Regs
+			fm.ck.MemDiff = r.cum
+			fm.ck.NewDiffWords = newWords
+			return fm, 0, true
 		case cpu.StopJalr:
-			pc, ok := g.Jump(ref.PC)
+			pc, ok := r.g.Jump(r.st.PC)
 			if !ok {
-				end(masterLost)
-				return
+				return fm, masterLost, false
 			}
-			ref.PC = pc
+			r.st.PC = pc
 		}
-		if g.Overrun() {
-			end(masterLost)
+		if r.g.Overrun() {
+			return fm, masterLost, false
+		}
+	}
+}
+
+// nextMsg takes the current life's next message off the fork queue, in send
+// order, and accounts for it as the coordinator does: a fork's credit goes
+// back to the life, an exit report is folded in and ends the life. Before a
+// fork's credit goes back it checks the life's credit window (creditBound,
+// allowing for an exit report queued behind the forks), so a master that
+// overran its window fails here instead of blocking the credit send.
+func nextMsg(t *testing.T, e *Engine) lifeMsg {
+	t.Helper()
+	m := <-e.queue
+	if !m.last {
+		creditBound(t, e, 1, 1)
+	}
+	e.receive(&m)
+	return m
+}
+
+// checkMasterLife starts one master life on e, compares up to forks of its
+// checkpoints with the reference master's, and returns how many it compared.
+// When the reference's life ends first, the engine's must report the same
+// end as its next message, with no fork ahead of it.
+func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
+	t.Helper()
+	ref := newRefMaster(t, e)
+	e.reseed()
+	if e.life == nil {
+		t.Fatal("reseed started no master life")
+	}
+	defer e.stopMaster()
+
+	var got, want []uint64
+	for n < forks {
+		wantFm, stop, ok := ref.next()
+		m := nextMsg(t, e)
+		if !ok {
+			if !m.last {
+				t.Fatalf("reference master ended (%d) but the engine's forked at %#x", stop, m.fork.anchor)
+			}
+			if m.exit.stop != stop {
+				t.Fatalf("engine master ended with %d, reference with %d", m.exit.stop, stop)
+			}
 			return
 		}
+		if m.last {
+			t.Fatalf("fork %d: engine master ended (%d) where the reference forked at %#x", n, m.exit.stop, wantFm.anchor)
+		}
+		fm, ck := m.fork, m.fork.ck
+		if fm.anchor != wantFm.anchor || fm.count != wantFm.count {
+			t.Fatalf("fork %d: engine forked at %#x count %d, reference at %#x count %d",
+				n, fm.anchor, fm.count, wantFm.anchor, wantFm.count)
+		}
+		if ck.Regs != wantFm.ck.Regs {
+			t.Fatalf("fork %d at %#x: checkpoint registers differ from the reference's", n, fm.anchor)
+		}
+		if ck.NewDiffWords != wantFm.ck.NewDiffWords {
+			t.Fatalf("fork %d at %#x: NewDiffWords %d, reference %d", n, fm.anchor, ck.NewDiffWords, wantFm.ck.NewDiffWords)
+		}
+		got, want = rangeWords(ck.MemDiff, got[:0]), rangeWords(wantFm.ck.MemDiff, want[:0])
+		if err := sameWords(got, want); err != nil {
+			t.Fatalf("fork %d at %#x: MemDiff %v", n, fm.anchor, err)
+		}
+		if full := ck.FullMem != nil; full != e.Cfg.MasterSuppliesAllData {
+			t.Fatalf("fork %d: FullMem present = %v with MasterSuppliesAllData = %v", n, full, !full)
+		}
+		if ck.FullMem != nil && !ck.FullMem.Equal(ref.st.Mem) {
+			t.Fatalf("fork %d at %#x: FullMem differs from the reference master's memory", n, fm.anchor)
+		}
+		n++
 	}
 	return
 }

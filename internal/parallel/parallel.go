@@ -24,10 +24,14 @@
 // architected state, the reservation ring, metrics, and event emission.
 // Everything else communicates with it over channels:
 //
-//	master life ── forkCh/exitCh ──▶ coordinator ◀── resultCh ── slave workers
-//	                                     │ dispatchCh
-//	                                     ▼
-//	                               slave workers
+//	master life ── queue ──▶ coordinator ◀── resultCh ── slave workers
+//	     ▲                     │       │ dispatchCh
+//	     └─── credit, stop ────┘       ▼
+//	                             slave workers
+//
+// The master deposits forks on one engine-owned queue without waiting for
+// the coordinator, within a credit window that grows with the commits of
+// its life (see masterLife).
 //
 // The coordinator performs every snapshot/clone of the architected family
 // itself, so the memory snapshot graph (internal/mem's concurrency contract)
@@ -106,6 +110,12 @@ type Engine struct {
 	ring *ring
 	life *masterLife // nil while the master is dead
 
+	// queue carries every master life's forks, then its exit report, to the
+	// coordinator. Lives never overlap and each leaves the queue empty (see
+	// masterLife), so the one queue, allocated with the engine, serves
+	// them all.
+	queue chan lifeMsg
+
 	// dispatchCh carries closed slots to the worker pool; resultCh carries
 	// them back with s.Ex filled in. Capacities are sized so workers never
 	// block on resultCh and the coordinator rarely blocks on dispatchCh.
@@ -116,9 +126,9 @@ type Engine struct {
 
 	// journal records the current master life's page writes between forks.
 	// It is not coordinator-owned: each life attaches it on its own
-	// goroutine, and lives never overlap (the coordinator starts the next
-	// life only after receiving the previous one's exit report), so one
-	// journal, and the buffers it has grown, serves every life.
+	// goroutine, and lives never overlap (a life's exit report is its last
+	// act, and the coordinator starts the next life only after receiving
+	// it), so one journal, and the buffers it has grown, serves every life.
 	journal mem.Journal
 
 	// vclock is the virtual clock stamped on lifecycle events: a counter
@@ -136,6 +146,7 @@ func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engin
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	e.ring = newRing(e.Cfg.TaskBuffer)
+	e.queue = make(chan lifeMsg, e.Cfg.TaskBuffer)
 	e.dispatchCh = make(chan *slot, e.Cfg.TaskBuffer)
 	e.resultCh = make(chan *slot, e.Cfg.TaskBuffer+e.Cfg.Slaves+4)
 	if !e.Cfg.DisableFastPath {
@@ -170,15 +181,14 @@ func (e *Engine) run() (*Result, error) {
 			continue
 		}
 		select {
-		case fm := <-e.life.forkCh:
-			e.handleFork(fm)
+		case m := <-e.queue:
+			if e.receive(&m) {
+				e.handleFork(m.fork)
+			}
 		case s := <-e.resultCh:
 			e.noteResult(s)
 			e.drainResults()
 			e.commitDue()
-		case x := <-e.life.exitCh:
-			e.collectExit(x)
-			e.life = nil
 		}
 	}
 
@@ -187,6 +197,38 @@ func (e *Engine) run() (*Result, error) {
 		return nil, e.err
 	}
 	return &Result{Metrics: e.Metrics, Final: e.Arch, Goroutines: e.goroutines}, nil
+}
+
+// receive accounts for one message of the current life taken off the queue
+// and reports whether it is a fork. A fork's credit goes straight back to the
+// life, so its window stays what commits made it; the exit report is folded
+// in and ends the life.
+func (e *Engine) receive(m *lifeMsg) (fork bool) {
+	if m.last {
+		e.collectExit(m.exit)
+		e.life = nil
+		return false
+	}
+	// Cannot block: the fork spent this credit, so at most window-1 of the
+	// life's credits are in its channel, whose capacity TaskBuffer the
+	// window never exceeds.
+	e.life.credit <- struct{}{}
+	return true
+}
+
+// widen grants the current life one more credit for a commit, up to
+// TaskBuffer. Every slot in the ring belongs to the current life while it
+// lives (a life starts only on an empty ring), so any commit with a life
+// present is one of its tasks.
+func (e *Engine) widen() {
+	l := e.life
+	if l == nil || l.window == e.Cfg.TaskBuffer {
+		return
+	}
+	l.window++
+	// Cannot block: the credits in the channel never exceed the window
+	// before this grant, which is below TaskBuffer, the channel's capacity.
+	l.credit <- struct{}{}
 }
 
 // handleFork processes one taken fork from the live master: close the open
@@ -211,8 +253,9 @@ func (e *Engine) handleFork(fm forkMsg) {
 		return
 	}
 
-	// Reservation backpressure: the master stalls (we simply do not reserve
-	// or listen to forkCh) until the oldest reservation retires.
+	// Reservation backpressure: the coordinator takes no further fork off
+	// the queue until the oldest reservation retires; the master runs on
+	// until its credits are spent.
 	for e.ring.Full() {
 		h := e.ring.Head()
 		if h.state == SlotDone {
@@ -342,6 +385,7 @@ func (e *Engine) verifyHead() (squashed bool) {
 		return false
 	}
 	e.Commit(&h.InFlight)
+	e.widen()
 	return false
 }
 
@@ -423,29 +467,34 @@ func (e *Engine) reseed() {
 	// spawn handoff orders the writes.
 	e.BeginLife()
 	l := &masterLife{
-		forkCh: make(chan forkMsg),
-		exitCh: make(chan masterExit, 1),
+		credit: make(chan struct{}, e.Cfg.TaskBuffer),
 		stop:   make(chan struct{}),
+		window: 1,
 		st:     &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
 		code:   cpu.NewCode(e.distCode),
 		gate:   core.NewForkGate(&e.Cfg, e.Dist, e.Plan),
 	}
+	l.credit <- struct{}{}
 	e.life = l
-	// The life's goroutine is tracked by the exitCh handshake, not the
-	// worker WaitGroup: stopMaster/collectExit always consumes its exit.
+	// The life's goroutine is tracked by its exit report, not the worker
+	// WaitGroup: receive or stopMaster always consumes the report.
 	e.spawn(nil, func() { e.runMaster(l) })
 }
 
 // stopMaster stops the current master life, if any, and folds in its exit
-// report. Safe against a life that already exited on its own (exitCh is
-// buffered; the report is waiting).
+// report. It receives up to that report, dropping the stale forks the life
+// queued ahead of it, so it returns with the queue empty; a life that
+// already ended on its own has its report waiting behind them.
 func (e *Engine) stopMaster() {
-	l := e.life
-	if l == nil {
+	if e.life == nil {
 		return
 	}
-	close(l.stop)
-	e.collectExit(<-l.exitCh)
+	close(e.life.stop)
+	m := <-e.queue
+	for !m.last {
+		m = <-e.queue
+	}
+	e.collectExit(m.exit)
 	e.life = nil
 }
 
