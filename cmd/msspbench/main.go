@@ -196,7 +196,10 @@ func run(quick bool, in, out, label string) error {
 	// Superinstruction dispatch: a fused/unfused ablation on the
 	// micro workloads (same run, fixed labels, like distill/*) plus the
 	// dynamic fused-retirement ratio, gated so fusion can never regress
-	// below single-instruction dispatch while still being recorded.
+	// below single-instruction dispatch while still being recorded. Every
+	// instruction of the micro loops' bodies belongs to a fused group
+	// (one alu+alu+br per tight iteration, an ld+op+st and an alu+alu+br
+	// per memory iteration), so both ratios read ~1.0.
 	fb, err := fusionBench()
 	if err != nil {
 		return err

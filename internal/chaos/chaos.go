@@ -31,6 +31,7 @@ import (
 	"mssp/internal/core"
 	"mssp/internal/cpu"
 	"mssp/internal/distill"
+	"mssp/internal/isa"
 	"mssp/internal/model"
 	"mssp/internal/obs"
 	"mssp/internal/parallel"
@@ -372,10 +373,10 @@ func Run(opts Options) *Report {
 	}
 
 	// Legs 2 and 3: MSSP clean, then MSSP faulted.
-	rep.Clean = runLeg(g, dist, rep.Knobs, nil, baseline, opts, "clean", cleanObs, failf)
+	rep.Clean = runLeg(EngineDet, g, dist, rep.Knobs, nil, baseline, opts, "clean", cleanObs, failf)
 	if opts.FaultIntensity > 0 {
 		plan := &FaultPlan{Seed: opts.Seed, Intensity: opts.FaultIntensity}
-		rep.Fault = runLeg(g, dist, rep.Knobs, plan, baseline, opts, "fault", nil, failf)
+		rep.Fault = runLeg(EngineDet, g, dist, rep.Knobs, plan, baseline, opts, "fault", nil, failf)
 	}
 
 	// Legs 4 and 5: the true-parallel engine, differentially against both
@@ -384,14 +385,14 @@ func Run(opts Options) *Report {
 	case "", EngineDet:
 		parCleanObs = nil
 	case EngineParallel:
-		rep.ParClean = runParallelLeg(g, dist, rep.Knobs, nil, baseline, opts, "par-clean", parCleanObs, failf)
+		rep.ParClean = runLeg(EngineParallel, g, dist, rep.Knobs, nil, baseline, opts, "par-clean", parCleanObs, failf)
 		if rep.Clean != nil && rep.ParClean.FinalDigest != rep.Clean.FinalDigest {
 			failf("par-clean: final digest %x differs from deterministic machine's %x",
 				rep.ParClean.FinalDigest, rep.Clean.FinalDigest)
 		}
 		if opts.FaultIntensity > 0 {
 			plan := &FaultPlan{Seed: opts.Seed, Intensity: opts.FaultIntensity}
-			rep.ParFault = runParallelLeg(g, dist, rep.Knobs, plan, baseline, opts, "par-fault", nil, failf)
+			rep.ParFault = runLeg(EngineParallel, g, dist, rep.Knobs, plan, baseline, opts, "par-fault", nil, failf)
 			if rep.Fault != nil && rep.ParFault.FinalDigest != rep.Fault.FinalDigest {
 				failf("par-fault: final digest %x differs from deterministic machine's %x",
 					rep.ParFault.FinalDigest, rep.Fault.FinalDigest)
@@ -460,69 +461,12 @@ func taintVerdict(g *Generated, dist *distill.Result, rep *Report,
 	return tr
 }
 
-// runParallelLeg executes one leg on the true-parallel engine under the
-// streaming refinement auditor, the model shadow and the coverage sink. The
-// audit pipeline is identical to runLeg's; only the machine differs — the
-// auditors consume the engine-agnostic commit stream and cannot tell which
-// machine produced it.
-func runParallelLeg(g *Generated, dist *distill.Result, knobs Knobs, plan *FaultPlan,
-	baseline *state.State, opts Options, leg string, tob *taint.Observer,
-	failf func(string, ...any)) *LegReport {
-
-	lr := &LegReport{Coverage: NewCoverage()}
-	cfg := knobs.Config()
-	cfg.DisableFastPath = opts.Interp == "slow"
-	cfg.DisableFusion = opts.Fuse == "off"
-	if plan != nil {
-		cfg.Fault = plan.Injection()
-	}
-	unit := legUnit(&cfg, opts, dist)
-	obs.Attach(&cfg, lr.Coverage)
-	if opts.Observe != nil {
-		opts.Observe(leg, &cfg)
-	}
-
-	shadow := newModelAudit(baselineStart(g), opts.ModelCheckCap)
-	aud := refine.NewAuditor(g.Prog, cfg.SP, refine.Options{FullCheckEvery: 16, CheckTaskSafety: true})
-	cfg.OnCommit = func(ev core.CommitEvent) {
-		shadow.onCommit(ev)
-		aud.OnCommit(ev)
-	}
-	if tob != nil {
-		// After OnCommit is set: Attach chains over the existing handlers.
-		tob.Attach(&cfg)
-	}
-
-	res, err := parallel.Run(g.Prog, dist, cfg)
-	if err != nil {
-		failf("%s: machine error: %v", leg, err)
-		return lr
-	}
-	checkFaultGate(unit, plan, leg, failf)
-	rrep := aud.Finish(res.Final)
-	lr.Commits = rrep.Commits
-	lr.RefineOK = rrep.OK
-	lr.Metrics = res.Metrics.String()
-	for _, v := range rrep.Violations {
-		lr.Violations = append(lr.Violations, v.Error())
-		failf("%s: refine: %v", leg, v)
-	}
-	lr.ModelChecked = shadow.checked
-	for _, v := range shadow.violations {
-		lr.ModelViolations = append(lr.ModelViolations, v)
-		failf("%s: model: %s", leg, v)
-	}
-	lr.FinalMatchesSeq = res.Final.Equal(baseline)
-	lr.FinalDigest = res.Final.Digest()
-	if !lr.FinalMatchesSeq {
-		failf("%s: final architected state differs from sequential baseline", leg)
-	}
-	return lr
-}
-
-// runLeg executes one MSSP leg under the refinement checker, the model
-// shadow and the coverage sink, appending any divergence through failf.
-func runLeg(g *Generated, dist *distill.Result, knobs Knobs, plan *FaultPlan,
+// runLeg executes one MSSP leg on the given engine (EngineDet or
+// EngineParallel) under the streaming refinement auditor, the model shadow
+// and the coverage sink, appending any divergence through failf. Only the
+// engine call differs between engines: the auditors consume the
+// engine-agnostic commit stream and cannot tell which machine produced it.
+func runLeg(engine string, g *Generated, dist *distill.Result, knobs Knobs, plan *FaultPlan,
 	baseline *state.State, opts Options, leg string, tob *taint.Observer,
 	failf func(string, ...any)) *LegReport {
 
@@ -545,21 +489,26 @@ func runLeg(g *Generated, dist *distill.Result, knobs Knobs, plan *FaultPlan,
 	// sparse live-out superimposition against it — Definition 6 checked
 	// with internal/model semantics rather than internal/refine's.
 	shadow := newModelAudit(baselineStart(g), opts.ModelCheckCap)
-	cfg.OnCommit = shadow.onCommit
+	aud := refine.NewAuditor(g.Prog, cfg.SP, refine.Options{FullCheckEvery: 16, CheckTaskSafety: true})
+	cfg.OnCommit = func(ev core.CommitEvent) {
+		shadow.onCommit(ev)
+		aud.OnCommit(ev)
+	}
 	if tob != nil {
 		// After OnCommit is set: Attach chains over the existing handlers.
 		tob.Attach(&cfg)
 	}
 
-	rrep, err := refine.Check(g.Prog, dist, cfg, refine.Options{FullCheckEvery: 16, CheckTaskSafety: true})
+	metrics, final, err := runEngine(engine, g.Prog, dist, cfg)
 	if err != nil {
 		failf("%s: machine error: %v", leg, err)
 		return lr
 	}
 	checkFaultGate(unit, plan, leg, failf)
+	rrep := aud.Finish(final)
 	lr.Commits = rrep.Commits
 	lr.RefineOK = rrep.OK
-	lr.Metrics = rrep.Result.Metrics.String()
+	lr.Metrics = metrics.String()
 	for _, v := range rrep.Violations {
 		lr.Violations = append(lr.Violations, v.Error())
 		failf("%s: refine: %v", leg, v)
@@ -569,12 +518,33 @@ func runLeg(g *Generated, dist *distill.Result, knobs Knobs, plan *FaultPlan,
 		lr.ModelViolations = append(lr.ModelViolations, v)
 		failf("%s: model: %s", leg, v)
 	}
-	lr.FinalMatchesSeq = rrep.Result.Final.Equal(baseline)
-	lr.FinalDigest = rrep.Result.Final.Digest()
+	lr.FinalMatchesSeq = final.Equal(baseline)
+	lr.FinalDigest = final.Digest()
 	if !lr.FinalMatchesSeq {
 		failf("%s: final architected state differs from sequential baseline", leg)
 	}
 	return lr
+}
+
+// runEngine runs the program to halt on the deterministic machine or the
+// true-parallel engine, returning the run's counters and final state.
+func runEngine(engine string, p *isa.Program, dist *distill.Result, cfg core.Config) (core.Metrics, *state.State, error) {
+	if engine == EngineParallel {
+		res, err := parallel.Run(p, dist, cfg)
+		if err != nil {
+			return core.Metrics{}, nil, err
+		}
+		return res.Metrics, res.Final, nil
+	}
+	m, err := core.New(p, dist, cfg)
+	if err != nil {
+		return core.Metrics{}, nil, err
+	}
+	res, err := m.Run()
+	if err != nil {
+		return core.Metrics{}, nil, err
+	}
+	return res.Metrics, res.Final, nil
 }
 
 // baselineStart returns a fresh initial state for the generated program.

@@ -137,13 +137,6 @@ type Config struct {
 	// benchmarks. Implied by DisableFastPath (no tables, nothing to fuse).
 	DisableFusion bool
 
-	// MasterSuppliesAllData makes checkpoints carry the master's entire
-	// memory image, so slave data reads never consult architected state —
-	// the design alternative the paper rejects as demanding too much
-	// master-to-slave bandwidth (kept here as an ablation; correctness is
-	// unaffected because the verify unit checks live-ins either way).
-	MasterSuppliesAllData bool
-
 	// NonSpecRegions lists word-address ranges (memory-mapped I/O and
 	// other non-idempotent state) that must never be accessed
 	// speculatively. A task touching one is squashed and its region is

@@ -9,26 +9,6 @@ import (
 	"mssp/internal/profile"
 )
 
-// TestMasterSuppliesAllDataAblation: the paper's rejected design
-// alternative — the master ships its whole memory image with every
-// checkpoint — must be functionally indistinguishable.
-func TestMasterSuppliesAllDataAblation(t *testing.T) {
-	h := prep(t, fsrc(2048), 100, distill.DefaultOptions())
-	b := runBaseline(t, h)
-
-	cfg := DefaultConfig()
-	cfg.MasterSuppliesAllData = true
-	res := runMSSP(t, h, cfg)
-	assertEquivalent(t, b, res)
-
-	// And on the hostile workload, where wrong predictions now come from
-	// the master's whole image instead of the diff.
-	hh := prep(t, hostileSrc, 100, distill.DefaultOptions())
-	bb := runBaseline(t, hh)
-	rr := runMSSP(t, hh, cfg)
-	assertEquivalent(t, bb, rr)
-}
-
 // TestMasterLostOnIndirectGarbage: an indirect jump through a data value
 // that is not a code address kills the master; the machine must finish the
 // program through drain/fallback and still be exact.

@@ -155,7 +155,7 @@ func (m *Machine) processDue(now float64) bool {
 	for !m.Done && len(m.queue) > 0 && m.queue[0].closed {
 		h := m.queue[0]
 		m.ensureExec(h)
-		if vt := m.commitTimeOf(h); vt > now {
+		if m.timeHead(h).verify > now {
 			return false
 		}
 		if m.verifyHead() {
@@ -208,19 +208,30 @@ func (m *Machine) slavePick() int {
 	return best
 }
 
-// commitTimeOf computes when the head task's verification would complete,
-// without committing it.
-func (m *Machine) commitTimeOf(h *pend) float64 {
+// headTiming is the modeled schedule of the head task on the slave it
+// would run on.
+type headTiming struct {
+	slave int
+	// start is when the slave starts the task, compute when it finishes
+	// executing it, ready when it knows it is done, and verify when the
+	// task's verification completes.
+	start, compute, ready, verify float64
+}
+
+// timeHead computes the head task's schedule without committing it.
+func (m *Machine) timeHead(h *pend) headTiming {
 	sl := m.slavePick()
 	st := maxf(h.forkAt+m.Cfg.SpawnLatency, m.slaveFree[sl])
-	ct := st + float64(h.Ex.Steps)*m.Cfg.SlaveCPI + m.slaveDelayOf(h)
+	compute := st + float64(h.Ex.Steps)*m.Cfg.SlaveCPI + m.slaveDelayOf(h)
+	ct := compute
 	if h.Ex.Outcome == task.OutcomeReachedEnd {
 		// The slave only knows it is done once the master has named the
 		// next task's start.
 		ct = maxf(ct, h.closedAt)
 	}
 	words := float64(h.Ex.LiveIn.Len() + h.Ex.LiveOut.Len())
-	return maxf(ct, m.commitFree) + m.Cfg.CommitLatency + m.Cfg.CommitPerWord*words + m.verifyJitterOf(h)
+	vt := maxf(ct, m.commitFree) + m.Cfg.CommitLatency + m.Cfg.CommitPerWord*words + m.verifyJitterOf(h)
+	return headTiming{slave: sl, start: st, compute: compute, ready: ct, verify: vt}
 }
 
 // slaveDelayOf returns the injected extra slave-completion latency for a
@@ -251,20 +262,11 @@ func (m *Machine) verifyHead() (squashed bool) {
 	h := m.queue[0]
 	m.ensureExec(h)
 
-	// Timing.
-	sl := m.slavePick()
-	st := maxf(h.forkAt+m.Cfg.SpawnLatency, m.slaveFree[sl])
-	compute := st + float64(h.Ex.Steps)*m.Cfg.SlaveCPI + m.slaveDelayOf(h)
-	ct := compute
-	if h.Ex.Outcome == task.OutcomeReachedEnd {
-		ct = maxf(ct, h.closedAt)
-	}
-	words := float64(h.Ex.LiveIn.Len() + h.Ex.LiveOut.Len())
-	vt := maxf(ct, m.commitFree) + m.Cfg.CommitLatency + m.Cfg.CommitPerWord*words + m.verifyJitterOf(h)
-
+	tm := m.timeHead(h)
+	sl, compute, ct, vt := tm.slave, tm.compute, tm.ready, tm.verify
 	m.Emit(LifecycleEvent{
 		Kind:   LifecycleDispatch,
-		Cycle:  st,
+		Cycle:  tm.start,
 		TaskID: h.T.ID,
 		Start:  h.T.Start,
 		Slave:  sl,

@@ -162,8 +162,5 @@ func (m *Machine) checkpoint() task.Checkpoint {
 		NewDiffWords: ms.diff.Len() - ms.diffAtFork,
 	}
 	ms.diffAtFork = ms.diff.Len()
-	if m.Cfg.MasterSuppliesAllData {
-		ck.FullMem = ms.memory.Snapshot()
-	}
 	return ck
 }

@@ -386,24 +386,11 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 		if i := pc - base; i < flen && fusedTab[i].Kind != isa.FuseNone && uint64(fusedTab[i].N) <= left &&
 			(c == nil || !c.endWithin(pc+1, uint64(fusedTab[i].N)-1)) {
 			f := &fusedTab[i]
-			k := f.Kind
-			if k == isa.FuseLoopChain && (left < 6 || c != nil && c.endWithin(pc, 6)) {
-				// A chained iteration needs six steps of budget and must not
-				// cross the end anchor: otherwise the head group runs alone,
-				// like a plain ld+op+st.
-				k = isa.FuseLdAluSt
-			}
 			if c != nil {
 				reads, writes := code.FusedRegsAt(i)
 				c.note(s, reads, writes)
-				if k == isa.FuseLoopChain {
-					reads, writes = code.FusedRegsAt(i + 3)
-					c.note(s, reads, writes)
-				}
 			}
-			n := uint64(f.N)
-			done := n
-			switch k {
+			switch f.Kind {
 			case isa.FuseAluAlu:
 				v, ok := aluQuick(s, &f.A)
 				if !ok {
@@ -504,123 +491,9 @@ func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint6
 					ilen, flen, dirty = 0, 0, true
 				}
 				pc += 3
-			case isa.FuseLoopChain:
-				// Chained loop: this ld+op+st group plus the alu+alu+br group
-				// at head+3, whose branch returns here. Each local iteration
-				// retires all six instructions; the store ends the first half,
-				// so a self-modifying hit leaves the local loop with pc at the
-				// second group's head and the rest executes singly off the
-				// (now stale) table path, exactly like the unfused order.
-				g := &fusedTab[i+3]
-				iters := left / 6
-				done = 0
-				for it := uint64(0); it < iters; it++ {
-					var v uint64
-					if a := rdr(s, f.A.Rs1) + uint64(f.A.Imm); c == nil {
-						v = m.Read(a)
-					} else {
-						v = c.Mem.ReadMem(a)
-					}
-					wrr(s, f.RdA, v)
-					v, ok := aluQuick(s, &f.B)
-					if !ok {
-						v = aluVal(s, &f.B)
-					}
-					wrr(s, f.RdB, v)
-					addr := rdr(s, f.C.Rs1) + uint64(f.C.Imm)
-					if c == nil {
-						m.Write(addr, rdr(s, f.C.Rs2))
-					} else {
-						c.Mem.WriteMem(addr, rdr(s, f.C.Rs2))
-					}
-					stores++
-					done += 3
-					if addr-base < ilen {
-						ilen, flen, dirty = 0, 0, true
-						pc += 3
-						break
-					}
-					if v, ok = aluQuick(s, &g.A); !ok {
-						v = aluVal(s, &g.A)
-					}
-					wrr(s, g.RdA, v)
-					if v, ok = aluQuick(s, &g.B); !ok {
-						v = aluVal(s, &g.B)
-					}
-					wrr(s, g.RdB, v)
-					done += 3
-					t, ok := brQuick(s, &g.C)
-					if !ok {
-						t = brTaken(s, &g.C)
-					}
-					if !t {
-						pc += 6
-						break
-					}
-				}
-			default: // isa.FuseLoopAB, isa.FuseLoopAAB
-				// Loop superinstruction: the final branch targets this
-				// group's own head, so iterate locally while the branch is
-				// taken and the budget allows whole groups. The components
-				// are pure register ops (no loads, stores, or stopping
-				// instructions), so nothing inside an iteration can fault,
-				// stop, or dirty the table; when the budget ceiling (iters)
-				// is hit, pc is back at the head and the remaining <N steps
-				// execute singly below. A capturing run whose end anchor is
-				// the head runs one iteration per dispatch, so every pass
-				// over the head counts as an arrival.
-				iters := left / n
-				if c != nil && c.endWithin(pc, 1) {
-					iters = 1
-				}
-				var it uint64
-				exit := false
-				if k == isa.FuseLoopAAB {
-					for it < iters {
-						v, ok := aluQuick(s, &f.A)
-						if !ok {
-							v = aluVal(s, &f.A)
-						}
-						wrr(s, f.RdA, v)
-						if v, ok = aluQuick(s, &f.B); !ok {
-							v = aluVal(s, &f.B)
-						}
-						wrr(s, f.RdB, v)
-						it++
-						t, ok := brQuick(s, &f.C)
-						if !ok {
-							t = brTaken(s, &f.C)
-						}
-						if !t {
-							exit = true
-							break
-						}
-					}
-				} else {
-					for it < iters {
-						v, ok := aluQuick(s, &f.A)
-						if !ok {
-							v = aluVal(s, &f.A)
-						}
-						wrr(s, f.RdA, v)
-						it++
-						t, ok := brQuick(s, &f.B)
-						if !ok {
-							t = brTaken(s, &f.B)
-						}
-						if !t {
-							exit = true
-							break
-						}
-					}
-				}
-				if exit {
-					pc += n
-				}
-				done = it * n
 			}
-			left -= done
-			fusedN += done
+			left -= uint64(f.N)
+			fusedN += uint64(f.N)
 		} else {
 			if i < ilen {
 				if !valid[i] {

@@ -1,9 +1,9 @@
 package cpu
 
 // Edge-case tests for superinstruction dispatch: control entering a group's
-// interior, self-modifying stores landing inside groups (including mid-chain
-// from the loop dispatcher itself), and step budgets expiring at every
-// possible offset within fused groups. The programs double as equivalence
+// interior, self-modifying stores landing inside groups (including from a
+// fused store into the group that follows it), and step budgets expiring at
+// every possible offset within fused groups. The programs double as equivalence
 // programs (equiv_test.go registers them), so every executor — slow,
 // predecoded, fused switch — faces them.
 
@@ -49,13 +49,14 @@ func storeIntoPairProgram(t testing.TB) *isa.Program {
 	}, nil, []isa.Segment{{Base: 4096, Words: []uint64{repl}}})
 }
 
-// chainSelfModifyProgram is a loop-chain (ld+op+st / alu+alu+br) whose store
-// overwrites an instruction of its own successor half, every iteration. The
-// chain dispatcher must abandon the iteration at the store, mark the table
-// dirty, and resume singly at the successor head so the freshly stored word
-// executes — the same order the slow path produces. The replacement adds 100
-// to r9 where the original added 1; with 4 iterations and the store landing
-// before the first execution of pc 6, r9 must end at 400.
+// chainSelfModifyProgram is a six-instruction read-modify-write loop
+// (ld+op+st, then alu+alu+br) whose fused store overwrites the head of the
+// group that follows it, every iteration. The dispatcher must mark the table
+// dirty at the store and run the following group singly from memory so the
+// freshly stored word executes — the same order the slow path produces. The
+// replacement adds 100 to r9 where the original added 1; with 4 iterations
+// and the store landing before the first execution of pc 6, r9 must end at
+// 400.
 func chainSelfModifyProgram(t testing.TB) *isa.Program {
 	t.Helper()
 	repl, err := isa.EncodeChecked(isa.Inst{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 100})
@@ -66,12 +67,12 @@ func chainSelfModifyProgram(t testing.TB) *isa.Program {
 		{Op: isa.OpLdi, Rd: 7, Imm: 4096},        // 0: r7 = &replacement word
 		{Op: isa.OpLdi, Rd: 8, Imm: 6},           // 1: r8 = &code[6]
 		{Op: isa.OpLdi, Rd: 1, Imm: 4},           // 2: r1 = loop count
-		{Op: isa.OpLd, Rd: 4, Rs1: 7},            // 3: chain head: r4 = replacement
+		{Op: isa.OpLd, Rd: 4, Rs1: 7},            // 3: loop head: r4 = replacement
 		{Op: isa.OpAddi, Rd: 4, Rs1: 4, Imm: 0},  // 4:
-		{Op: isa.OpSt, Rs1: 8, Rs2: 4},           // 5: code[6] = r4 (dirties mid-chain)
+		{Op: isa.OpSt, Rs1: 8, Rs2: 4},           // 5: code[6] = r4 (dirties the next group)
 		{Op: isa.OpAddi, Rd: 9, Rs1: 9, Imm: 1},  // 6: overwritten with "addi r9, r9, 100"
 		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: -1}, // 7:
-		{Op: isa.OpBne, Rs1: 1, Rs2: 0, Imm: 3},  // 8: back-edge to the chain head
+		{Op: isa.OpBne, Rs1: 1, Rs2: 0, Imm: 3},  // 8: back-edge to the loop head
 		{Op: isa.OpHalt},                         // 9
 	}, nil, []isa.Segment{{Base: 4096, Words: []uint64{repl}}})
 }
@@ -81,8 +82,8 @@ func chainSelfModifyProgram(t testing.TB) *isa.Program {
 func TestChainSelfModifyResult(t *testing.T) {
 	p := chainSelfModifyProgram(t)
 	d := fuse.Predecode(p, fuse.Options{})
-	if k := d.FusedTable()[3].Kind; k != isa.FuseLoopChain {
-		t.Fatalf("slot 3 fused as %v, want %v", k, isa.FuseLoopChain)
+	if k := d.FusedTable()[3].Kind; k != isa.FuseLdAluSt {
+		t.Fatalf("slot 3 fused as %v, want %v", k, isa.FuseLdAluSt)
 	}
 	s := state.NewFromProgram(p, 1<<28)
 	res, err := NewCode(d).RunState(s, 10_000)
@@ -96,8 +97,8 @@ func TestChainSelfModifyResult(t *testing.T) {
 
 // TestFusedStepLimitSweep runs fused dispatch with every step budget from 0
 // to past-halt and demands bit-identical outcomes with the slow path — a
-// budget must be able to expire at any offset inside any fused group
-// (including mid-local-loop and mid-chain) without semantic drift.
+// budget must be able to expire at any offset inside any fused group without
+// semantic drift.
 func TestFusedStepLimitSweep(t *testing.T) {
 	progs := []struct {
 		name string

@@ -149,45 +149,19 @@ func build(p *isa.Program, d *isa.DecodedProgram, opts Options) []isa.FusedInst 
 		ld := func(k int) bool { return ok(k) && insts[i+k].Op == isa.OpLd }
 		st := func(k int) bool { return ok(k) && insts[i+k].Op == isa.OpSt }
 
-		// head(k): the branch at position k targets this group's head, so
-		// the group is a self-contained loop the dispatcher may iterate
-		// locally (the FuseLoop kinds).
-		head := func(k int) bool { return uint64(insts[i+k].Imm) == base+uint64(i) }
-
 		switch {
 		case ld(0) && alu(1) && st(2):
 			emit(i, isa.FuseLdAluSt, 3)
 		case ld(0) && alu(1):
 			emit(i, isa.FuseLdOp, 2)
-		case alu(0) && alu(1) && br(2) && head(2):
-			emit(i, isa.FuseLoopAAB, 3)
 		case alu(0) && alu(1) && br(2):
 			emit(i, isa.FuseAluAluBr, 3)
-		case alu(0) && br(1) && head(1):
-			emit(i, isa.FuseLoopAB, 2)
 		case alu(0) && br(1):
 			emit(i, isa.FuseAluBr, 2)
 		case alu(0) && st(1):
 			emit(i, isa.FuseOpSt, 2)
 		case alu(0) && alu(1):
 			emit(i, isa.FuseAluAlu, 2)
-		}
-	}
-
-	// Second sweep: chain a ld+op+st group to an immediately following
-	// alu+alu+br group whose branch returns to the load — the six-instruction
-	// read-modify-write counted loop (isa.FuseLoopChain). The successor's
-	// head must itself be interior: a chained dispatch crosses it without
-	// offering a stop, which is only allowed at non-anchor pcs. The successor
-	// entry is left as a plain FuseAluAluBr, so direct entry there (the loop's
-	// first half skipped by a jump) still dispatches it alone.
-	for i := range fused {
-		if fused[i].Kind != isa.FuseLdAluSt || i+3 >= n {
-			continue
-		}
-		g := &fused[i+3]
-		if g.Kind == isa.FuseAluAluBr && uint64(g.C.Imm) == base+uint64(i) && interior(i+3) {
-			fused[i].Kind = isa.FuseLoopChain
 		}
 	}
 	return fused

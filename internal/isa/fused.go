@@ -37,25 +37,6 @@ const (
 	// FuseLdAluSt fuses a load, a register writer and a store: the
 	// read-modify-write idiom.
 	FuseLdAluSt
-	// FuseLoopAB is a FuseAluBr whose branch targets the group's own head —
-	// the addi-loop back-edge idiom closed into a cycle. An executor may
-	// iterate such a group locally (still bounded by its step budget),
-	// amortizing fetch and dispatch across every iteration of the loop.
-	// The loop kinds must stay last in the enum: dispatchers test
-	// k >= FuseLoopAB to route them to the iterating handler.
-	FuseLoopAB
-	// FuseLoopAAB is the three-component form of FuseLoopAB: two register
-	// writers and a branch back to the group's head — one local-loop
-	// iteration per tight counted-loop iteration.
-	FuseLoopAAB
-	// FuseLoopChain marks a ld+op+st group that is immediately followed by
-	// an alu+alu+br group whose branch targets this group's head: the
-	// six-instruction read-modify-write counted loop. The entry's own
-	// components are the ld+op+st triple (N == 3); the dispatcher chains to
-	// the successor entry at head+3 and iterates the pair locally. The
-	// successor remains an ordinary FuseAluAluBr entry, so control entering
-	// at head+3 directly still dispatches it alone.
-	FuseLoopChain
 )
 
 // String names the fuse kind for stats and vet findings.
@@ -75,12 +56,6 @@ func (k FuseKind) String() string {
 		return "op+st"
 	case FuseLdAluSt:
 		return "ld+op+st"
-	case FuseLoopAB:
-		return "loop:alu+br"
-	case FuseLoopAAB:
-		return "loop:alu+alu+br"
-	case FuseLoopChain:
-		return "loop:ld+op+st/alu+alu+br"
 	}
 	return "fuse(?)"
 }

@@ -190,13 +190,6 @@ func TestMinTaskSpacing(t *testing.T) {
 	}
 }
 
-func TestMasterSuppliesAllData(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.MasterSuppliesAllData = true
-	h := prep(t, fsrc(2048), 100, distill.DefaultOptions())
-	assertEquivalent(t, h, runPar(t, h, cfg))
-}
-
 func TestDisableFastPath(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.DisableFastPath = true

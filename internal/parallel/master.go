@@ -185,13 +185,9 @@ func (e *Engine) masterCheckpoint(st *state.State, cum *mem.Overlay) task.Checkp
 		}
 		cum.Set(a, v)
 	})
-	ck := task.Checkpoint{
+	return task.Checkpoint{
 		Regs:         st.Regs,
 		MemDiff:      cum.Snapshot(),
 		NewDiffWords: newWords,
 	}
-	if e.Cfg.MasterSuppliesAllData {
-		ck.FullMem = st.Mem.Snapshot()
-	}
-	return ck
 }

@@ -23,8 +23,8 @@ import (
 // the memory against a snapshot taken at the previous fork and fold the
 // changed words into a cumulative overlay. Every fork the engine's master
 // sends must match it in anchor, count, registers, NewDiffWords and MemDiff
-// contents (and FullMem, when the master supplies all data, which also
-// snapshots the master's memory mid-interval).
+// contents. The subtests keep the full=false names they had when a second
+// leg also checked a full memory image in every checkpoint.
 func TestMasterCheckpointMatchesDiff(t *testing.T) {
 	forks := 1000
 	if testing.Short() {
@@ -44,22 +44,19 @@ func TestMasterCheckpointMatchesDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, full := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/full=%v", name, full), func(t *testing.T) {
-				cfg := core.DefaultConfig()
-				cfg.Slaves = 2
-				cfg.MasterSuppliesAllData = full
-				e, err := newEngine(p, d, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := checkMasterLife(t, e, forks)
-				if n == 0 {
-					t.Fatal("the master life forked no task")
-				}
-				t.Logf("%d checkpoints match", n)
-			})
-		}
+		t.Run(name+"/full=false", func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Slaves = 2
+			e, err := newEngine(p, d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := checkMasterLife(t, e, forks)
+			if n == 0 {
+				t.Fatal("the master life forked no task")
+			}
+			t.Logf("%d checkpoints match", n)
+		})
 	}
 }
 
@@ -98,10 +95,8 @@ func newRefMaster(t *testing.T, e *Engine) *refMaster {
 }
 
 // next runs the reference to its next taken fork and returns the fork, with
-// its checkpoint's MemDiff set to the cumulative overlay (FullMem is the
-// reference's memory, st.Mem, which the caller reads before the next call).
-// At the end of the life instead it reports how the life stopped, with ok
-// false.
+// its checkpoint's MemDiff set to the cumulative overlay. At the end of the
+// life instead it reports how the life stopped, with ok false.
 func (r *refMaster) next() (fm forkMsg, stop masterStop, ok bool) {
 	for {
 		res, err := r.code.RunToStop(r.st, r.g.Budget(masterChunk))
@@ -203,12 +198,6 @@ func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
 		got, want = rangeWords(ck.MemDiff, got[:0]), rangeWords(wantFm.ck.MemDiff, want[:0])
 		if err := sameWords(got, want); err != nil {
 			t.Fatalf("fork %d at %#x: MemDiff %v", n, fm.anchor, err)
-		}
-		if full := ck.FullMem != nil; full != e.Cfg.MasterSuppliesAllData {
-			t.Fatalf("fork %d: FullMem present = %v with MasterSuppliesAllData = %v", n, full, !full)
-		}
-		if ck.FullMem != nil && !ck.FullMem.Equal(ref.st.Mem) {
-			t.Fatalf("fork %d at %#x: FullMem differs from the reference master's memory", n, fm.anchor)
 		}
 		n++
 	}

@@ -191,12 +191,12 @@ func TestExecuteFastSlowEquivalence(t *testing.T) {
 	})
 }
 
-// everyKindSrc holds all nine fused kinds in a table built with no anchor
-// set: ldi pairs (alu+alu), a two- and a three-component self-loop, the
-// six-instruction chained loop (whose halves also yield op+st, alu+alu+br and
-// alu+br entries), ld+op, and a plain ld+op+st. It ends in a halt that names
-// a register no instruction writes: halt does not read rs1, so r4 must never
-// become a live-in.
+// everyKindSrc holds all six fused kinds in a table built with no anchor
+// set: ldi pairs (alu+alu), a two- and a three-component counted loop
+// (alu+br, alu+alu+br), the six-instruction read-modify-write loop (ld+op+st
+// at its head, op+st one slot in), ld+op, and a plain ld+op+st. It ends in a
+// halt that names a register no instruction writes: halt does not read rs1,
+// so r4 must never become a live-in.
 const everyKindSrc = `
 	        ldi  r1, 3          ; 0
 	        ldi  r6, 100        ; 1
@@ -227,9 +227,8 @@ const everyKindSrc = `
 // fused group (the dispatcher declines groups that do not fit and executes
 // the tail singly) with step counts and live sets identical to the slow path.
 // Over a table holding every fused kind it also puts the end anchor at every
-// pc, consumed once and twice, so each end guard — the interior-anchor
-// decline, one loop iteration per dispatch at an anchored head, and the
-// chained loop's half dispatch — meets every budget.
+// pc, consumed once and twice, so the fused end guard — a capturing run
+// declines a group whose interior holds its end anchor — meets every budget.
 func TestExecuteFusedBudgetSweep(t *testing.T) {
 	for cap := uint64(1); cap <= 20; cap++ {
 		runBoth(t, mkCoded(t, sumSrc, 0, 0, false), cap)
@@ -239,7 +238,7 @@ func TestExecuteFusedBudgetSweep(t *testing.T) {
 	for _, f := range mkCoded(t, everyKindSrc, 0, 0, false)().Code.FusedTable() {
 		kinds[f.Kind] = true
 	}
-	for k := isa.FuseAluAlu; k <= isa.FuseLoopChain; k++ {
+	for k := isa.FuseAluAlu; k.String() != "fuse(?)"; k++ {
 		if !kinds[k] {
 			t.Fatalf("sweep program's fused table lacks %v", k)
 		}
@@ -265,10 +264,9 @@ func TestExecuteFusedBudgetSweep(t *testing.T) {
 	}
 }
 
-// TestExecuteCancelFusedLoop pins cancel-poll liveness under local-loop
-// dispatch: a fused counted loop iterates inside a single dispatch, but the
-// iteration count is bounded by the poll boundary, so Cancel still fires
-// within roughly one poll period.
+// TestExecuteCancelFusedLoop pins cancel-poll liveness under fused dispatch:
+// a counted loop retiring one fused group per iteration still meets the poll
+// boundary, so Cancel fires within roughly one poll period.
 func TestExecuteCancelFusedLoop(t *testing.T) {
 	src := `
 	        ldi  r1, 1000000

@@ -33,12 +33,6 @@ type Checkpoint struct {
 	// NewDiffWords is the number of diff words added since the previous
 	// checkpoint (checkpoint traffic, for the bandwidth experiments).
 	NewDiffWords int
-	// FullMem, when non-nil, is the master's entire memory image at the
-	// fork: the "master supplies all data" design alternative the paper
-	// rejects on bandwidth grounds (slave data reads then never consult
-	// architected state). Instruction fetches still come from the
-	// architected snapshot — slaves always execute the original program.
-	FullMem *mem.Memory
 }
 
 // Task is one speculative work unit.
@@ -219,12 +213,8 @@ func (e *slaveEnv) ReadMem(addr uint64) uint64 {
 	if v, ok := e.writes.Get(addr); ok {
 		return v
 	}
-	var v uint64
-	if cv, ok := e.ckRd.Get(addr); ok {
-		v = cv
-	} else if e.t.Checkpoint.FullMem != nil {
-		v = e.t.Checkpoint.FullMem.Read(addr)
-	} else {
+	v, ok := e.ckRd.Get(addr)
+	if !ok {
 		v = e.st.Mem.Read(addr)
 	}
 	e.hook.LiveIn.SetMemIfAbsent(addr, v)
