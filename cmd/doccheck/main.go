@@ -69,7 +69,6 @@ var checkedPackages = []string{
 	"internal/parallel",
 	"internal/task",
 	"internal/mem",
-	"internal/predict",
 	"internal/fuse",
 	"internal/taint",
 }
@@ -87,7 +86,6 @@ var lifecycleKinds = []string{
 	string(obs.KindFork), string(obs.KindDispatch), string(obs.KindVerify),
 	string(obs.KindCommit), string(obs.KindSquash),
 	string(obs.KindFallbackEnter), string(obs.KindFallbackExit),
-	string(obs.KindPredict), string(obs.KindPolicy),
 }
 
 // mdLink matches inline markdown links and images: [text](target).

@@ -220,22 +220,6 @@ func run(quick bool, in, out, label string) error {
 	upsert(f, "dispatch/fused_ratio", "fraction", "tight", fb.ratioTight)
 	upsert(f, "dispatch/fused_ratio", "fraction", "mem", fb.ratioMem)
 
-	// Value-prediction quality: an off/on ablation pair on the prediction
-	// micro-workload (same run, fixed labels, like distill/*), gated so the
-	// predictor must cut the squash rate without adding master work.
-	pq, err := predictQuality()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-24s %10.4f (off) %10.4f (predict)\n",
-		"predict/squash_rate", pq.squashOff, pq.squashOn)
-	fmt.Printf("%-24s %10.0f insts (off) %10.0f insts (predict)\n",
-		"predict/master_insts", pq.masterOff, pq.masterOn)
-	upsert(f, "predict/squash_rate", "fraction", "off", pq.squashOff)
-	upsert(f, "predict/squash_rate", "fraction", "predict", pq.squashOn)
-	upsert(f, "predict/master_insts", "insts", "off", pq.masterOff)
-	upsert(f, "predict/master_insts", "insts", "predict", pq.masterOn)
-
 	// Static taint-rule cost (docs/SECURITY.md): the security soak runs
 	// vet.CheckTaint once per seed, so its cost is gated by an absolute
 	// tripwire rather than a label-to-label comparison.

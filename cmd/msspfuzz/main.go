@@ -47,7 +47,6 @@ func main() {
 		interp   = flag.String("interp", "fast", "execution core: fast, slow, or both (run each seed on both and diff the reports)")
 		fuse     = flag.String("fuse", "on", "superinstruction dispatch: on, off, or both (run each seed fused and unfused and diff the reports)")
 		engine   = flag.String("engine", "det", "speculative engine(s): det, or parallel (adds true-parallel legs cross-checked against det)")
-		predictF = flag.Bool("predict", false, "attach a value predictor to every leg (kind derived from the seed); faulted legs must leave it untrained")
 		taintF   = flag.Bool("taint", false, "generate leak gadgets over a secret segment and run the taint differential: static leak rules, dynamic observer on clean legs, static-dominates-dynamic check")
 	)
 	flag.Parse()
@@ -84,9 +83,9 @@ func main() {
 		os.Exit(2)
 	}
 	if *replay != "" {
-		os.Exit(replayArtifacts(*replay, *engine, *predictF, *verbose))
+		os.Exit(replayArtifacts(*replay, *engine, *verbose))
 	}
-	os.Exit(soak(*seed, *count, *faults, *out, *interp, *fuse, *engine, *requireC, *predictF, *taintF, *verbose))
+	os.Exit(soak(*seed, *count, *faults, *out, *interp, *fuse, *engine, *requireC, *taintF, *verbose))
 }
 
 // runSeed executes one seed under the selected interpreter(s) and fusion
@@ -94,10 +93,10 @@ func main() {
 // the fused and unfused dispatchers, and appends a failure to the primary
 // report if the two reports are not byte-identical JSON — the command-line
 // forms of the interpreter and fusion differentials.
-func runSeed(s uint64, faults float64, interp, fuse, engine string, predict, taint bool) *chaos.Report {
+func runSeed(s uint64, faults float64, interp, fuse, engine string, taint bool) *chaos.Report {
 	if fuse == "both" {
-		fused := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Fuse: "on", Predict: predict, Taint: taint})
-		unfused := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Fuse: "off", Predict: predict, Taint: taint})
+		fused := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Fuse: "on", Taint: taint})
+		unfused := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Fuse: "off", Taint: taint})
 		fb, _ := json.Marshal(fused)
 		ub, _ := json.Marshal(unfused)
 		if string(fb) != string(ub) {
@@ -108,10 +107,10 @@ func runSeed(s uint64, faults float64, interp, fuse, engine string, predict, tai
 		return fused
 	}
 	if interp != "both" {
-		return chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Interp: interp, Fuse: fuse, Engine: engine, Predict: predict, Taint: taint})
+		return chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Interp: interp, Fuse: fuse, Engine: engine, Taint: taint})
 	}
-	fast := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Interp: "fast", Fuse: fuse, Predict: predict, Taint: taint})
-	slow := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Interp: "slow", Fuse: fuse, Predict: predict, Taint: taint})
+	fast := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Interp: "fast", Fuse: fuse, Taint: taint})
+	slow := chaos.Run(chaos.Options{Seed: s, FaultIntensity: faults, Interp: "slow", Fuse: fuse, Taint: taint})
 	fb, _ := json.Marshal(fast)
 	sb, _ := json.Marshal(slow)
 	if string(fb) != string(sb) {
@@ -123,7 +122,7 @@ func runSeed(s uint64, faults float64, interp, fuse, engine string, predict, tai
 }
 
 // soak runs count consecutive seeds and reports aggregate coverage.
-func soak(seed uint64, count int, faults float64, out, interp, fuse, engine string, requireC, predict, taint, verbose bool) int {
+func soak(seed uint64, count int, faults float64, out, interp, fuse, engine string, requireC, taint, verbose bool) int {
 	var sink *os.File
 	if out != "" {
 		f, err := os.OpenFile(out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -139,7 +138,7 @@ func soak(seed uint64, count int, faults float64, out, interp, fuse, engine stri
 	failed := 0
 	for i := 0; i < count; i++ {
 		s := seed + uint64(i)
-		rep := runSeed(s, faults, interp, fuse, engine, predict, taint)
+		rep := runSeed(s, faults, interp, fuse, engine, taint)
 		if verbose {
 			b, _ := json.MarshalIndent(rep, "", "  ")
 			fmt.Println(string(b))
@@ -193,7 +192,7 @@ func soak(seed uint64, count int, faults float64, out, interp, fuse, engine stri
 // replayArtifacts re-runs each recorded failure from its seed alone. A
 // record that still fails identically is "reproduced"; one that now passes
 // (after a fix) is reported as such.
-func replayArtifacts(path, engine string, predict, verbose bool) int {
+func replayArtifacts(path, engine string, verbose bool) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "msspfuzz:", err)
@@ -211,7 +210,7 @@ func replayArtifacts(path, engine string, predict, verbose bool) int {
 	}
 	reproduced := 0
 	for _, a := range arts {
-		rep := chaos.Run(chaos.Options{Seed: a.Seed, FaultIntensity: a.FaultIntensity, Engine: engine, Predict: predict, Taint: a.Gen.Taint})
+		rep := chaos.Run(chaos.Options{Seed: a.Seed, FaultIntensity: a.FaultIntensity, Engine: engine, Taint: a.Gen.Taint})
 		if verbose {
 			b, _ := json.MarshalIndent(rep, "", "  ")
 			fmt.Println(string(b))

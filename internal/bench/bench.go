@@ -345,24 +345,6 @@ var experiments []*Experiment
 
 func registerExperiment(e *Experiment) { experiments = append(experiments, e) }
 
-// extras holds experiments excluded from All() — and therefore from
-// cmd/experiments' default sweep and the frozen experiments_output.txt
-// golden — but reachable by id through ByID. New experiments land here
-// first so the golden transcript stays byte-stable; moving one into the
-// default sweep is a deliberate golden refresh.
-var extras []*Experiment
-
-func registerExtraExperiment(e *Experiment) { extras = append(extras, e) }
-
-// Extras returns the experiments outside the default sweep, in id order.
-func Extras() []*Experiment {
-	out := append([]*Experiment(nil), extras...)
-	sort.Slice(out, func(i, j int) bool {
-		return expNum(out[i].ID) < expNum(out[j].ID)
-	})
-	return out
-}
-
 // All returns every experiment in id order.
 func All() []*Experiment {
 	out := append([]*Experiment(nil), experiments...)
@@ -379,15 +361,9 @@ func expNum(id string) int {
 	return n
 }
 
-// ByID returns the experiment with the given id, searching the default
-// sweep first and the extras after it.
+// ByID returns the experiment with the given id.
 func ByID(id string) (*Experiment, error) {
 	for _, e := range experiments {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	for _, e := range extras {
 		if e.ID == id {
 			return e, nil
 		}

@@ -35,7 +35,6 @@ import (
 	"mssp/internal/model"
 	"mssp/internal/obs"
 	"mssp/internal/parallel"
-	"mssp/internal/predict"
 	"mssp/internal/profile"
 	"mssp/internal/refine"
 	"mssp/internal/state"
@@ -98,16 +97,6 @@ type Options struct {
 	// Engine "parallel" are not byte-comparable across runs; the interp
 	// differential ("both") therefore refuses to combine with it.
 	Engine string
-	// Predict attaches a fresh value predictor (internal/predict, kind
-	// derived from the seed) to every MSSP leg and distills with
-	// PredictableSlots so the predictor has registers to fill. Clean legs
-	// run with live prediction — the digests must still match the baseline
-	// (a wrong prediction is just another contained misprediction). Faulted
-	// legs must leave their unit completely untrained: the engines gate
-	// prediction off under fault injection so a corrupted checkpoint can
-	// never poison the table, and the harness fails the seed if the unit
-	// absorbed anything.
-	Predict bool
 	// Taint switches the generator into taint mode (secret data segment,
 	// leak-gadget emission, Secret region annotations on ~75% of seeds) and
 	// arms the security differential: the static leak rules (vet.CheckTaint,
@@ -360,12 +349,11 @@ func Run(opts Options) *Report {
 		return rep
 	}
 	dist, err := distill.Distill(g.Prog, prof, distill.Options{
-		BiasThreshold:    rep.Knobs.BiasThreshold,
-		MinBranchCount:   4,
-		DeadCodeElim:     opts.DistillPasses,
-		SinkDeadStores:   opts.DistillPasses,
-		ConstFold:        opts.DistillPasses,
-		PredictableSlots: opts.Predict,
+		BiasThreshold:  rep.Knobs.BiasThreshold,
+		MinBranchCount: 4,
+		DeadCodeElim:   opts.DistillPasses,
+		SinkDeadStores: opts.DistillPasses,
+		ConstFold:      opts.DistillPasses,
 	})
 	if err != nil {
 		failf("distill: %v", err)
@@ -477,7 +465,6 @@ func runLeg(engine string, g *Generated, dist *distill.Result, knobs Knobs, plan
 	if plan != nil {
 		cfg.Fault = plan.Injection()
 	}
-	unit := legUnit(&cfg, opts, dist)
 	obs.Attach(&cfg, lr.Coverage)
 	if opts.Observe != nil {
 		opts.Observe(leg, &cfg)
@@ -504,7 +491,6 @@ func runLeg(engine string, g *Generated, dist *distill.Result, knobs Knobs, plan
 		failf("%s: machine error: %v", leg, err)
 		return lr
 	}
-	checkFaultGate(unit, plan, leg, failf)
 	rrep := aud.Finish(final)
 	lr.Commits = rrep.Commits
 	lr.RefineOK = rrep.OK
@@ -550,37 +536,6 @@ func runEngine(engine string, p *isa.Program, dist *distill.Result, cfg core.Con
 // baselineStart returns a fresh initial state for the generated program.
 func baselineStart(g *Generated) *state.State {
 	return state.NewFromProgram(g.Prog, core.DefaultConfig().SP)
-}
-
-// legUnit attaches a fresh predictor unit to one leg's configuration when
-// Options.Predict is on, returning it for the post-run fault-gate check.
-// The kind derives from the seed so a soak sweeps the whole predictor
-// lattice; every leg gets its own unit, keeping legs independent.
-func legUnit(cfg *core.Config, opts Options, dist *distill.Result) *predict.Unit {
-	if !opts.Predict {
-		return nil
-	}
-	po := predict.DefaultOptions()
-	po.Kind = predict.AllKinds[opts.Seed%uint64(len(predict.AllKinds))]
-	po.PredictableRegs = dist.PredictableRegs
-	u := predict.NewUnit(po)
-	cfg.Predictor = u
-	return u
-}
-
-// checkFaultGate asserts the predictor-under-faults contract: a unit
-// attached to a fault-injected leg must come out of the run exactly as it
-// went in — never consulted, never trained — because a checkpoint corrupted
-// by injection must not be able to poison the table (the engines gate
-// prediction off entirely when Config.Fault is set).
-func checkFaultGate(unit *predict.Unit, plan *FaultPlan, leg string, failf func(string, ...any)) {
-	if unit == nil || plan == nil {
-		return
-	}
-	if st := unit.Stats(); st.Verifies != 0 || st.Cells != 0 {
-		failf("%s: fault injection reached the predictor (verifies=%d cells=%d); the fault gate is broken",
-			leg, st.Verifies, st.Cells)
-	}
 }
 
 // modelAudit is the internal/model task-safety shadow: it tracks its own

@@ -39,7 +39,6 @@ package core
 import (
 	"fmt"
 
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -150,18 +149,6 @@ type Config struct {
 	// never architected state — so a correct machine stays a jumping
 	// refinement of sequential execution under any fault plan.
 	Fault *FaultInjection
-
-	// Predictor, when non-nil, attaches a live-in value predictor and
-	// adaptive fork policy (internal/predict): the machine trains it from
-	// the verify stream in program order and consults reseed-frozen plans
-	// when spawning tasks whose checkpoints carry unresolved registers
-	// (distill.Result.PredictableRegs). The machine must own the unit for
-	// the duration of the run — it is single-goroutine state — but it may
-	// be carried across sequential runs to accumulate training. Like
-	// checkpoint sharing, prediction is gated off entirely (no training,
-	// no consults) while Fault is non-nil, so an injected corruption can
-	// never poison the table (docs/PREDICTION.md).
-	Predictor *predict.Unit
 }
 
 // FaultInjection groups the deterministic fault-injection hooks. Every hook
@@ -282,14 +269,6 @@ const (
 	// LifecycleFallbackExit marks the machine leaving sequential mode,
 	// with Steps instructions committed architecturally.
 	LifecycleFallbackExit = "fallback-exit"
-	// LifecyclePredict marks a spawned task whose checkpoint received
-	// predicted live-in registers (Config.Predictor); Preds counts them.
-	// Emitted immediately after the task's fork event.
-	LifecyclePredict = "predict"
-	// LifecyclePolicy marks a master reseed at which the adaptive fork
-	// policy held at least one fork site ineligible; Disabled counts the
-	// sites. It concerns no task.
-	LifecyclePolicy = "policy"
 )
 
 // Squash reasons, the values SquashEvent.Reason and LifecycleEvent.Reason
@@ -367,12 +346,6 @@ type LifecycleEvent struct {
 	// Queue is the number of in-flight tasks after this fork, the
 	// master's run-ahead depth (fork only).
 	Queue int
-	// Preds is the number of predicted live-in registers written into the
-	// task's checkpoint (predict only).
-	Preds int
-	// Disabled is the number of fork sites the adaptive policy held
-	// ineligible when the life's plan was frozen (policy only).
-	Disabled int
 }
 
 // SquashEvent describes one pipeline squash.

@@ -1,31 +1,14 @@
 package core
 
-import (
-	"mssp/internal/distill"
-	"mssp/internal/predict"
-)
-
-// ForkDecision is the fork gate's answer for one FORK the master retired.
-type ForkDecision uint8
-
-const (
-	// ForkTaken: the master takes the fork and names a new task.
-	ForkTaken ForkDecision = iota
-	// ForkSpaced: skipped by MinTaskSpacing (Metrics.ForksSkipped).
-	ForkSpaced
-	// ForkIneligible: suppressed by the adaptive fork policy
-	// (Metrics.PolicyForksSkipped).
-	ForkIneligible
-)
+import "mssp/internal/distill"
 
 // ForkGate is the master's fork policy, shared by both engines' masters:
-// crossing counts, MinTaskSpacing, adaptive-policy eligibility, indirect-jump
-// translation and the run-ahead cap. A master life owns one gate; only the
-// instruction loop that feeds it differs between engines.
+// crossing counts, MinTaskSpacing, indirect-jump translation and the
+// run-ahead cap. A master life owns one gate; only the instruction loop
+// that feeds it differs between engines.
 type ForkGate struct {
 	spacing, cap uint64
 	dist         *distill.Result
-	plan         *predict.Plan
 	// since counts distilled instructions since the last taken fork.
 	since uint64
 	// crossings counts dynamic executions of each anchor's FORK since the
@@ -35,17 +18,15 @@ type ForkGate struct {
 }
 
 // NewForkGate returns the gate for a fresh master life running dist under
-// cfg, with plan the life's frozen policy snapshot (nil: every site
-// eligible). The master restarts on the fork at the architected PC, which
-// must be taken unconditionally — it starts the first post-reseed task
-// exactly where architected state stands — so the spacing counter is primed
-// past any threshold.
-func NewForkGate(cfg *Config, dist *distill.Result, plan *predict.Plan) ForkGate {
+// cfg. The master restarts on the fork at the architected PC, which must be
+// taken unconditionally — it starts the first post-reseed task exactly
+// where architected state stands — so the spacing counter is primed past
+// any threshold.
+func NewForkGate(cfg *Config, dist *distill.Result) ForkGate {
 	return ForkGate{
 		spacing:   cfg.MinTaskSpacing,
 		cap:       cfg.MasterRunaheadCap,
 		dist:      dist,
-		plan:      plan,
 		since:     1 << 62,
 		crossings: make(map[uint64]uint64),
 	}
@@ -71,28 +52,19 @@ func (g *ForkGate) Budget(max uint64) uint64 {
 // broke and is lost.
 func (g *ForkGate) Overrun() bool { return g.since > g.cap }
 
-// Fork decides the FORK at anchor a the master just retired. For a taken
+// Fork decides the FORK at anchor a the master just retired: taken is
+// false when MinTaskSpacing skips it (Metrics.ForksSkipped). For a taken
 // fork, count is the number of times a was crossed since the previous taken
 // fork (the task's EndCount).
-func (g *ForkGate) Fork(a uint64) (d ForkDecision, count uint64) {
+func (g *ForkGate) Fork(a uint64) (taken bool, count uint64) {
 	g.crossings[a]++
 	if g.since <= g.spacing {
-		return ForkSpaced, 0
-	}
-	// The adaptive policy suppresses forks at sites whose checkpoints keep
-	// squashing, merging their regions into longer neighboring tasks. The
-	// life's first fork (primed counter) is always taken: it restarts
-	// speculation exactly where architected state stands. The skip is
-	// bounded at half the run-ahead cap — a disabled site forks anyway once
-	// the master has run that far, so backing off the only site in a
-	// program merges regions instead of driving the master lost.
-	if g.since < 1<<61 && g.since <= g.cap/2 && !g.plan.Eligible(a) {
-		return ForkIneligible, 0
+		return false, 0
 	}
 	g.since = 0
 	count = g.crossings[a]
 	clear(g.crossings)
-	return ForkTaken, count
+	return true, count
 }
 
 // Jump translates the target of a retired indirect jump. Targets in

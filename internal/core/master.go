@@ -99,14 +99,10 @@ func (m *Machine) runToFork() (anchor uint64, count uint64, stop masterStop) {
 
 		case isa.OpFork:
 			a := uint64(in.Imm)
-			switch d, c := ms.gate.Fork(a); d {
-			case ForkTaken:
+			if taken, c := ms.gate.Fork(a); taken {
 				return a, c, masterForked
-			case ForkSpaced:
-				m.Metrics.ForksSkipped++
-			case ForkIneligible:
-				m.Metrics.PolicyForksSkipped++
 			}
+			m.Metrics.ForksSkipped++
 
 		case isa.OpJalr:
 			pc, ok := ms.gate.Jump(ms.pc)
@@ -145,10 +141,7 @@ func (m *Machine) reseed(now float64) {
 	ms.code = cpu.NewCode(m.distCode)
 	ms.clock = now
 	ms.alive = true
-
-	m.at = now
-	m.BeginLife()
-	ms.gate = NewForkGate(&m.Cfg, m.Dist, m.Plan)
+	ms.gate = NewForkGate(&m.Cfg, m.Dist)
 }
 
 // checkpoint captures the master's current prediction of machine state. The

@@ -103,30 +103,19 @@ type Metrics struct {
 	// LiveOutWords counts live-out words superimposed by committed tasks —
 	// the commit traffic.
 	LiveOutWords uint64
-	// CheckpointNew counts new checkpoint-diff words transferred at forks —
-	// the master-to-slave bandwidth the paper budgets per task start.
+	// CheckpointNew sums task.Checkpoint.NewDiffWords over forks: the
+	// words each checkpoint's memory diff gained over the previous one,
+	// the master-to-slave bandwidth the paper budgets per task start. The
+	// engines define it differently. A word enters the deterministic
+	// master's diff when the master stores to it, whatever the value; it
+	// enters the parallel master's diff only when its value at a fork
+	// differs from its value at the previous fork (docs/PARALLEL.md §2).
 	CheckpointNew uint64
 
 	// RunaheadSum accumulates the in-flight queue depth observed at each
 	// spawn; RunaheadSum/Forks is how far the master runs ahead of the
 	// commit point on average.
 	RunaheadSum uint64
-
-	// PredictApplied counts predicted live-in registers written into
-	// spawned checkpoints (Config.Predictor); includes predictions on
-	// tasks later discarded unverified.
-	PredictApplied uint64
-	// PredictHits counts graded predictions that matched architected
-	// truth at verify (only verified tasks grade, and only registers the
-	// slave actually read).
-	PredictHits uint64
-	// PredictMisses counts graded predictions that disagreed with
-	// architected truth at verify.
-	PredictMisses uint64
-	// PolicyForksSkipped counts forks suppressed by the adaptive fork
-	// policy (sites held ineligible by their squash-rate controller),
-	// distinct from the MinTaskSpacing thinning in ForksSkipped.
-	PolicyForksSkipped uint64
 
 	// Cycles is the modeled end-to-end execution time.
 	Cycles float64

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mssp/internal/cpu"
 	"mssp/internal/distill"
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
-	"mssp/internal/predict"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -77,21 +75,14 @@ type InFlight struct {
 	T *task.Task
 	// Ex is the slave's execution of T, nil until it has run.
 	Ex *task.Exec
-	// Applied lists the live-in predictions written into the task's
-	// checkpoint, for grading at verify.
-	Applied []predict.Pred
-	// Exact marks the first fork of a master life, whose checkpoint is
-	// architected state verbatim and therefore trains nothing (it would
-	// double-count the squash point).
-	Exact bool
 }
 
 // Retirer is the retirement policy both engines share: the verify/commit
 // unit's bookkeeping around Classify. It owns architected state — it is its
-// only writer — together with the predictor's per-life plan, the livelock
-// guard, the metrics and the Config hooks. It admits forks, commits and
-// squashes tasks, and runs sequential mode. Machine and the parallel engine
-// embed it by value and differ only in how they schedule and time the calls.
+// only writer — together with the livelock guard, the metrics and the
+// Config hooks. It admits forks, commits and squashes tasks, and runs
+// sequential mode. Machine and the parallel engine embed it by value and
+// differ only in how they schedule and time the calls.
 // Every method runs on the one goroutine that owns architected state.
 type Retirer struct {
 	// Cfg is the machine configuration, with Init's defaults applied.
@@ -105,10 +96,6 @@ type Retirer struct {
 	// Done reports that architected execution reached HALT (or a real
 	// program fault in sequential mode): the run is over.
 	Done bool
-	// Plan is the predictor's consultation snapshot for the current master
-	// life, frozen by BeginLife; nil while prediction is off, which makes
-	// every fork site eligible.
-	Plan *predict.Plan
 	// Pool recycles task scratch and architected snapshots across task
 	// lives. It is safe for concurrent use by slave workers.
 	Pool task.Pool
@@ -124,12 +111,6 @@ type Retirer struct {
 	origCode  *isa.DecodedProgram
 	codeClean bool
 	taskSeq   uint64
-
-	// lifeCount counts consulted forks per site within the current master
-	// life (the chain index), and firstFork marks the life's first fork —
-	// the exact task, never consulted and never trained.
-	lifeCount map[uint64]int
-	firstFork bool
 
 	lastSquashCommitted uint64
 	anySquash           bool
@@ -184,85 +165,14 @@ func (r *Retirer) Emit(ev LifecycleEvent) {
 	}
 }
 
-// predictOn reports whether the predictor participates in this run: like
-// checkpoint sharing, prediction is gated off entirely under fault
-// injection so a corrupted checkpoint can never reach the table.
-func (r *Retirer) predictOn() bool {
-	return r.Cfg.Predictor != nil && r.Cfg.Fault == nil
-}
-
-// BeginLife marks a master reseed. A reseed is the predictor's lockstep
-// point: nothing is in flight and architected state is the only truth, so
-// the consultation plan for the coming life freezes here (Plan) and the
-// per-site chain indices restart.
-func (r *Retirer) BeginLife() {
-	r.firstFork = true
-	if r.predictOn() {
-		r.Plan = r.Cfg.Predictor.Plan()
-		r.lifeCount = make(map[uint64]int)
-		if d := r.Plan.Disabled(); d > 0 {
-			r.Emit(LifecycleEvent{Kind: LifecyclePolicy, Cycle: r.clock(0), Disabled: d})
-		}
-	}
-}
-
-// consult overrides the checkpoint's unresolved registers with the frozen
-// plan's forecasts for this site's next consulted fork, returning the
-// applied predictions for grading at verify. The first fork of a life is
-// exact (the master has only executed the FORK at the architected PC) and
-// is never consulted. Forks reach the retirer in the order the master took
-// them, so the chain indices advance identically in both engines.
-func (r *Retirer) consult(anchor uint64, ck *task.Checkpoint) []predict.Pred {
-	first := r.firstFork
-	r.firstFork = false
-	if !r.predictOn() || first {
-		return nil
-	}
-	j := r.lifeCount[anchor]
-	r.lifeCount[anchor]++
-	var applied []predict.Pred
-	for mask := r.Dist.PredictableRegs[anchor]; mask != 0; mask &= mask - 1 {
-		reg := bits.TrailingZeros32(mask)
-		if v, ok := r.Plan.Predict(anchor, reg, j); ok {
-			ck.Regs[reg] = v
-			applied = append(applied, predict.Pred{Reg: reg, Val: v})
-		}
-	}
-	return applied
-}
-
-// train delivers one verified outcome to the predictor (no-op when
-// prediction is off or the task is the life's exact first fork). It must
-// run before the task's live-outs are applied: the architected state it
-// hands over is the truth for the task's live-ins. Training happens only
-// here, in program order, which makes the table's evolution
-// schedule-independent.
-func (r *Retirer) train(h *InFlight, committed bool, reason string) {
-	if !r.predictOn() || h.Exact {
-		return
-	}
-	hits, misses := r.Cfg.Predictor.Train(predict.Observation{
-		Site:      h.T.Start,
-		Applied:   h.Applied,
-		LiveIn:    h.Ex.LiveIn,
-		Arch:      r.Arch,
-		Committed: committed,
-		Reason:    reason,
-	})
-	r.Metrics.PredictHits += uint64(hits)
-	r.Metrics.PredictMisses += uint64(misses)
-}
-
 // Fork admits the task the master just forked at anchor, predicting machine
 // state with ck; queued is the number of tasks already in flight. It
-// consults the predictor, applies fault injection, snapshots architected
-// state, and emits the fork (and predict) events. Injection corrupts only
-// the spawning task — the open task's end anchor keeps the uncorrupted
-// value — so one injected fault stays one fault.
+// applies fault injection, snapshots architected state, and emits the fork
+// event. Injection corrupts only the spawning task — the open task's end
+// anchor keeps the uncorrupted value — so one injected fault stays one
+// fault.
 func (r *Retirer) Fork(anchor uint64, ck task.Checkpoint, queued int) InFlight {
 	start := anchor
-	exact := r.firstFork
-	applied := r.consult(anchor, &ck)
 	if f := r.Cfg.Fault; f != nil {
 		if f.CorruptStart != nil {
 			start = f.CorruptStart(r.taskSeq, anchor)
@@ -290,27 +200,15 @@ func (r *Retirer) Fork(anchor uint64, ck task.Checkpoint, queued int) InFlight {
 		Start:  t.Start,
 		Queue:  queued + 1,
 	})
-	if len(applied) > 0 {
-		r.Metrics.PredictApplied += uint64(len(applied))
-		r.Emit(LifecycleEvent{
-			Kind:   LifecyclePredict,
-			Cycle:  r.clock(0),
-			TaskID: t.ID,
-			Start:  t.Start,
-			Preds:  len(applied),
-		})
-	}
-	return InFlight{T: t, Applied: applied, Exact: exact}
+	return InFlight{T: t}
 }
 
 // Commit retires h, which Classify let commit: the jump. Architected state
-// advances #t sequential steps by superimposing the live-outs. The
-// predictor trains first, because pre-commit architected state is the
-// truth for the task's live-ins. Commit then fires OnCommit, emits the
-// commit event, releases h's pooled resources and, at HALT, sets Done.
+// advances #t sequential steps by superimposing the live-outs. Commit then
+// fires OnCommit, emits the commit event, releases h's pooled resources
+// and, at HALT, sets Done.
 func (r *Retirer) Commit(h *InFlight) {
 	ex := h.Ex
-	r.train(h, true, "")
 	r.noteCodeWrites(ex.LiveOut)
 	r.Arch.Apply(ex.LiveOut)
 
@@ -347,14 +245,13 @@ func (r *Retirer) Commit(h *InFlight) {
 }
 
 // Squash records the failed verification of h, with discarded younger
-// tasks going down with it: it trains the predictor, counts the reason,
-// fires OnSquash and emits the squash event. The caller then discards its
-// speculative state and reports whether recovery must run sequential mode
-// (Fallback) before reseeding the master — when the verdict forces it, or
-// when nothing committed since the previous squash, so repeated failures
-// cannot livelock. Either way the caller closes recovery with Recovered.
+// tasks going down with it: it counts the reason, fires OnSquash and emits
+// the squash event. The caller then discards its speculative state and
+// reports whether recovery must run sequential mode (Fallback) before
+// reseeding the master — when the verdict forces it, or when nothing
+// committed since the previous squash, so repeated failures cannot
+// livelock. Either way the caller closes recovery with Recovered.
 func (r *Retirer) Squash(h *InFlight, v Verdict, discarded int) (fallback bool) {
-	r.train(h, false, v.Reason)
 	switch v.Reason {
 	case SquashDropped:
 		r.Metrics.TasksDropped++

@@ -53,11 +53,46 @@ func BenchmarkStep(b *testing.B) {
 // pressure they create both inflated the number (~0.8 ns/inst at this loop
 // length) and made it noisy (see docs/PERFORMANCE.md). Re-entry is only
 // sound for programs whose dynamic behavior does not depend on the data a
-// previous run mutated; the b.Fatalf below enforces that the step count is
-// reproducible, which every micro loop here satisfies.
+// previous run mutated; timeRuns enforces that the step count is
+// reproducible, which every micro loop here satisfies. Programs that are
+// not rerun-safe use runFromInitial.
 func runBench(b *testing.B, prog *isa.Program, run func(s *state.State) (RunResult, error)) {
 	b.Helper()
 	s := state.NewFromProgram(prog, 1<<28)
+	timeRuns(b, s, run, func() { s.PC = prog.Entry })
+}
+
+// runFromInitial is runBench for programs whose behavior depends on the
+// memory and registers a previous run left (every experiment workload):
+// before each iteration, with the timer stopped, it restores the registers,
+// the PC and every memory word that differs from the program's initial
+// image. The restore writes only pages the warm run already owns, so the
+// timed region still allocates nothing.
+func runFromInitial(b *testing.B, prog *isa.Program, run func(s *state.State) (RunResult, error)) {
+	b.Helper()
+	pristine := state.NewFromProgram(prog, 1<<28)
+	s := &state.State{Regs: pristine.Regs, PC: pristine.PC, Mem: pristine.Mem.Snapshot()}
+	var addrs, vals []uint64
+	timeRuns(b, s, run, func() {
+		b.StopTimer()
+		addrs, vals = addrs[:0], vals[:0]
+		s.Mem.Diff(pristine.Mem, func(a, _, v uint64) {
+			addrs = append(addrs, a)
+			vals = append(vals, v)
+		})
+		for i, a := range addrs {
+			s.Mem.Write(a, vals[i])
+		}
+		s.Regs, s.PC = pristine.Regs, pristine.PC
+		b.StartTimer()
+	})
+}
+
+// timeRuns runs s once untimed, then b.N timed times with rerun preparing s
+// before each, and fails if a timed run's step count differs from the
+// first's.
+func timeRuns(b *testing.B, s *state.State, run func(s *state.State) (RunResult, error), rerun func()) {
+	b.Helper()
 	first, err := run(s)
 	if err != nil {
 		b.Fatal(err)
@@ -68,7 +103,7 @@ func runBench(b *testing.B, prog *isa.Program, run func(s *state.State) (RunResu
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.PC = prog.Entry
+		rerun()
 		res, err := run(s)
 		if err != nil {
 			b.Fatal(err)
@@ -123,13 +158,13 @@ func BenchmarkRunMem(b *testing.B) {
 
 // BenchmarkSeqWorkload runs each experiment workload's train input to
 // completion on the predecoded devirtualized loop — the configuration the
-// SEQ baseline uses.
+// SEQ baseline uses — from the program's initial state every iteration.
 func BenchmarkSeqWorkload(b *testing.B) {
 	for _, w := range workloads.All() {
 		b.Run(w.Name, func(b *testing.B) {
 			p := w.Build(workloads.Train)
 			d := isa.Predecode(p)
-			runBench(b, p, func(s *state.State) (RunResult, error) { return NewCode(d).RunState(s, 50_000_000) })
+			runFromInitial(b, p, func(s *state.State) (RunResult, error) { return NewCode(d).RunState(s, 50_000_000) })
 		})
 	}
 }

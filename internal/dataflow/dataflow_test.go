@@ -130,70 +130,6 @@ func TestLivenessReturnBoundary(t *testing.T) {
 	}
 }
 
-func TestReachingDiamond(t *testing.T) {
-	g := mustGraph(t, `
-		        beqz r4, else
-		        ldi  r2, 5
-		        j    join
-		else:   ldi  r2, 6
-		join:   add  r3, r2, r2
-		        halt
-	`)
-	rf := Reaching(g)
-	join := pcOf(4)
-	sites, entry := rf.DefsBefore(join, 2)
-	if len(sites) != 2 {
-		t.Fatalf("both arm defs must reach the join, got %v", sites)
-	}
-	if entry {
-		t.Error("every path defines r2; the entry value must not reach the join")
-	}
-	if !rf.EntryReachesBefore(join, 4) {
-		t.Error("r4 is never written; its entry value must reach everywhere")
-	}
-	if !rf.ReachesBefore(join, 2, pcOf(1)) || !rf.ReachesBefore(join, 2, pcOf(3)) {
-		t.Error("ReachesBefore must confirm both arm defs")
-	}
-	if rf.ReachesBefore(pcOf(3), 2, pcOf(1)) {
-		t.Error("the taken-arm def must not reach the other arm")
-	}
-}
-
-func TestReachingCallSummary(t *testing.T) {
-	g := mustGraph(t, `
-		.entry main
-		f:      ldi  r5, 9
-		        ret
-		main:   ldi  r1, 3
-		        call f
-		        add  r2, r1, r5
-		        halt
-	`)
-	rf := Reaching(g)
-	after := pcOf(4) // the add
-	callPC := pcOf(3)
-
-	// r1 survives the call: its def and the call's may-def both reach.
-	if !rf.ReachesBefore(after, 1, pcOf(2)) || !rf.ReachesBefore(after, 1, callPC) {
-		t.Error("caller def and call summary must both reach for r1")
-	}
-	// The callee's r5 def reaches only through the call summary site;
-	// return blocks have no static successors.
-	if rf.ReachesBefore(after, 5, pcOf(0)) {
-		t.Error("a callee-body def must not reach the continuation directly")
-	}
-	if !rf.ReachesBefore(after, 5, callPC) {
-		t.Error("the call summary site must stand in for callee defs")
-	}
-	if !rf.EntryReachesBefore(after, 5) {
-		t.Error("the call only MAY define r5; the entry value still reaches")
-	}
-	// ra is definitely written by the call: its entry value is killed.
-	if rf.EntryReachesBefore(after, uint8(isa.RegRA)) {
-		t.Error("the call definitely writes ra; entry value must be killed")
-	}
-}
-
 func TestMayInit(t *testing.T) {
 	g := mustGraph(t, `
 		        beqz r4, skip
@@ -357,14 +293,10 @@ func TestForwardAnalysesDegradeOnIndirect(t *testing.T) {
 		t.Fatal("test program must contain an indirect jump")
 	}
 	mi := MayInit(g, 0)
-	rf := Reaching(g)
 	cf := Consts(g, ConstOptions{})
 	for pc := uint64(0); pc < uint64(6); pc++ {
 		if mi.Before(pc) != AllRegs {
 			t.Fatalf("MayInit must be AllRegs everywhere, pc %d: %v", pc, mi.Before(pc))
-		}
-		if !rf.EntryReachesBefore(pc, 7) {
-			t.Fatalf("reaching must be universal everywhere, pc %d", pc)
 		}
 		if !cf.Executed(pc) {
 			t.Fatalf("every block may execute under indirection, pc %d", pc)

@@ -25,15 +25,6 @@ type traceStep struct {
 	pc     uint64
 	reads  dataflow.RegSet
 	writes dataflow.RegSet
-	// stack is the call-site pc of every active frame at the time this step
-	// executed, outermost first, paired with a per-invocation id so two
-	// calls through the same site are distinguishable.
-	stack []frameRef
-}
-
-type frameRef struct {
-	callPC uint64
-	id     int
 }
 
 // traceEnv wraps an Env and records register traffic per step.
@@ -52,17 +43,13 @@ func (e *traceEnv) WriteReg(r int, v uint64) {
 	e.StateEnv.WriteReg(r, v)
 }
 
-// collectTrace runs prog sequentially, recording per-step register traffic
-// and call stacks. Programs with indirect jumps are the caller's problem:
-// the stack tracking assumes jalr only appears as a return.
+// collectTrace runs prog sequentially, recording per-step register traffic.
 func collectTrace(t *testing.T, g *cfg.Graph, regSnaps *[][isa.NumRegs]uint64) []traceStep {
 	t.Helper()
 	s := state.NewFromProgram(g.Prog, 1<<28)
 	env := &traceEnv{StateEnv: cpu.StateEnv{S: s}}
 
 	var steps []traceStep
-	var stack []frameRef
-	nextID := 0
 	for len(steps) < propTraceCap {
 		pc := s.PC
 		if regSnaps != nil {
@@ -73,21 +60,9 @@ func collectTrace(t *testing.T, g *cfg.Graph, regSnaps *[][isa.NumRegs]uint64) [
 		if err != nil {
 			t.Fatalf("trace fault at pc %d: %v", pc, err)
 		}
-		st := traceStep{pc: pc, reads: env.reads, writes: env.writes}
-		st.stack = append(st.stack, stack...)
-		steps = append(steps, st)
+		steps = append(steps, traceStep{pc: pc, reads: env.reads, writes: env.writes})
 		if in.Op == isa.OpHalt {
 			return steps
-		}
-		switch {
-		case dataflow.IsCall(in):
-			stack = append(stack, frameRef{callPC: pc, id: nextID})
-			nextID++
-		case in.Op == isa.OpJalr:
-			if len(stack) == 0 {
-				t.Fatalf("return with empty call stack at pc %d", pc)
-			}
-			stack = stack[:len(stack)-1]
 		}
 	}
 	t.Fatalf("program did not halt within %d steps", propTraceCap)
@@ -138,60 +113,6 @@ func TestLivenessCoversTrace(t *testing.T) {
 			if got := lf.Before(st.pc); dynLive&^got != 0 {
 				t.Fatalf("corpus[%d] step %d pc %d: dynamically live %v not in static %v",
 					i, j, st.pc, dynLive, got)
-			}
-		}
-	}
-}
-
-// TestReachingCoversTrace checks reaching definitions against ground truth:
-// for every dynamic read, the def site that actually produced the value must
-// be in the static may-reach set — where a def made in a frame the reader
-// has since left is attributed to the call site that encloses it, because
-// the analysis models callees by call-site summary.
-func TestReachingCoversTrace(t *testing.T) {
-	for i, g := range plainCorpus(t, corpusSize(t)) {
-		steps := collectTrace(t, g, nil)
-		rf := dataflow.Reaching(g)
-
-		type lastDef struct {
-			pc    uint64
-			stack []frameRef
-			valid bool
-		}
-		var last [isa.NumRegs]lastDef
-		for j, st := range steps {
-			for r := uint8(1); r < isa.NumRegs; r++ {
-				if !st.reads.Has(r) {
-					continue
-				}
-				ld := last[r]
-				if !ld.valid {
-					if !rf.EntryReachesBefore(st.pc, r) {
-						t.Fatalf("corpus[%d] step %d pc %d: r%d read its entry value but entry does not statically reach",
-							i, j, st.pc, r)
-					}
-					continue
-				}
-				// Longest common prefix of frame instances between writer
-				// and reader decides attribution: a def from an exited
-				// frame is visible only through its enclosing call site.
-				k := 0
-				for k < len(ld.stack) && k < len(st.stack) && ld.stack[k].id == st.stack[k].id {
-					k++
-				}
-				site := ld.pc
-				if k < len(ld.stack) {
-					site = ld.stack[k].callPC
-				}
-				if !rf.ReachesBefore(st.pc, r, site) {
-					t.Fatalf("corpus[%d] step %d pc %d: r%d written at pc %d (site %d) but site does not statically reach",
-						i, j, st.pc, r, ld.pc, site)
-				}
-			}
-			for r := uint8(1); r < isa.NumRegs; r++ {
-				if st.writes.Has(r) {
-					last[r] = lastDef{pc: st.pc, stack: st.stack, valid: true}
-				}
 			}
 		}
 	}

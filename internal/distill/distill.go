@@ -85,12 +85,6 @@ type Options struct {
 	// branch pruning's deliberate unsoundness: a wrong fold is a wrong
 	// hint, caught by the verify unit like any other misspeculation.
 	ConstFold bool
-
-	// PredictableSlots computes Result.PredictableRegs: the per-anchor
-	// register masks the live-in value predictor (internal/predict) may
-	// fill. Off by default — it adds a reaching-definitions solve over the
-	// original program and is only useful to runs that attach a predictor.
-	PredictableSlots bool
 }
 
 // DefaultOptions returns the configuration used by the paper-shaped
@@ -126,9 +120,6 @@ type Stats struct {
 	// AnalysisSkipped reports that analysis passes were requested but
 	// disabled because the program contains indirect jumps.
 	AnalysisSkipped bool
-	// PredictableSlots counts (anchor, register) pairs marked predictable
-	// (zero unless Options.PredictableSlots).
-	PredictableSlots int
 }
 
 // Result is a distilled program plus the metadata the master processor needs
@@ -148,11 +139,6 @@ type Result struct {
 	// ascending. Task starts, master restarts and sequential-fallback
 	// stopping points are always members of this set.
 	Anchors []uint64
-	// PredictableRegs maps each anchor to the bitmask of registers whose
-	// reaching original-program defs the distiller discarded — the
-	// checkpoint slots a live-in value predictor may fill. Nil unless
-	// Options.PredictableSlots was set.
-	PredictableRegs map[uint64]uint32
 	// Stats describes the transformation.
 	Stats Stats
 }
@@ -420,10 +406,5 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 	}
 	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
 
-	var predictable map[uint64]uint32
-	if opts.PredictableSlots {
-		predictable, st.PredictableSlots = predictableRegs(p, work, g0, survives, anchorSet)
-	}
-
-	return &Result{Prog: dist, OrigToDist: origToDist, Anchors: anchors, PredictableRegs: predictable, Stats: st}, nil
+	return &Result{Prog: dist, OrigToDist: origToDist, Anchors: anchors, Stats: st}, nil
 }

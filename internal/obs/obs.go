@@ -35,18 +35,10 @@ const (
 	KindFallbackEnter Kind = core.LifecycleFallbackEnter
 	// KindFallbackExit is the machine leaving sequential mode.
 	KindFallbackExit Kind = core.LifecycleFallbackExit
-	// KindPredict is a spawned task whose checkpoint carries value-predicted
-	// live-in registers (Config.Predictor); Preds counts them. Emitted right
-	// after the task's fork event.
-	KindPredict Kind = core.LifecyclePredict
-	// KindPolicy is a master reseed whose frozen fork plan holds at least
-	// one site ineligible (the adaptive fork policy's backoff state);
-	// Disabled counts the suppressed sites.
-	KindPolicy Kind = core.LifecyclePolicy
 )
 
 // NoTask is the Event.Task value of events that concern no task
-// (fallback-enter, fallback-exit, and policy).
+// (fallback-enter and fallback-exit).
 const NoTask int64 = -1
 
 // Event is one task-lifecycle transition as emitted into sinks. It is the
@@ -82,12 +74,6 @@ type Event struct {
 	Slave int `json:"slave,omitempty"`
 	// Queue is the in-flight task count after a fork (fork only).
 	Queue int `json:"queue,omitempty"`
-	// Preds is the number of value-predicted live-in registers written into
-	// the task's checkpoint (predict only).
-	Preds int `json:"preds,omitempty"`
-	// Disabled is the number of fork sites the adaptive policy held
-	// ineligible in the reseed's frozen plan (policy only).
-	Disabled int `json:"disabled,omitempty"`
 	// Job labels the emitting run when one sink serves several (the
 	// workload name in cmd/experiments -trace); empty for single-run sinks.
 	Job string `json:"job,omitempty"`
@@ -135,8 +121,7 @@ func Attach(cfg *core.Config, sink Sink) {
 // fromLifecycle converts the machine's hook payload into the sink schema.
 func fromLifecycle(ev core.LifecycleEvent, seq uint64) Event {
 	task := int64(ev.TaskID)
-	if ev.Kind == core.LifecycleFallbackEnter || ev.Kind == core.LifecycleFallbackExit ||
-		ev.Kind == core.LifecyclePolicy {
+	if ev.Kind == core.LifecycleFallbackEnter || ev.Kind == core.LifecycleFallbackExit {
 		task = NoTask
 	}
 	return Event{
@@ -151,7 +136,5 @@ func fromLifecycle(ev core.LifecycleEvent, seq uint64) Event {
 		Discarded: ev.Discarded,
 		Slave:     ev.Slave,
 		Queue:     ev.Queue,
-		Preds:     ev.Preds,
-		Disabled:  ev.Disabled,
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"mssp/internal/parallel"
 	"mssp/internal/profile"
 	"mssp/internal/task"
+	"mssp/internal/workloads"
 )
 
 // The workloads mirror internal/core's equivalence suite so the two engines
@@ -78,7 +79,11 @@ type harness struct {
 
 func prep(t *testing.T, src string, stride uint64, dopts distill.Options) *harness {
 	t.Helper()
-	p := asm.MustAssemble(src)
+	return prepProg(t, asm.MustAssemble(src), stride, dopts)
+}
+
+func prepProg(t *testing.T, p *isa.Program, stride uint64, dopts distill.Options) *harness {
+	t.Helper()
 	prof, err := profile.Collect(p, profile.Options{Stride: stride})
 	if err != nil {
 		t.Fatalf("profile: %v", err)
@@ -229,28 +234,42 @@ func TestFinalStateScheduleIndependence(t *testing.T) {
 
 // TestAgainstDeterministicMachine is the in-package oracle differential: the
 // deterministic core machine and the parallel engine must agree on the final
-// architected state and the committed instruction count. (The full
+// architected state and the committed instruction count, on the two
+// hand-written programs and on every workload's Train build. (The full
 // chaos-driven differential with generated programs and fault plans lives in
 // internal/chaos.)
 func TestAgainstDeterministicMachine(t *testing.T) {
-	for _, src := range []string{fsrc(2048), hostileSrc} {
-		h := prep(t, src, 100, distill.DefaultOptions())
-		m, err := core.New(h.orig, h.dist, core.DefaultConfig())
-		if err != nil {
-			t.Fatalf("core.New: %v", err)
-		}
-		det, err := m.Run()
-		if err != nil {
-			t.Fatalf("core run: %v", err)
-		}
-		par := runPar(t, h, core.DefaultConfig())
-		if !par.Final.Equal(det.Final) {
-			t.Fatal("parallel final state diverged from the deterministic machine")
-		}
-		if par.Metrics.CommittedInsts != det.Metrics.CommittedInsts {
-			t.Errorf("committed insts: parallel %d, det %d",
-				par.Metrics.CommittedInsts, det.Metrics.CommittedInsts)
-		}
+	type input struct {
+		name string
+		prog *isa.Program
+	}
+	inputs := []input{
+		{"friendly", asm.MustAssemble(fsrc(2048))},
+		{"hostile", asm.MustAssemble(hostileSrc)},
+	}
+	for _, w := range workloads.All() {
+		inputs = append(inputs, input{w.Name, w.Build(workloads.Train)})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			h := prepProg(t, in.prog, 100, distill.DefaultOptions())
+			m, err := core.New(h.orig, h.dist, core.DefaultConfig())
+			if err != nil {
+				t.Fatalf("core.New: %v", err)
+			}
+			det, err := m.Run()
+			if err != nil {
+				t.Fatalf("core run: %v", err)
+			}
+			par := runPar(t, h, core.DefaultConfig())
+			if !par.Final.Equal(det.Final) {
+				t.Fatal("parallel final state diverged from the deterministic machine")
+			}
+			if par.Metrics.CommittedInsts != det.Metrics.CommittedInsts {
+				t.Errorf("committed insts: parallel %d, det %d",
+					par.Metrics.CommittedInsts, det.Metrics.CommittedInsts)
+			}
+		})
 	}
 }
 

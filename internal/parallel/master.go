@@ -79,10 +79,9 @@ const (
 // nowhere else) so the coordinator folds them in with a happens-before edge
 // instead of sharing counters across goroutines.
 type masterExit struct {
-	stop          masterStop
-	insts         uint64
-	skipped       uint64 // forks skipped by MinTaskSpacing
-	policySkipped uint64 // forks suppressed by the adaptive fork policy
+	stop    masterStop
+	insts   uint64
+	skipped uint64 // forks skipped by MinTaskSpacing
 }
 
 // masterChunk bounds one RunToStop call so the stop channel is polled at a
@@ -134,13 +133,9 @@ func (e *Engine) master(l *masterLife, exit *masterExit) masterStop {
 			return masterHalted
 
 		case cpu.StopFork:
-			dec, c := g.Fork(res.Anchor)
-			if dec == core.ForkSpaced {
+			taken, c := g.Fork(res.Anchor)
+			if !taken {
 				exit.skipped++
-				break
-			}
-			if dec == core.ForkIneligible {
-				exit.policySkipped++
 				break
 			}
 

@@ -74,9 +74,7 @@ type refMaster struct {
 }
 
 // newRefMaster starts a reference master where e's next reseed starts the
-// life, with the start image built the way reseed builds it. Its fork gate
-// takes e.Plan before that reseed, which is the plan the life gets: these
-// tests attach no predictor, so no reseed freezes a new one.
+// life, with the start image built the way reseed builds it.
 func newRefMaster(t *testing.T, e *Engine) *refMaster {
 	t.Helper()
 	dpc, ok := e.Dist.OrigToDist[e.Arch.PC]
@@ -88,7 +86,7 @@ func newRefMaster(t *testing.T, e *Engine) *refMaster {
 	return &refMaster{
 		st:       &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
 		code:     cpu.NewCode(e.distCode),
-		g:        core.NewForkGate(&e.Cfg, e.Dist, e.Plan),
+		g:        core.NewForkGate(&e.Cfg, e.Dist),
 		diffBase: img.Snapshot(),
 		cum:      mem.NewOverlay(),
 	}
@@ -109,8 +107,8 @@ func (r *refMaster) next() (fm forkMsg, stop masterStop, ok bool) {
 		case cpu.StopHalt:
 			return fm, masterHalted, false
 		case cpu.StopFork:
-			dec, c := r.g.Fork(res.Anchor)
-			if dec != core.ForkTaken {
+			taken, c := r.g.Fork(res.Anchor)
+			if !taken {
 				break
 			}
 			newWords := 0

@@ -462,17 +462,13 @@ func (e *Engine) reseed() {
 	}
 	img := e.Arch.Mem.Snapshot()
 	img.CopyWords(e.Dist.Prog.Code.Base, e.Dist.Prog.Code.Words)
-	// The life's fork gate carries the plan BeginLife froze. The plan is
-	// immutable, so sharing it with the life's goroutine is race-free; the
-	// spawn handoff orders the writes.
-	e.BeginLife()
 	l := &masterLife{
 		credit: make(chan struct{}, e.Cfg.TaskBuffer),
 		stop:   make(chan struct{}),
 		window: 1,
 		st:     &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
 		code:   cpu.NewCode(e.distCode),
-		gate:   core.NewForkGate(&e.Cfg, e.Dist, e.Plan),
+		gate:   core.NewForkGate(&e.Cfg, e.Dist),
 	}
 	l.credit <- struct{}{}
 	e.life = l
@@ -502,7 +498,6 @@ func (e *Engine) stopMaster() {
 func (e *Engine) collectExit(x masterExit) {
 	e.Metrics.MasterInsts += x.insts
 	e.Metrics.ForksSkipped += x.skipped
-	e.Metrics.PolicyForksSkipped += x.policySkipped
 	switch x.stop {
 	case masterHalted:
 		e.Metrics.MasterHalts++

@@ -31,45 +31,6 @@ func MicroTight(iters int64) *isa.Program {
 	})
 }
 
-// MicroPredict is the value-prediction benchmark loop: a counted loop whose
-// accumulator updates live on a flag-guarded path that a training build
-// (rare=false) never takes and a measured build (rare=true) takes every
-// iteration. Distilling from the training build prunes the guarded block,
-// so the master's checkpoints carry stale r2/r7 forever and every task
-// squashes with a live-in mismatch — unless a value predictor
-// (internal/predict) fills the two registers, whose truth advances by a
-// fixed stride per task. The two builds share one code layout (only
-// immediates differ), so anchors and the distilled program's address map
-// carry over; like the other micro programs it is not a registered
-// workload.
-//
-// Per-iteration cost: 4 instructions hot (training), 7 with the guarded
-// block (measured).
-func MicroPredict(iters int64, rare bool) *isa.Program {
-	flag := int64(0)
-	if rare {
-		flag = 1
-	}
-	return microProg([]isa.Inst{
-		{Op: isa.OpLdi, Rd: 1, Imm: iters},
-		{Op: isa.OpLdi, Rd: 4, Imm: flag},
-		{Op: isa.OpLdi, Rd: 6, Imm: 8192},
-		{Op: isa.OpBne, Rs1: 4, Rs2: 0, Imm: 13}, // loop: flag set → guarded block
-		{Op: isa.OpAddi, Rd: 3, Rs1: 3, Imm: 1},  // cont
-		{Op: isa.OpAddi, Rd: 1, Rs1: 1, Imm: -1},
-		{Op: isa.OpBne, Rs1: 1, Rs2: 0, Imm: 3},
-		{Op: isa.OpSt, Rs1: 6, Rs2: 2},
-		{Op: isa.OpAddi, Rd: 6, Rs1: 6, Imm: 1},
-		{Op: isa.OpSt, Rs1: 6, Rs2: 3},
-		{Op: isa.OpAddi, Rd: 6, Rs1: 6, Imm: 1},
-		{Op: isa.OpSt, Rs1: 6, Rs2: 7},
-		{Op: isa.OpHalt},
-		{Op: isa.OpAddi, Rd: 2, Rs1: 2, Imm: 100}, // guarded: accumulator
-		{Op: isa.OpAddi, Rd: 7, Rs1: 7, Imm: 3},   // guarded: second stride
-		{Op: isa.OpJal, Rd: 0, Imm: 4},            // back to cont
-	})
-}
-
 // MicroMem adds a load/store pair per iteration: 6 instructions per
 // iteration, 6*iters+3 dynamic instructions total.
 func MicroMem(iters int64) *isa.Program {
