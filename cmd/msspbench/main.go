@@ -161,7 +161,7 @@ func run(quick bool, in, out, label string) error {
 	upsert(f, "distill/master_insts", "insts", "nopass", dq.masterOff)
 	upsert(f, "distill/master_insts", "insts", "analysis", dq.masterOn)
 
-	// Parallel-master checkpoint construction: a diff/journal ablation pair
+	// Master checkpoint construction: a diff/journal ablation pair
 	// (same run, fixed labels, like distill/*), cross-checked before timing.
 	ckDiff, ckJournal, err := ckptBuildBench()
 	if err != nil {
@@ -355,7 +355,7 @@ const (
 	ckptStack     = 1<<28 - 1
 )
 
-// ckptMaster replays the parallel master's checkpoint construction on a
+// ckptMaster replays the master's checkpoint construction on a
 // synthetic fork interval, built either from a page journal or, as before
 // the journal, by diffing against a snapshot taken at the previous fork.
 type ckptMaster struct {

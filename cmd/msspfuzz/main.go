@@ -51,41 +51,53 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *interp {
-	case "fast", "slow", "both":
-	default:
-		fmt.Fprintf(os.Stderr, "msspfuzz: -interp must be fast, slow or both, got %q\n", *interp)
-		os.Exit(2)
-	}
-	switch *fuse {
-	case "on", "off", "both":
-	default:
-		fmt.Fprintf(os.Stderr, "msspfuzz: -fuse must be on, off or both, got %q\n", *fuse)
-		os.Exit(2)
-	}
-	switch *engine {
-	case chaos.EngineDet, chaos.EngineParallel:
-	default:
-		fmt.Fprintf(os.Stderr, "msspfuzz: -engine must be det or parallel, got %q\n", *engine)
-		os.Exit(2)
-	}
-	if *fuse == "both" && (*interp == "both" || *engine == chaos.EngineParallel) {
-		// Like -interp both, the fuse differential byte-diffs two reports;
-		// combining differentials (or schedule-dependent parallel metrics)
-		// would make the diff meaningless.
-		fmt.Fprintln(os.Stderr, "msspfuzz: -fuse both cannot combine with -interp both or -engine parallel")
-		os.Exit(2)
-	}
-	if *engine == chaos.EngineParallel && *interp == "both" {
-		// The interp differential byte-diffs the two reports; parallel legs
-		// carry schedule-dependent metrics, so the diff would be noise.
-		fmt.Fprintln(os.Stderr, "msspfuzz: -engine parallel cannot combine with -interp both (parallel reports are not byte-comparable)")
+	if err := checkFlags(*faults, *count, *interp, *fuse, *engine); err != nil {
+		fmt.Fprintf(os.Stderr, "msspfuzz: %v\n", err)
 		os.Exit(2)
 	}
 	if *replay != "" {
 		os.Exit(replayArtifacts(*replay, *engine, *verbose))
 	}
 	os.Exit(soak(*seed, *count, *faults, *out, *interp, *fuse, *engine, *requireC, *taintF, *verbose))
+}
+
+// checkFlags rejects flag values and combinations a soak cannot run as
+// asked; main exits 2 on them before running anything.
+func checkFlags(faults float64, count int, interp, fuse, engine string) error {
+	if !(faults >= 0 && faults <= 1) {
+		return fmt.Errorf("-faults must be in [0, 1], got %g", faults)
+	}
+	if count < 1 {
+		// A soak over no seeds would report itself clean.
+		return fmt.Errorf("-count must be at least 1, got %d", count)
+	}
+	switch interp {
+	case "fast", "slow", "both":
+	default:
+		return fmt.Errorf("-interp must be fast, slow or both, got %q", interp)
+	}
+	switch fuse {
+	case "on", "off", "both":
+	default:
+		return fmt.Errorf("-fuse must be on, off or both, got %q", fuse)
+	}
+	switch engine {
+	case chaos.EngineDet, chaos.EngineParallel:
+	default:
+		return fmt.Errorf("-engine must be det or parallel, got %q", engine)
+	}
+	if fuse == "both" && (interp == "both" || engine == chaos.EngineParallel) {
+		// Like -interp both, the fuse differential byte-diffs two reports;
+		// combining differentials (or schedule-dependent parallel metrics)
+		// would make the diff meaningless.
+		return fmt.Errorf("-fuse both cannot combine with -interp both or -engine parallel")
+	}
+	if engine == chaos.EngineParallel && interp == "both" {
+		// The interp differential byte-diffs the two reports; parallel legs
+		// carry schedule-dependent metrics, so the diff would be noise.
+		return fmt.Errorf("-engine parallel cannot combine with -interp both (parallel reports are not byte-comparable)")
+	}
+	return nil
 }
 
 // runSeed executes one seed under the selected interpreter(s) and fusion

@@ -1,0 +1,40 @@
+package main
+
+import (
+	"math"
+	"testing"
+)
+
+// TestCheckFlags pins which flag values msspfuzz refuses before running
+// anything: a fault intensity outside [0, 1] and a seed count below one
+// (a soak over no seeds reports itself clean), besides the existing
+// interpreter, fusion and engine checks.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		faults               float64
+		count                int
+		interp, fuse, engine string
+		ok                   bool
+	}{
+		{1, 1000, "fast", "on", "det", true},
+		{0, 1, "slow", "off", "parallel", true},
+		{0.5, 1, "both", "on", "det", true},
+		{7, 1, "fast", "on", "det", false},
+		{-1, 1, "fast", "on", "det", false},
+		{math.NaN(), 1, "fast", "on", "det", false},
+		{1, 0, "fast", "on", "det", false},
+		{1, -3, "fast", "on", "det", false},
+		{1, 1, "fsat", "on", "det", false},
+		{1, 1, "fast", "maybe", "det", false},
+		{1, 1, "fast", "on", "both", false},
+		{1, 1, "both", "both", "det", false},
+		{1, 1, "fast", "both", "parallel", false},
+		{1, 1, "both", "on", "parallel", false},
+	} {
+		err := checkFlags(tc.faults, tc.count, tc.interp, tc.fuse, tc.engine)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%g, %d, %q, %q, %q) = %v, want ok=%v",
+				tc.faults, tc.count, tc.interp, tc.fuse, tc.engine, err, tc.ok)
+		}
+	}
+}

@@ -66,9 +66,11 @@ type Options struct {
 	Observe func(leg string, cfg *core.Config)
 	// Interp selects the execution core: "fast" (or empty, the default)
 	// uses the predecoded/devirtualized interpreter everywhere; "slow"
-	// forces the per-step fetch+decode path (core.Config.DisableFastPath)
-	// for the sequential baseline and both MSSP legs. The two settings must
-	// produce byte-identical reports — the interpreter differential in
+	// drops the predecoded tables (core.Config.DisableFastPath), so the
+	// sequential baseline and the MSSP legs' slaves and sequential fallback
+	// step through the Env interface (cpu.stepExec), while the master
+	// decodes from memory in the run loop. The two settings must produce
+	// byte-identical reports — the interpreter differential in
 	// interp_test.go and cmd/msspfuzz -interp both run each seed both ways.
 	Interp string
 	// Fuse selects superinstruction dispatch on the fast interpreter:

@@ -8,12 +8,13 @@
 // The simulator is a deterministic discrete-event model layered over an
 // exact functional execution:
 //
-//   - The master executes the distilled program in its own memory image
-//     (distilled code + architected data as of its last reseed), logging its
-//     writes. Each FORK instruction it retires defines a task boundary: the
-//     open task's end PC becomes the fork's anchor, and a new task is
-//     spawned carrying a checkpoint (master registers + write-log snapshot)
-//     and a snapshot of current architected state.
+//   - The master (Master) executes the distilled program in its own memory
+//     image (distilled code + architected data as of its last reseed) on
+//     cpu's run loop, journaling the pages it writes. Each FORK it takes
+//     defines a task boundary: the open task's end PC becomes the fork's
+//     anchor, and a new task is spawned carrying a checkpoint (master
+//     registers + the words whose value the master changed since the
+//     reseed) and a snapshot of current architected state.
 //   - Slaves execute tasks (internal/task) against those frozen inputs,
 //     recording live-ins and live-outs. Slave execution never reads anything
 //     written after its spawn, exactly like a hardware slave reading stale
@@ -120,11 +121,14 @@ type Config struct {
 	// attach additional observers with obs.Attach, which chains.
 	OnLifecycle func(LifecycleEvent)
 
-	// DisableFastPath forces every execution context — master, slaves, and
-	// sequential fallback — onto the slow fetch+decode interpreter path,
-	// bypassing the predecoded instruction tables. Functionally the two
-	// paths are identical (the machine's output never depends on this
-	// flag); the chaos harness runs both and diffs them.
+	// DisableFastPath drops the predecoded instruction tables, so every
+	// execution context fetches and decodes from memory. The master of
+	// both engines then decodes in cpu's run loop; slaves and sequential
+	// fallback step through the Env interface, so cpu.stepExec, the
+	// reference semantics, runs every slave task and fallback chunk (the
+	// sequential baseline runs it too). Functionally the two paths are
+	// identical (the machine's output never depends on this flag); the
+	// chaos harness runs both and diffs them.
 	DisableFastPath bool
 
 	// DisableFusion keeps the predecoded tables but skips the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mssp/internal/distill"
 	"mssp/internal/isa"
@@ -24,10 +25,12 @@ type pend struct {
 type Machine struct {
 	Retirer
 
-	master master
-	// distCode is the predecoded distilled program (nil when
-	// Config.DisableFastPath), immutable and shared by every master life.
-	distCode *isa.DecodedProgram
+	// master runs inline between simulation events. masterAlive reports
+	// that a master life is running, and masterClock is the master's model
+	// time: Run's steps at MasterCPI, plus its stalls.
+	master      *Master
+	masterAlive bool
+	masterClock float64
 
 	queue []*pend // program order; tail may be open
 
@@ -59,12 +62,7 @@ func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) 
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	m.slaveFree = make([]float64, m.Cfg.Slaves)
-	if !m.Cfg.DisableFastPath {
-		// The deterministic master steps one distilled instruction per
-		// simulation event (master.go), so a fused table on distCode would
-		// never be consulted: plain predecode suffices.
-		m.distCode = isa.Predecode(dist.Prog)
-	}
+	m.master = m.NewMaster()
 	return m, nil
 }
 
@@ -83,28 +81,31 @@ func (m *Machine) Run() (*Result, error) {
 			return nil, fmt.Errorf("core: committed instructions exceeded MaxCommitted=%d", m.Cfg.MaxCommitted)
 		}
 
-		if !m.master.alive {
+		if !m.masterAlive {
 			m.drain()
 			continue
 		}
 
-		anchor, count, stop := m.runToFork()
-		if stop != masterForked {
-			continue // drain on the next iteration
+		r := m.master.Run(math.MaxUint64)
+		m.Metrics.AddMaster(r)
+		m.masterClock += float64(r.Steps) * m.Cfg.MasterCPI
+		if r.Stop != MasterForked {
+			m.masterAlive = false
+			continue // halted or lost: drain on the next iteration
 		}
 
 		// The fork closes the open task, if any.
 		if open := m.openTask(); open != nil {
-			open.T.End = anchor
-			open.T.EndCount = count
+			open.T.End = r.Anchor
+			open.T.EndCount = r.Count
 			open.T.HasEnd = true
 			open.closed = true
-			open.closedAt = m.master.clock
+			open.closedAt = m.masterClock
 		}
 
 		// Commit everything that would have committed by now, so the new
 		// task's architected snapshot is as fresh as the hardware's.
-		if m.processDue(m.master.clock) {
+		if m.processDue(m.masterClock) {
 			continue // a squash reset the pipeline
 		}
 
@@ -116,15 +117,15 @@ func (m *Machine) Run() (*Result, error) {
 				squashed = true
 				break
 			}
-			if m.lastCommitEnd > m.master.clock {
-				m.master.clock = m.lastCommitEnd // stall
+			if m.lastCommitEnd > m.masterClock {
+				m.masterClock = m.lastCommitEnd // stall
 			}
 		}
 		if squashed || m.Done {
 			continue
 		}
 
-		m.spawn(anchor)
+		m.spawn(r.Anchor)
 	}
 
 	m.Metrics.Cycles = maxf(m.lastCommitEnd, m.commitFree)
@@ -141,10 +142,10 @@ func (m *Machine) openTask() *pend {
 
 // spawn creates a new open task starting at the given anchor.
 func (m *Machine) spawn(anchor uint64) {
-	m.at = m.master.clock
+	m.at = m.masterClock
 	p := &pend{
-		InFlight: m.Fork(anchor, m.checkpoint(), len(m.queue)),
-		forkAt:   m.master.clock,
+		InFlight: m.Fork(anchor, m.master.Checkpoint(), len(m.queue)),
+		forkAt:   m.masterClock,
 	}
 	m.queue = append(m.queue, p)
 }
@@ -173,7 +174,7 @@ func (m *Machine) drain() {
 		h := m.queue[0]
 		if !h.closed {
 			h.closed = true
-			h.closedAt = m.master.clock
+			h.closedAt = m.masterClock
 			// End remains unknown: the task runs until halt or cap.
 		}
 		m.verifyHead()
@@ -186,7 +187,7 @@ func (m *Machine) drain() {
 	// instruction.
 	m.seqFallback()
 	if !m.Done {
-		m.reseed(maxf(m.lastCommitEnd, m.master.clock))
+		m.reseed(maxf(m.lastCommitEnd, m.masterClock))
 	}
 }
 
@@ -315,9 +316,9 @@ func (m *Machine) squashAndRecover(h *pend, v Verdict, at float64) {
 		m.Release(&p.InFlight)
 	}
 	m.queue = nil
-	m.master.alive = false
+	m.masterAlive = false
 
-	now := maxf(at, m.master.clock) + m.Cfg.SquashPenalty
+	now := maxf(at, m.masterClock) + m.Cfg.SquashPenalty
 	m.Metrics.RecoveryCycles += m.Cfg.SquashPenalty
 	m.lastCommitEnd = now
 	m.commitFree = now
@@ -332,10 +333,19 @@ func (m *Machine) squashAndRecover(h *pend, v Verdict, at float64) {
 	m.reseed(maxf(m.lastCommitEnd, now))
 }
 
+// reseed starts a master life from architected state at model time now. If
+// the architected PC does not translate into the distilled program the
+// master stays dead and the main loop continues in fallback mode.
+func (m *Machine) reseed(now float64) {
+	if m.masterAlive = m.master.Reseed(m.Arch); m.masterAlive {
+		m.masterClock = now
+	}
+}
+
 // seqFallback runs the Retirer's sequential mode, charging its instructions
 // at slave speed from the later of the commit point and the master clock.
 func (m *Machine) seqFallback() {
-	m.at = maxf(m.lastCommitEnd, m.master.clock)
+	m.at = maxf(m.lastCommitEnd, m.masterClock)
 	cost := float64(m.Fallback()) * m.Cfg.SlaveCPI
 	m.Metrics.RecoveryCycles += cost
 	m.lastCommitEnd = m.at + cost

@@ -2,158 +2,168 @@ package core
 
 import (
 	"mssp/internal/cpu"
+	"mssp/internal/distill"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
+	"mssp/internal/state"
 	"mssp/internal/task"
 )
 
-// master is the fast-path processor: it executes the distilled program over
-// its own speculative memory image and produces checkpoints at fork points.
-// Nothing the master does can touch architected state.
-type master struct {
-	alive bool
+// Master is the master processor both engines run: the distilled program on
+// cpu's run loop over a private image (an architected-state snapshot with
+// the distilled code copied in), the fork policy, and the checkpoints that
+// predict machine state at each taken fork. It never touches architected
+// state. A machine owns one Master and reuses it, journal buffers included,
+// for every life. Reseed runs on the goroutine that owns architected state;
+// Run and Checkpoint then run on one goroutine at a time (Machine calls all
+// three inline, the parallel engine runs each life on its own goroutine).
+type Master struct {
+	dist  *distill.Result
+	table *isa.DecodedProgram
+	// spacing and cap are Config.MinTaskSpacing and MasterRunaheadCap.
+	spacing, cap uint64
 
-	regs [isa.NumRegs]uint64
-	pc   uint64
-	// memory is the master's speculative image: distilled code overlaid on
-	// the architected memory as of the last reseed.
-	memory *mem.Memory
-	// diff logs every master store since the last reseed; snapshots of it
-	// become checkpoint memory diffs.
-	diff *mem.Overlay
-	// diffAtFork is diff.Len() at the previous fork, for traffic metrics.
-	diffAtFork int
-
-	// code is this reseed's predecoded-distilled-program runner (a nil-table
-	// runner when the fast path is disabled). Reseed recreates it because it
-	// also re-copies the distilled code into the master's memory image,
-	// restoring the table's validity even if the previous master life
-	// overwrote distilled code.
+	// st is the life's image; its PC is a distilled-program address.
+	st   state.State
 	code *cpu.Code
+	// journal records the pages written since the previous fork, and cum
+	// accumulates its flushes: every word whose value changed since the
+	// reseed.
+	journal mem.Journal
+	cum     *mem.Overlay
 
-	clock float64
-	gate  ForkGate
+	// since counts distilled instructions since the last taken fork.
+	since uint64
+	// crossings counts dynamic executions of each anchor's FORK since the
+	// last taken fork; the count for the taken anchor becomes the task's
+	// EndCount so the slave lets the same number of occurrences pass.
+	crossings map[uint64]uint64
 }
 
-// masterEnv adapts the master to cpu.Env, teeing stores into the write log.
-type masterEnv struct{ m *master }
-
-func (e masterEnv) ReadReg(r int) uint64 {
-	if r == isa.RegZero {
-		return 0
-	}
-	return e.m.regs[r]
-}
-
-func (e masterEnv) WriteReg(r int, v uint64) {
-	if r != isa.RegZero {
-		e.m.regs[r] = v
-	}
-}
-
-func (e masterEnv) ReadMem(addr uint64) uint64 { return e.m.memory.Read(addr) }
-
-func (e masterEnv) WriteMem(addr, v uint64) {
-	e.m.memory.Write(addr, v)
-	e.m.diff.Set(addr, v)
-}
-
-func (e masterEnv) Fetch(addr uint64) uint64 { return e.m.memory.Read(addr) }
-func (e masterEnv) PC() uint64               { return e.m.pc }
-func (e masterEnv) SetPC(pc uint64)          { e.m.pc = pc }
-
-var _ cpu.Env = masterEnv{}
-
-// masterStop says why runToFork returned without a fork.
-type masterStop int
+// MasterStop says why Master.Run returned.
+type MasterStop uint8
 
 const (
-	masterForked masterStop = iota
-	masterHalted
-	masterLost
+	MasterBudget MasterStop = iota // the step budget ran out; the life goes on
+	MasterForked                   // a fork was taken; Checkpoint captures it
+	MasterHalted                   // HALT executed, ending the life
+	// MasterLost ends the life: the master faulted, jumped to a target with
+	// no translation, or ran MasterRunaheadCap instructions without a fork.
+	MasterLost
 )
 
-// runToFork advances the master until it takes a fork, halts, or loses its
-// way (fault, unmapped indirect target, or run-ahead cap). It returns the
-// fork's anchor (an original-program PC) and the number of times that
-// anchor was crossed since the last taken fork when stop == masterForked.
-func (m *Machine) runToFork() (anchor uint64, count uint64, stop masterStop) {
-	ms := &m.master
-	env := masterEnv{ms}
-	for {
-		in, err := ms.code.Step(env)
-		if err != nil {
-			ms.alive = false
-			m.Metrics.MasterLost++
-			return 0, 0, masterLost
-		}
-		m.Metrics.MasterInsts++
-		ms.clock += m.Cfg.MasterCPI
-		ms.gate.Retire(1)
+// MasterRun reports one Master.Run call.
+type MasterRun struct {
+	Stop MasterStop // why Run returned
+	// Steps counts the distilled instructions retired (a faulting one
+	// excluded), Skipped the FORKs MinTaskSpacing skipped.
+	Steps, Skipped uint64
+	// Anchor is a taken fork's original-program PC and Count the times its
+	// FORK was crossed since the previous taken fork (the task's
+	// EndCount); both are set only for MasterForked.
+	Anchor, Count uint64
+}
 
-		switch in.Op {
-		case isa.OpHalt:
-			ms.alive = false
-			m.Metrics.MasterHalts++
-			return 0, 0, masterHalted
-
-		case isa.OpFork:
-			a := uint64(in.Imm)
-			if taken, c := ms.gate.Fork(a); taken {
-				return a, c, masterForked
-			}
-			m.Metrics.ForksSkipped++
-
-		case isa.OpJalr:
-			pc, ok := ms.gate.Jump(ms.pc)
-			if !ok {
-				ms.alive = false
-				m.Metrics.MasterLost++
-				return 0, 0, masterLost
-			}
-			ms.pc = pc
-		}
-
-		if ms.gate.Overrun() {
-			ms.alive = false
-			m.Metrics.MasterLost++
-			return 0, 0, masterLost
-		}
+// NewMaster returns the master for a machine built by Init, over the
+// distilled table Init predecoded.
+func (r *Retirer) NewMaster() *Master {
+	return &Master{
+		dist:      r.Dist,
+		table:     r.distCode,
+		spacing:   r.Cfg.MinTaskSpacing,
+		cap:       r.Cfg.MasterRunaheadCap,
+		crossings: make(map[uint64]uint64),
 	}
 }
 
-// reseed restarts the master from architected state at time now. The
-// architected PC must translate into the distilled program; if it does not,
-// the master stays dead and the main loop continues in fallback mode.
-func (m *Machine) reseed(now float64) {
-	dpc, ok := m.Dist.OrigToDist[m.Arch.PC]
+// Reseed starts a new life from architected state arch, on the goroutine
+// that owns arch. It reports false, starting nothing, when arch's PC does
+// not translate into the distilled program.
+func (m *Master) Reseed(arch *state.State) bool {
+	dpc, ok := m.dist.OrigToDist[arch.PC]
 	if !ok {
-		m.master.alive = false
-		return
+		return false
 	}
-	ms := &m.master
-	ms.regs = m.Arch.Regs
-	ms.memory = m.Arch.Mem.Snapshot()
-	ms.memory.CopyWords(m.Dist.Prog.Code.Base, m.Dist.Prog.Code.Words)
-	ms.diff = mem.NewOverlay()
-	ms.diffAtFork = 0
-	ms.pc = dpc
-	ms.code = cpu.NewCode(m.distCode)
-	ms.clock = now
-	ms.alive = true
-	ms.gate = NewForkGate(&m.Cfg, m.Dist)
+	img := arch.Mem.Snapshot()
+	img.CopyWords(m.dist.Prog.Code.Base, m.dist.Prog.Code.Words)
+	m.st = state.State{Regs: arch.Regs, PC: dpc, Mem: img}
+	m.code = cpu.NewCode(m.table) // clean: the image holds fresh code
+	m.journal.Attach(img)
+	m.cum = mem.NewOverlay()
+	// The fork at the architected PC starts the first task exactly where
+	// architected state stands, so it must be taken whatever the spacing.
+	m.since = 1 << 62
+	clear(m.crossings)
+	return true
 }
 
-// checkpoint captures the master's current prediction of machine state. The
-// memory diff is an O(1) snapshot of the master's write log, private to the
-// task it is handed to.
-func (m *Machine) checkpoint() task.Checkpoint {
-	ms := &m.master
-	ck := task.Checkpoint{
-		Regs:         ms.regs,
-		MemDiff:      ms.diff.Snapshot(),
-		NewDiffWords: ms.diff.Len() - ms.diffAtFork,
+// Run executes at most budget distilled instructions, stopping early at a
+// taken fork or at the end of the life. Indirect-jump targets, which the
+// distiller leaves as original-program addresses, are translated on the way.
+func (m *Master) Run(budget uint64) (r MasterRun) {
+	for r.Steps < budget {
+		// Stop no later than the instruction that would overrun the cap.
+		n := budget - r.Steps
+		if m.since > m.cap {
+			n = 1
+		} else if left := m.cap - m.since + 1; left < n {
+			n = left
+		}
+		res, err := m.code.RunToStop(&m.st, n)
+		r.Steps += res.Steps
+		m.since += res.Steps
+		if err != nil {
+			r.Stop = MasterLost
+			return r
+		}
+		switch res.Kind {
+		case cpu.StopHalt:
+			r.Stop = MasterHalted
+			return r
+		case cpu.StopFork:
+			m.crossings[res.Anchor]++
+			if m.since > m.spacing {
+				r.Stop, r.Anchor, r.Count = MasterForked, res.Anchor, m.crossings[res.Anchor]
+				m.since = 0
+				clear(m.crossings)
+				return r
+			}
+			r.Skipped++
+		case cpu.StopJalr:
+			// A target with no translation that does not look like
+			// distilled code means the master has lost its way.
+			if dpc, ok := m.dist.OrigToDist[m.st.PC]; ok {
+				m.st.PC = dpc
+			} else if !m.dist.Prog.InCode(m.st.PC) {
+				r.Stop = MasterLost
+				return r
+			}
+		}
+		if m.since > m.cap {
+			r.Stop = MasterLost
+			return r
+		}
 	}
-	ms.diffAtFork = ms.diff.Len()
-	return ck
+	return r
+}
+
+// Checkpoint captures the master's prediction at the fork Run just took.
+// A word enters MemDiff once its value at a fork differs from its value at
+// the previous fork (or the reseed); a store that leaves a word's value
+// unchanged adds nothing. The journal's flush finds those words in the
+// pages written since the previous fork, they are folded into cum, and the
+// checkpoint carries an O(1) snapshot of it, private to the task.
+func (m *Master) Checkpoint() task.Checkpoint {
+	newWords := 0
+	m.journal.Flush(func(a, v, _ uint64) {
+		if _, ok := m.cum.Get(a); !ok {
+			newWords++
+		}
+		m.cum.Set(a, v)
+	})
+	return task.Checkpoint{
+		Regs:         m.st.Regs,
+		MemDiff:      m.cum.Snapshot(),
+		NewDiffWords: newWords,
+	}
 }

@@ -105,11 +105,11 @@ type Metrics struct {
 	LiveOutWords uint64
 	// CheckpointNew sums task.Checkpoint.NewDiffWords over forks: the
 	// words each checkpoint's memory diff gained over the previous one,
-	// the master-to-slave bandwidth the paper budgets per task start. The
-	// engines define it differently. A word enters the deterministic
-	// master's diff when the master stores to it, whatever the value; it
-	// enters the parallel master's diff only when its value at a fork
-	// differs from its value at the previous fork (docs/PARALLEL.md §2).
+	// the master-to-slave bandwidth the paper budgets per task start. A
+	// word enters a master life's diff at the first fork where its value
+	// differs from its value at the previous fork, so a store that leaves
+	// a word's value unchanged costs nothing. Both engines run the same
+	// master, so the count means the same in both.
 	CheckpointNew uint64
 
 	// RunaheadSum accumulates the in-flight queue depth observed at each
@@ -134,6 +134,19 @@ type Metrics struct {
 	// SlaveBusyCycles accumulates slave compute time for committed tasks,
 	// the numerator of SlaveUtilization.
 	SlaveBusyCycles float64
+}
+
+// AddMaster folds master progress into the counters: r's instructions and
+// skipped forks and, when r ended the life, its halt or loss.
+func (m *Metrics) AddMaster(r MasterRun) {
+	m.MasterInsts += r.Steps
+	m.ForksSkipped += r.Skipped
+	switch r.Stop {
+	case MasterHalted:
+		m.MasterHalts++
+	case MasterLost:
+		m.MasterLost++
+	}
 }
 
 // CommitRate returns the fraction of executed tasks that committed.

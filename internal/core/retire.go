@@ -102,6 +102,9 @@ type Retirer struct {
 
 	clock   Clock
 	anchors map[uint64]bool
+	// distCode is the predecoded distilled program every master life runs
+	// (nil when Config.DisableFastPath).
+	distCode *isa.DecodedProgram
 	// origCode is the predecoded original program (nil when
 	// Config.DisableFastPath). codeClean reports that the architected code
 	// segment still matches it: committed live-outs and fallback stores can,
@@ -117,8 +120,8 @@ type Retirer struct {
 }
 
 // Init applies Config defaults, validates the structural parameters, and
-// builds initial architected state and the predecoded original program.
-// clock stamps every lifecycle event the retirer emits.
+// builds initial architected state and the predecoded original and
+// distilled programs. clock stamps every lifecycle event the retirer emits.
 func (r *Retirer) Init(orig *isa.Program, dist *distill.Result, cfg Config, clock Clock) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -146,11 +149,16 @@ func (r *Retirer) Init(orig *isa.Program, dist *distill.Result, cfg Config, cloc
 	if !cfg.DisableFastPath {
 		if cfg.DisableFusion {
 			r.origCode = isa.Predecode(orig)
+			r.distCode = isa.Predecode(dist.Prog)
 		} else {
 			// Slaves retire fused groups; the anchor set keeps every fork
 			// target out of group interiors so a task can always stop on an
 			// end-anchor crossing (the slave run loop guards dynamically too).
 			r.origCode = fuse.Predecode(orig, fuse.Options{Anchors: r.anchors})
+			// The master's register file is read only at FORK stops, so
+			// its table may also elide dead intermediate writes (see the
+			// internal/fuse package comment for why nothing else may).
+			r.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
 		}
 		r.codeClean = true
 	}

@@ -2,13 +2,14 @@
 // reference machine against which the MSSP machine's correctness is measured.
 //
 // Execution is defined against the Env interface rather than a concrete
-// state so the same single-step semantics drives every execution context in
-// the simulator: the reference interpreter, the profiler, the master
-// processor (which layers fork handling and a write log on top), and slave
-// processors (which layer live-in/live-out capture on top). This is the
-// determinism requirement of the formal model made structural: two
-// consistent environments stepping the same instruction produce the same
-// writes, because they run the same code path here.
+// state so the same single-step semantics drives the reference
+// interpreter, the profiler, sequential fallback, and slave processors
+// (which layer live-in/live-out capture on top). This is the determinism
+// requirement of the formal model made structural: two consistent
+// environments stepping the same instruction produce the same writes,
+// because they run the same code path here. The master processor and the
+// fast paths run the same semantics on the devirtualized loop in fast.go,
+// which the equivalence tests hold to Step.
 package cpu
 
 import (

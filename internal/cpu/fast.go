@@ -8,14 +8,13 @@ package cpu
 //
 //   - Predecode: a Code runner serves instructions from an
 //     isa.DecodedProgram table instead of Fetch+Decode. Code.Step keeps the
-//     Env interface, for the deterministic master's write log and the
-//     reference slave path.
+//     Env interface, for sequential fallback and the reference slave path.
 //   - Devirtualization: RunState / Code.RunState / RunToStop / RunCapture
 //     execute directly against a concrete *state.State and *mem.Memory on
 //     one run loop, runConcrete. The SEQ baseline, cpu.Seq, the refinement
-//     checker's replay and the parallel master run it with no hook; slaves
-//     run it through a Capture, which logs their live-ins, buffers their
-//     stores and adds their stop rules.
+//     checker's replay and the master of both engines run it with no hook;
+//     slaves run it through a Capture, which logs their live-ins, buffers
+//     their stores and adds their stop rules.
 //
 // Semantics are identical to the slow path by construction and by test
 // (TestFastSlowEquivalence, the chaos corpus differential): MIR is not
@@ -153,10 +152,10 @@ type StopResult struct {
 // devirtualized loop, additionally stopping — with the instruction's effects
 // applied and the PC advanced — at every FORK (reporting its anchor) and
 // every JALR (leaving the untranslated target in s.PC for the caller to
-// map). It exists for master engines: the true-parallel runtime's master
-// goroutine runs the distilled program here at full fast-path speed and
-// layers fork/translation policy on top, instead of stepping through the
-// Env interface. The dirty flag persists like RunState's.
+// map). It exists for the master (core.Master), which runs the distilled
+// program here at full fast-path speed for both engines and layers
+// fork/translation policy on top, instead of stepping through the Env
+// interface. The dirty flag persists like RunState's.
 func (c *Code) RunToStop(s *state.State, max uint64) (StopResult, error) {
 	var stop StopResult
 	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, true, &stop, nil)

@@ -6,7 +6,7 @@
 // and the addi-loop back-edge, ldi+op constant forms, and their triple
 // combinations — and emits an isa.FusedInst table alongside the instruction
 // table. The devirtualized interpreter loop, cpu.runConcrete — which runs
-// the SEQ machine, the parallel master and every slave task — then retires a
+// the SEQ machine, the master and every slave task — then retires a
 // whole group per dispatch, eliminating the per-instruction fetch/dispatch
 // overhead that dominates the predecoded interpreter's cost.
 //
@@ -50,10 +50,10 @@
 // arbitrary pc and then externally compared register-by-register: the
 // refinement auditor replays commits with a step-bounded runner and diffs
 // the full register file, and a step bound can split a group (executing it
-// unfused, writes included). The parallel engine's master is the one
-// context with no such observer — its register file is only read at FORK
-// stops (covered by the checkpoint injection) — so only the master's
-// distilled-code table is built with Elide.
+// unfused, writes included). The master (core.Master), which both engines
+// run, is the one context with no such observer — its register file is
+// only read at FORK stops (covered by the checkpoint injection) — so only
+// the master's distilled-code table is built with Elide.
 package fuse
 
 import (

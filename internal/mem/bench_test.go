@@ -89,7 +89,7 @@ func BenchmarkEqualShared(b *testing.B) {
 }
 
 // BenchmarkOverlaySetGet measures the overlay fast paths used by slave write
-// buffers and master write logs.
+// buffers and the master's checkpoint overlay.
 func BenchmarkOverlaySetGet(b *testing.B) {
 	o := NewOverlay()
 	b.ReportAllocs()

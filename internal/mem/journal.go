@@ -2,10 +2,11 @@ package mem
 
 // Journal records which pages of one Memory were written since the last
 // flush, and what they held then, so a writer can learn what it changed
-// without keeping a snapshot to diff against. The parallel master builds
-// every checkpoint from one: a snapshot per fork would make the first write
-// to each page afterwards copy the page and its trie path, and Diff would
-// then walk both tries to find again what the master had just written.
+// without keeping a snapshot to diff against. The master (core.Master)
+// builds every checkpoint of both engines from one: a snapshot per fork
+// would make the first write to each page afterwards copy the page and its
+// trie path, and Diff would then walk both tries to find again what the
+// master had just written.
 //
 // While a journal is attached, the first write to each page since the last
 // flush copies the page's prior contents into a buffer the journal keeps

@@ -55,9 +55,10 @@ func sameSet(got, want map[uint64][2]uint64) bool {
 
 // Property: every flush reports exactly what Memory.Diff reports against a
 // snapshot taken at the previous flush. The journaled memory m is only ever
-// snapshotted mid-interval, as the parallel master does when it supplies all
-// data; the reference diffs a plain mirror that receives the same writes, so
-// both the in-place and the copy-on-write first-write paths are covered.
+// snapshotted mid-interval, which must not disturb the recorded prior
+// contents; the reference diffs a plain mirror that receives the same
+// writes, so both the in-place and the copy-on-write first-write paths are
+// covered.
 // Writes of small values produce zero writes to absent pages (which change
 // nothing) and rewrites of a word's old value (which the diff cannot see
 // either). Some rounds write nothing, so flushes also come back to back, and

@@ -6,10 +6,10 @@
 // Snapshots are the workhorse of the simulator. Architected state is
 // snapshotted at every task spawn so that slave processors read the state the
 // machine was in when the master forked them — exactly the stale-read hazard
-// the MSSP verify/commit unit exists to catch. The master's write log is an
-// Overlay snapshotted at every fork to form the checkpoint's live-in diff;
-// the parallel master learns what it wrote since the previous fork from a
-// Journal attached to its Memory (journal.go).
+// the MSSP verify/commit unit exists to catch. The master learns what it
+// changed since the previous fork from a Journal attached to its Memory
+// (journal.go) and folds it into an Overlay, snapshotted at every fork to
+// form the checkpoint's live-in diff.
 //
 // Both structures keep their pages in a persistent radix trie (trie.go):
 // Snapshot shares the root, the first write after it copies one

@@ -31,9 +31,10 @@ var zeroOPage opage
 // its pages in the same persistent trie and supports the same O(1)
 // copy-on-write Snapshot.
 //
-// Overlays model the master processor's write log: at each fork point the
-// current overlay snapshot becomes the checkpoint's memory live-in diff, and
-// slave reads consult it before falling back to the architected snapshot.
+// Overlays hold the master processor's predicted memory: at each fork point
+// the current overlay snapshot becomes the checkpoint's memory live-in diff,
+// and slave reads consult it before falling back to the architected
+// snapshot.
 //
 // Like Memory, an Overlay carries one-entry last-page caches on Get and Set
 // (the set cache is dropped on Snapshot, both on Reset), so repeated

@@ -292,3 +292,80 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("MaxCommitted guard did not trip")
 	}
 }
+
+// sameValueSrc stores, every iteration, the value a word of buf already
+// holds: its master writes memory but never changes a word.
+const sameValueSrc = `
+	.entry main
+	main:   ldi  r1, 3000
+	        la   r3, buf
+	loop:   andi r6, r1, 7
+	        add  r6, r6, r3
+	        ld   r5, 0(r6)
+	        st   r5, 0(r6)
+	        addi r1, r1, -1
+	        bnez r1, loop
+	        halt
+	.data
+	.org 100000
+	buf:    .word 11, 22, 33, 44, 55, 66, 77, 88
+`
+
+// TestUnchangedStoresAddNoCheckpointWords pins the checkpoint definition
+// both engines share: a word enters a checkpoint's MemDiff only once its
+// value at a fork differs from its value at the previous fork. The master
+// of sameValueSrc stores only values its words already hold, so no
+// checkpoint binds one and CheckpointNew stays 0.
+func TestUnchangedStoresAddNoCheckpointWords(t *testing.T) {
+	h := prep(t, sameValueSrc, 100, distill.DefaultOptions())
+	stores := 0
+	for _, w := range h.dist.Prog.Code.Words {
+		if isa.Decode(w).Op == isa.OpSt {
+			stores++
+		}
+	}
+	if stores == 0 {
+		t.Fatal("the distilled program has no store for its master to execute")
+	}
+	buf := h.orig.Symbols["buf"]
+	for _, engine := range []string{"det", "parallel"} {
+		t.Run(engine, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Slaves = 2
+			forks, bound := 0, 0
+			cfg.Fault = &core.FaultInjection{
+				// Observes each checkpoint as its task is admitted, on the
+				// goroutine that runs the engine, and changes nothing.
+				CorruptCheckpoint: func(_ uint64, ck *task.Checkpoint) {
+					forks++
+					for a := buf; a < buf+8; a++ {
+						if _, ok := ck.MemDiff.Get(a); ok {
+							bound++
+						}
+					}
+				},
+			}
+			var m core.Metrics
+			if engine == "det" {
+				mach, err := core.New(h.orig, h.dist, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := mach.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m = res.Metrics
+			} else {
+				m = runPar(t, h, cfg).Metrics
+			}
+			if forks < 10 || m.MasterInsts < 10*uint64(forks) {
+				t.Fatalf("%d forks over %d master instructions: the master barely ran", forks, m.MasterInsts)
+			}
+			if m.CheckpointNew != 0 || bound != 0 {
+				t.Errorf("CheckpointNew = %d and %d buf words bound over %d checkpoints, want none",
+					m.CheckpointNew, bound, forks)
+			}
+		})
+	}
+}

@@ -2,18 +2,16 @@ package parallel
 
 import (
 	"mssp/internal/core"
-	"mssp/internal/cpu"
-	"mssp/internal/mem"
-	"mssp/internal/state"
 	"mssp/internal/task"
 )
 
 // masterLife is one incarnation of the master processor: a goroutine running
-// the distilled program from a reseed point until it halts, gets lost, or is
-// stopped by a squash. The coordinator owns the life's creation (it builds
-// the memory image, so every architected-family snapshot the coordinator
-// depends on stays ordered) and its teardown (close stop, then receive up to
-// the exit report).
+// the engine's core.Master from a reseed point until it halts, gets lost, or
+// is stopped by a squash. The coordinator owns the life's creation (it
+// reseeds the master, building its memory image, so every
+// architected-family snapshot the coordinator depends on stays ordered) and
+// its teardown (close stop, then receive up to the exit report). In between
+// the master is confined to the life's goroutine.
 //
 // Channel discipline: a life sends everything on the engine's one fork
 // queue (Engine.queue, capacity TaskBuffer), which every life reuses: each
@@ -38,15 +36,6 @@ type masterLife struct {
 	// credit, the one the master may hold, and those spent on forks still
 	// queued. Coordinator-owned.
 	window int
-
-	// st is the master's private machine state: distilled code overlaid on
-	// an architected-memory snapshot as of the reseed. Master-goroutine
-	// confined after the spawn handoff.
-	st   *state.State
-	code *cpu.Code
-	// gate is the life's fork policy, master-goroutine confined after the
-	// spawn handoff.
-	gate core.ForkGate
 }
 
 // forkMsg is one taken fork: the next task's anchor, the number of times the
@@ -62,29 +51,16 @@ type forkMsg struct {
 // last message, its exit report.
 type lifeMsg struct {
 	fork forkMsg
-	exit masterExit
+	// exit is the life's report: its steps and skipped forks summed over
+	// the life, and in Stop how it ended (MasterHalted or MasterLost, any
+	// other value for a life the coordinator stopped). The life's counts
+	// ride here and nowhere else, so the coordinator folds them in with a
+	// happens-before edge instead of sharing counters across goroutines.
+	exit core.MasterRun
 	last bool // exit is the life's report; fork is unset
 }
 
-// masterStop says why a master life ended.
-type masterStop uint8
-
-const (
-	masterHalted masterStop = iota
-	masterLost
-	masterStopped // coordinator squashed this life
-)
-
-// masterExit is a life's final report. Per-life metric counts ride here (and
-// nowhere else) so the coordinator folds them in with a happens-before edge
-// instead of sharing counters across goroutines.
-type masterExit struct {
-	stop    masterStop
-	insts   uint64
-	skipped uint64 // forks skipped by MinTaskSpacing
-}
-
-// masterChunk bounds one RunToStop call so the stop channel is polled at a
+// masterChunk bounds one Master.Run call so the stop channel is polled at a
 // predictable period even in fork-free distilled code.
 const masterChunk = 4096
 
@@ -92,97 +68,40 @@ const masterChunk = 4096
 // life's exit report, its last message on the queue and its last touch of
 // anything the engine shares.
 func (e *Engine) runMaster(l *masterLife) {
-	var exit masterExit
-	exit.stop = e.master(l, &exit)
+	var exit core.MasterRun
+	e.runLife(l, &exit)
 	e.queue <- lifeMsg{exit: exit, last: true}
 }
 
-// master runs the shared fork gate (core.ForkGate) on top of the
-// devirtualized cpu.RunToStop loop until the life halts, gets lost or is
-// stopped, counting into exit, and learns what each fork interval wrote
-// from the engine's page journal instead of teeing every store through an
-// overlay — the hot loop is the same one the SEQ baseline runs.
-func (e *Engine) master(l *masterLife, exit *masterExit) masterStop {
-	st := l.st
-	// A local copy keeps the gate's counters off the cache lines the
-	// coordinator reads (the life's channels and window).
-	g := l.gate
-
-	// The journal records the pages written since the previous fork
-	// (initially since the reseed image); cum accumulates all predicted
-	// writes since reseed.
-	e.journal.Attach(st.Mem)
-	cum := mem.NewOverlay()
-
+// runLife runs the engine's master until the life halts, gets lost or is
+// stopped, counting into exit. Each taken fork waits for a credit, then
+// goes on the queue with its checkpoint.
+func (e *Engine) runLife(l *masterLife, exit *core.MasterRun) {
+	ms := e.master
 	for {
 		select {
 		case <-l.stop:
-			return masterStopped
+			return
 		default:
 		}
 
-		res, err := l.code.RunToStop(st, g.Budget(masterChunk))
-		exit.insts += res.Steps
-		g.Retire(res.Steps)
-		if err != nil {
-			return masterLost
-		}
-
-		switch res.Kind {
-		case cpu.StopHalt:
-			return masterHalted
-
-		case cpu.StopFork:
-			taken, c := g.Fork(res.Anchor)
-			if !taken {
-				exit.skipped++
-				break
-			}
-
+		r := ms.Run(masterChunk)
+		exit.Steps += r.Steps
+		exit.Skipped += r.Skipped
+		exit.Stop = r.Stop
+		switch r.Stop {
+		case core.MasterHalted, core.MasterLost:
+			return
+		case core.MasterForked:
 			select {
 			case <-l.credit:
 			case <-l.stop:
-				return masterStopped
+				return
 			}
 			// With a credit in hand the send cannot block: the forks
 			// queued ahead of this one hold the rest of the window, which
 			// never exceeds the queue's capacity.
-			e.queue <- lifeMsg{fork: forkMsg{anchor: res.Anchor, count: c, ck: e.masterCheckpoint(st, cum)}}
-
-		case cpu.StopJalr:
-			pc, ok := g.Jump(st.PC)
-			if !ok {
-				return masterLost
-			}
-			st.PC = pc
+			e.queue <- lifeMsg{fork: forkMsg{anchor: r.Anchor, count: r.Count, ck: ms.Checkpoint()}}
 		}
-
-		if g.Overrun() {
-			return masterLost
-		}
-	}
-}
-
-// masterCheckpoint captures the master's current prediction. The words that
-// changed since the previous fork come from flushing the journal, which
-// compares only the pages written since then with their recorded prior
-// contents, and are folded into the cumulative overlay; the checkpoint
-// carries an O(1) snapshot of it — the same
-// reads-fall-through-to-architected-snapshot contract as the deterministic
-// machine's write log, modulo stores that rewrote a value in place (which
-// the flush cannot see; they only make the prediction marginally sparser,
-// and verification is indifferent to prediction quality).
-func (e *Engine) masterCheckpoint(st *state.State, cum *mem.Overlay) task.Checkpoint {
-	newWords := 0
-	e.journal.Flush(func(a uint64, v, _ uint64) {
-		if _, ok := cum.Get(a); !ok {
-			newWords++
-		}
-		cum.Set(a, v)
-	})
-	return task.Checkpoint{
-		Regs:         st.Regs,
-		MemDiff:      cum.Snapshot(),
-		NewDiffWords: newWords,
 	}
 }

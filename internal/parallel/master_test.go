@@ -2,30 +2,24 @@ package parallel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"mssp/internal/core"
-	"mssp/internal/cpu"
 	"mssp/internal/distill"
 	"mssp/internal/mem"
 	"mssp/internal/profile"
-	"mssp/internal/state"
 	"mssp/internal/workloads"
 )
 
-// TestMasterCheckpointMatchesDiff looks inside the parallel master's
-// checkpoints, which nothing else does: the end-to-end differentials see
-// only final state, and verification keeps that correct whatever the
-// prediction. The test plays coordinator for one master life (no slaves, no
-// commits, so the life's credit window stays at one) and runs a reference
-// master in lockstep on its own copy of the start image, with the same
-// elided table and fork gate, computing each checkpoint the plain way: diff
-// the memory against a snapshot taken at the previous fork and fold the
-// changed words into a cumulative overlay. Every fork the engine's master
-// sends must match it in anchor, count, registers, NewDiffWords and MemDiff
-// contents. The subtests keep the full=false names they had when a second
-// leg also checked a full memory image in every checkpoint.
-func TestMasterCheckpointMatchesDiff(t *testing.T) {
+// TestMasterCheckpointSentAsTaken checks the hand-off of checkpoints
+// across the master goroutine on three Train workloads. It plays
+// coordinator for one master life (no slaves, no commits, so the life's
+// credit window stays at one) and runs a second master synchronously from
+// the same state: the life must send exactly the forks and checkpoints that
+// master takes. That those checkpoints are right is core's
+// TestMasterCheckpointMatchesDiff.
+func TestMasterCheckpointSentAsTaken(t *testing.T) {
 	forks := 1000
 	if testing.Short() {
 		forks = 150
@@ -44,7 +38,7 @@ func TestMasterCheckpointMatchesDiff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(name+"/full=false", func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Slaves = 2
 			e, err := newEngine(p, d, cfg)
@@ -60,81 +54,15 @@ func TestMasterCheckpointMatchesDiff(t *testing.T) {
 	}
 }
 
-// refMaster is the reference master: the engine's elided table and fork
-// gate on its own copy of a life's start image, building each checkpoint
-// the plain way.
-type refMaster struct {
-	st       *state.State
-	code     *cpu.Code
-	g        core.ForkGate
-	diffBase *mem.Memory
-	cum      *mem.Overlay
-	// insts counts the steps run so far, as a life's exit report does.
-	insts uint64
-}
-
-// newRefMaster starts a reference master where e's next reseed starts the
-// life, with the start image built the way reseed builds it.
-func newRefMaster(t *testing.T, e *Engine) *refMaster {
+// syncMaster returns a master of e's started synchronously where e's next
+// reseed starts the life.
+func syncMaster(t *testing.T, e *Engine) *core.Master {
 	t.Helper()
-	dpc, ok := e.Dist.OrigToDist[e.Arch.PC]
-	if !ok {
+	ms := e.NewMaster()
+	if !ms.Reseed(e.Arch) {
 		t.Fatal("entry PC does not map into the distilled program")
 	}
-	img := e.Arch.Mem.Snapshot()
-	img.CopyWords(e.Dist.Prog.Code.Base, e.Dist.Prog.Code.Words)
-	return &refMaster{
-		st:       &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
-		code:     cpu.NewCode(e.distCode),
-		g:        core.NewForkGate(&e.Cfg, e.Dist),
-		diffBase: img.Snapshot(),
-		cum:      mem.NewOverlay(),
-	}
-}
-
-// next runs the reference to its next taken fork and returns the fork, with
-// its checkpoint's MemDiff set to the cumulative overlay. At the end of the
-// life instead it reports how the life stopped, with ok false.
-func (r *refMaster) next() (fm forkMsg, stop masterStop, ok bool) {
-	for {
-		res, err := r.code.RunToStop(r.st, r.g.Budget(masterChunk))
-		r.insts += res.Steps
-		r.g.Retire(res.Steps)
-		if err != nil {
-			return fm, masterLost, false
-		}
-		switch res.Kind {
-		case cpu.StopHalt:
-			return fm, masterHalted, false
-		case cpu.StopFork:
-			taken, c := r.g.Fork(res.Anchor)
-			if !taken {
-				break
-			}
-			newWords := 0
-			r.st.Mem.Diff(r.diffBase, func(a, v, _ uint64) {
-				if _, ok := r.cum.Get(a); !ok {
-					newWords++
-				}
-				r.cum.Set(a, v)
-			})
-			r.diffBase = r.st.Mem.Snapshot()
-			fm = forkMsg{anchor: res.Anchor, count: c}
-			fm.ck.Regs = r.st.Regs
-			fm.ck.MemDiff = r.cum
-			fm.ck.NewDiffWords = newWords
-			return fm, 0, true
-		case cpu.StopJalr:
-			pc, ok := r.g.Jump(r.st.PC)
-			if !ok {
-				return fm, masterLost, false
-			}
-			r.st.PC = pc
-		}
-		if r.g.Overrun() {
-			return fm, masterLost, false
-		}
-	}
+	return ms
 }
 
 // nextMsg takes the current life's next message off the fork queue, in send
@@ -154,47 +82,46 @@ func nextMsg(t *testing.T, e *Engine) lifeMsg {
 }
 
 // checkMasterLife starts one master life on e, compares up to forks of its
-// checkpoints with the reference master's, and returns how many it compared.
-// When the reference's life ends first, the engine's must report the same
-// end as its next message, with no fork ahead of it.
+// forks and checkpoints with those of a synchronous master, and returns how
+// many it compared. When the synchronous master's life ends first, the
+// engine's must report the same end as its next message, with no fork
+// ahead of it.
 func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
 	t.Helper()
-	ref := newRefMaster(t, e)
+	ref := syncMaster(t, e)
 	e.reseed()
 	if e.life == nil {
 		t.Fatal("reseed started no master life")
 	}
 	defer e.stopMaster()
 
-	var got, want []uint64
 	for n < forks {
-		wantFm, stop, ok := ref.next()
+		r := ref.Run(math.MaxUint64)
 		m := nextMsg(t, e)
-		if !ok {
+		if r.Stop != core.MasterForked {
 			if !m.last {
-				t.Fatalf("reference master ended (%d) but the engine's forked at %#x", stop, m.fork.anchor)
+				t.Fatalf("synchronous master ended (%d) but the life forked at %#x", r.Stop, m.fork.anchor)
 			}
-			if m.exit.stop != stop {
-				t.Fatalf("engine master ended with %d, reference with %d", m.exit.stop, stop)
+			if m.exit.Stop != r.Stop {
+				t.Fatalf("life ended with %d, synchronous master with %d", m.exit.Stop, r.Stop)
 			}
 			return
 		}
 		if m.last {
-			t.Fatalf("fork %d: engine master ended (%d) where the reference forked at %#x", n, m.exit.stop, wantFm.anchor)
+			t.Fatalf("fork %d: life ended (%d) where the synchronous master forked at %#x", n, m.exit.Stop, r.Anchor)
 		}
-		fm, ck := m.fork, m.fork.ck
-		if fm.anchor != wantFm.anchor || fm.count != wantFm.count {
-			t.Fatalf("fork %d: engine forked at %#x count %d, reference at %#x count %d",
-				n, fm.anchor, fm.count, wantFm.anchor, wantFm.count)
+		fm, ck, want := m.fork, m.fork.ck, ref.Checkpoint()
+		if fm.anchor != r.Anchor || fm.count != r.Count {
+			t.Fatalf("fork %d: life forked at %#x count %d, synchronous master at %#x count %d",
+				n, fm.anchor, fm.count, r.Anchor, r.Count)
 		}
-		if ck.Regs != wantFm.ck.Regs {
-			t.Fatalf("fork %d at %#x: checkpoint registers differ from the reference's", n, fm.anchor)
+		if ck.Regs != want.Regs {
+			t.Fatalf("fork %d at %#x: checkpoint registers differ from the synchronous master's", n, fm.anchor)
 		}
-		if ck.NewDiffWords != wantFm.ck.NewDiffWords {
-			t.Fatalf("fork %d at %#x: NewDiffWords %d, reference %d", n, fm.anchor, ck.NewDiffWords, wantFm.ck.NewDiffWords)
+		if ck.NewDiffWords != want.NewDiffWords {
+			t.Fatalf("fork %d at %#x: NewDiffWords %d, synchronous master %d", n, fm.anchor, ck.NewDiffWords, want.NewDiffWords)
 		}
-		got, want = rangeWords(ck.MemDiff, got[:0]), rangeWords(wantFm.ck.MemDiff, want[:0])
-		if err := sameWords(got, want); err != nil {
+		if err := sameWords(ck.MemDiff, want.MemDiff); err != nil {
 			t.Fatalf("fork %d at %#x: MemDiff %v", n, fm.anchor, err)
 		}
 		n++
@@ -202,26 +129,17 @@ func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
 	return
 }
 
-// rangeWords appends o's bound words to buf as address, value pairs in
-// ascending address order.
-func rangeWords(o *mem.Overlay, buf []uint64) []uint64 {
-	o.Range(func(a, v uint64) bool {
-		buf = append(buf, a, v)
-		return true
-	})
-	return buf
-}
-
-// sameWords compares two rangeWords listings; both are in ascending address
-// order, so equal listings are equal address-to-value sets.
-func sameWords(got, want []uint64) error {
-	for i := 0; i < len(got) && i < len(want); i += 2 {
-		if got[i] != want[i] || got[i+1] != want[i+1] {
-			return fmt.Errorf("has [%#x]=%d where the reference has [%#x]=%d", got[i], got[i+1], want[i], want[i+1])
+// sameWords reports how got and want differ as address-to-value sets, or
+// nil when they bind the same words to the same values.
+func sameWords(got, want *mem.Overlay) (err error) {
+	if got.Len() != want.Len() {
+		return fmt.Errorf("binds %d words, the synchronous master's %d", got.Len(), want.Len())
+	}
+	got.Range(func(a, v uint64) bool {
+		if w, ok := want.Get(a); !ok || w != v {
+			err = fmt.Errorf("has [%#x]=%d where the synchronous master's has %d (bound: %v)", a, v, w, ok)
 		}
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("binds %d words, the reference %d", len(got)/2, len(want)/2)
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }

@@ -7,12 +7,13 @@
 //
 // internal/core is the deterministic reference machine: a discrete-event
 // model in which "parallelism" is bookkeeping over a single goroutine. This
-// package executes the same paradigm with real concurrency — the master runs
-// ahead on its own goroutine while slaves execute speculative tasks on a
-// worker pool — and is differentially checked against core: because commits
-// only happen when a task's recorded live-ins are consistent with architected
-// state, the final architected state is schedule-independent and must equal
-// the deterministic machine's (and SEQ's) bit for bit, no matter how the
+// package executes the same paradigm with real concurrency — the master (the
+// core.Master the deterministic machine runs inline) runs ahead on its own
+// goroutine while slaves execute speculative tasks on a worker pool — and is
+// differentially checked against core: because commits only happen when a
+// task's recorded live-ins are consistent with architected state, the final
+// architected state is schedule-independent and must equal the
+// deterministic machine's (and SEQ's) bit for bit, no matter how the
 // goroutines interleave. Squash counts and the fork schedule may differ
 // (the parallel master keeps running while older work verifies, so it can be
 // further ahead or behind than the model predicts); the refinement argument
@@ -62,11 +63,8 @@ import (
 	"sync/atomic"
 
 	"mssp/internal/core"
-	"mssp/internal/cpu"
 	"mssp/internal/distill"
-	"mssp/internal/fuse"
 	"mssp/internal/isa"
-	"mssp/internal/mem"
 	"mssp/internal/state"
 	"mssp/internal/task"
 )
@@ -102,7 +100,13 @@ func Run(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Result, err
 type Engine struct {
 	core.Retirer
 
-	distCode *isa.DecodedProgram
+	// master is the engine's one master processor, reused by every life.
+	// It is its own allocation, so the master goroutine's writes stay off
+	// the coordinator's cache lines. Each life has it from the reseed that
+	// starts the life to the exit report that ends it: lives never overlap
+	// (the coordinator starts the next life only after receiving that
+	// report).
+	master *core.Master
 
 	// epoch is the squash epoch, read by slave workers and Cancel hooks.
 	epoch atomic.Uint64
@@ -124,13 +128,6 @@ type Engine struct {
 	workerWg   sync.WaitGroup
 	goroutines int
 
-	// journal records the current master life's page writes between forks.
-	// It is not coordinator-owned: each life attaches it on its own
-	// goroutine, and lives never overlap (a life's exit report is its last
-	// act, and the coordinator starts the next life only after receiving
-	// it), so one journal, and the buffers it has grown, serves every life.
-	journal mem.Journal
-
 	// vclock is the virtual clock stamped on lifecycle events: a counter
 	// incremented per event, giving a deterministic, monotone Cycle field
 	// without wall-clock time.
@@ -149,17 +146,7 @@ func newEngine(orig *isa.Program, dist *distill.Result, cfg core.Config) (*Engin
 	e.queue = make(chan lifeMsg, e.Cfg.TaskBuffer)
 	e.dispatchCh = make(chan *slot, e.Cfg.TaskBuffer)
 	e.resultCh = make(chan *slot, e.Cfg.TaskBuffer+e.Cfg.Slaves+4)
-	if !e.Cfg.DisableFastPath {
-		if e.Cfg.DisableFusion {
-			e.distCode = isa.Predecode(dist.Prog)
-		} else {
-			// The master's RunToStop loop is the one execution context whose
-			// register file is only observed at FORK stops, so its distilled
-			// table may additionally elide dead intermediate writes (see the
-			// internal/fuse package comment for why nothing else may).
-			e.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
-		}
-	}
+	e.master = e.NewMaster()
 	return e, nil
 }
 
@@ -205,7 +192,7 @@ func (e *Engine) run() (*Result, error) {
 // in and ends the life.
 func (e *Engine) receive(m *lifeMsg) (fork bool) {
 	if m.last {
-		e.collectExit(m.exit)
+		e.Metrics.AddMaster(m.exit)
 		e.life = nil
 		return false
 	}
@@ -455,20 +442,14 @@ func (e *Engine) drain() {
 // reseed starts a new master life from architected state, if the architected
 // PC maps into the distilled program.
 func (e *Engine) reseed() {
-	dpc, ok := e.Dist.OrigToDist[e.Arch.PC]
-	if !ok {
+	if !e.master.Reseed(e.Arch) {
 		e.life = nil
 		return
 	}
-	img := e.Arch.Mem.Snapshot()
-	img.CopyWords(e.Dist.Prog.Code.Base, e.Dist.Prog.Code.Words)
 	l := &masterLife{
 		credit: make(chan struct{}, e.Cfg.TaskBuffer),
 		stop:   make(chan struct{}),
 		window: 1,
-		st:     &state.State{Regs: e.Arch.Regs, PC: dpc, Mem: img},
-		code:   cpu.NewCode(e.distCode),
-		gate:   core.NewForkGate(&e.Cfg, e.Dist),
 	}
 	l.credit <- struct{}{}
 	e.life = l
@@ -490,20 +471,8 @@ func (e *Engine) stopMaster() {
 	for !m.last {
 		m = <-e.queue
 	}
-	e.collectExit(m.exit)
+	e.Metrics.AddMaster(m.exit)
 	e.life = nil
-}
-
-// collectExit folds a master life's final report into the metrics.
-func (e *Engine) collectExit(x masterExit) {
-	e.Metrics.MasterInsts += x.insts
-	e.Metrics.ForksSkipped += x.skipped
-	switch x.stop {
-	case masterHalted:
-		e.Metrics.MasterHalts++
-	case masterLost:
-		e.Metrics.MasterLost++
-	}
 }
 
 // shutdown tears the machine down: stop the master, close the dispatch

@@ -75,7 +75,7 @@ func creditBound(t *testing.T, e *Engine, queued, exitSlack int) {
 
 // TestForkQueueOrderAndStop pins the hand-off between a master life and the
 // coordinator: the one reused fork queue and the credit window. The test
-// plays coordinator, as TestMasterCheckpointMatchesDiff does. The cases run
+// plays coordinator, as TestMasterCheckpointSentAsTaken does. The cases run
 // in order on one engine, so each runs only if the ones before it passed (a
 // broken window would block the real coordinator of the last case).
 func TestForkQueueOrderAndStop(t *testing.T) {
@@ -84,28 +84,29 @@ func TestForkQueueOrderAndStop(t *testing.T) {
 	cfg.Slaves = 2
 	e := queueEngine(t, queueSrc, cfg)
 
-	// The reference master's taken forks, with its step count at each
+	// A synchronous master's taken forks, with its step count at each
 	// (marks[k] after the (k+1)-th), and its end.
-	ref := newRefMaster(t, e)
+	ref := syncMaster(t, e)
 	var forks []forkMsg
 	var marks []uint64
+	var total uint64
 	for {
-		fm, stop, ok := ref.next()
-		if !ok {
-			if stop != masterHalted {
-				t.Fatalf("the reference master ended with %d, not halt", stop)
+		r := ref.Run(math.MaxUint64)
+		total += r.Steps
+		if r.Stop != core.MasterForked {
+			if r.Stop != core.MasterHalted {
+				t.Fatalf("the synchronous master ended with %d, not halt", r.Stop)
 			}
 			break
 		}
-		forks = append(forks, forkMsg{anchor: fm.anchor, count: fm.count})
-		marks = append(marks, ref.insts)
+		forks = append(forks, forkMsg{anchor: r.Anchor, count: r.Count})
+		marks = append(marks, total)
 	}
-	total := ref.insts
 	n := len(forks)
 	if n < 4 {
-		t.Fatalf("the reference master took %d forks; the test needs a few", n)
+		t.Fatalf("the synchronous master took %d forks; the test needs a few", n)
 	}
-	t.Logf("the reference master takes %d forks", n)
+	t.Logf("the synchronous master takes %d forks", n)
 	// reach is how far a life may have run once it holds g credits in all:
 	// to the (g+1)-th taken fork, where it waits for the next credit.
 	reach := func(g int) uint64 {
@@ -118,7 +119,7 @@ func TestForkQueueOrderAndStop(t *testing.T) {
 	if !t.Run("a/all forks before the exit", func(t *testing.T) {
 		halts := e.Metrics.MasterHalts
 		if got := checkMasterLife(t, e, math.MaxInt); got != n {
-			t.Fatalf("the life delivered %d forks, the reference took %d", got, n)
+			t.Fatalf("the life delivered %d forks, the synchronous master took %d", got, n)
 		}
 		if e.life != nil || len(e.queue) != 0 {
 			t.Fatalf("after the exit report: life %v, %d messages queued", e.life, len(e.queue))
@@ -144,10 +145,10 @@ func TestForkQueueOrderAndStop(t *testing.T) {
 			for i := 0; i < j; i++ {
 				m := nextMsg(t, e)
 				if m.last {
-					t.Fatalf("j=%d: the life ended (%d) after %d forks", j, m.exit.stop, i)
+					t.Fatalf("j=%d: the life ended (%d) after %d forks", j, m.exit.Stop, i)
 				}
 				if m.fork.anchor != forks[i].anchor || m.fork.count != forks[i].count {
-					t.Fatalf("j=%d: fork %d at %#x count %d, reference at %#x count %d",
+					t.Fatalf("j=%d: fork %d at %#x count %d, synchronous master at %#x count %d",
 						j, i, m.fork.anchor, m.fork.count, forks[i].anchor, forks[i].count)
 				}
 			}
@@ -197,10 +198,10 @@ func TestForkQueueOrderAndStop(t *testing.T) {
 				}
 				creditBound(t, e, 1, exitSlack)
 				if m.last {
-					t.Fatalf("life %d: the life ended (%d) after %d forks", life, m.exit.stop, i)
+					t.Fatalf("life %d: the life ended (%d) after %d forks", life, m.exit.Stop, i)
 				}
 				if m.fork.anchor != forks[i].anchor {
-					t.Fatalf("life %d: fork %d at %#x, reference at %#x", life, i, m.fork.anchor, forks[i].anchor)
+					t.Fatalf("life %d: fork %d at %#x, synchronous master at %#x", life, i, m.fork.anchor, forks[i].anchor)
 				}
 				e.receive(&m)
 				granted++
@@ -228,7 +229,7 @@ func TestForkQueueOrderAndStop(t *testing.T) {
 				}
 			}
 			if e.life != nil {
-				if m := nextMsg(t, e); !m.last || m.exit.stop != masterHalted {
+				if m := nextMsg(t, e); !m.last || m.exit.Stop != core.MasterHalted {
 					t.Fatalf("life %d: expected the halt report after every fork", life)
 				}
 			}

@@ -26,20 +26,18 @@ import (
 type Checkpoint struct {
 	// Regs is the full predicted register file.
 	Regs [isa.NumRegs]uint64
-	// MemDiff holds the master's memory words since it was last reseeded
-	// from architected state; reads outside the diff fall through to the
-	// architected snapshot. The two engines fill it differently. The
-	// deterministic master (internal/core) logs every word it stores,
-	// whatever the value. The parallel master (internal/parallel) adds at
-	// each fork only the words whose value differs from the one they held
-	// at the previous fork, so a store that leaves a word at that value
-	// adds nothing (docs/PARALLEL.md §2).
+	// MemDiff holds the master's memory words that changed since it was
+	// last reseeded from architected state, at their values at this fork;
+	// reads outside the diff fall through to the architected snapshot. A
+	// word enters it at the first fork where its value differs from its
+	// value at the previous fork (or the reseed), so a store that leaves a
+	// word's value unchanged adds nothing. Both engines run the same
+	// master (core.Master), so the definition is the same in both.
 	MemDiff *mem.Overlay
 	// NewDiffWords is the number of words MemDiff gained since the
 	// previous checkpoint (checkpoint traffic, for the bandwidth
-	// experiments). What makes a word enter MemDiff differs per engine, as
-	// above: any store for the deterministic master, a changed value for
-	// the parallel master.
+	// experiments): the words whose value changed, for the first time since
+	// the reseed, between the previous fork and this one.
 	NewDiffWords int
 }
 
