@@ -26,8 +26,8 @@ func main() {
 		stride    = flag.Uint64("stride", 100, "task-size target in instructions")
 		threshold = flag.Float64("threshold", 0.99, "bias threshold (1.0 disables pruning)")
 		disasm    = flag.Bool("disasm", false, "print original and distilled disassembly")
-		passes    = flag.Bool("passes", false, "enable analysis-driven passes (DCE, store sinking, const folding)")
-		stats     = flag.Bool("stats", false, "print per-pass removal statistics (static and estimated dynamic)")
+		passes    = flag.Bool("passes", false, "enable the analysis-driven dead-code elimination pass")
+		stats     = flag.Bool("stats", false, "print the pass's removal statistics (static and estimated dynamic)")
 		doVet     = flag.Bool("vet", false, "vet the input and the distilled output; non-zero exit on findings")
 	)
 	flag.Parse()
@@ -58,8 +58,6 @@ func main() {
 	opts.Stride = *stride
 	opts.Distill.BiasThreshold = *threshold
 	opts.Distill.DeadCodeElim = *passes
-	opts.Distill.SinkDeadStores = *passes
-	opts.Distill.ConstFold = *passes
 	pl, err := mssp.Prepare(prog, opts)
 	if err != nil {
 		fatal(err)
@@ -67,7 +65,7 @@ func main() {
 
 	st := pl.Distilled.Stats
 	fmt.Printf("profile:   %d instructions, %d anchors (stride %d)\n",
-		pl.Profile.Total, len(pl.Profile.Anchors), *stride)
+		pl.Profile.Total, len(pl.Profile.Anchors), pl.Profile.Stride)
 	fmt.Printf("original:  %d instructions\n", st.OrigInsts)
 	fmt.Printf("distilled: %d instructions (static ratio %.3f)\n", st.DistInsts, st.StaticCodeRatio)
 	fmt.Printf("  branches pruned to jump: %d\n", st.PrunedToJump)
@@ -78,15 +76,13 @@ func main() {
 	fmt.Printf("  calls expanded:          %d\n", st.CallExpansions)
 
 	if *stats {
-		fmt.Println("analysis passes:")
-		if st.AnalysisSkipped {
-			fmt.Println("  skipped: program has indirect jumps")
-		}
-		// Dynamic counts estimate saved master work from the training
+		// The dynamic count estimates saved master work from the training
 		// profile: executions of each removed instruction's original pc.
-		fmt.Printf("  dead code eliminated:    %d static, ~%d dynamic\n", st.DCEInsts, st.DCEDynSaved)
-		fmt.Printf("  dead stores sunk:        %d static, ~%d dynamic\n", st.DeadStores, st.DeadStoreDynSaved)
-		fmt.Printf("  constants folded:        %d static, ~%d dynamic\n", st.ConstFolds, st.ConstFoldDyn)
+		if st.AnalysisSkipped {
+			fmt.Println("dead code eliminated: skipped, program has indirect jumps")
+		} else {
+			fmt.Printf("dead code eliminated: %d static, ~%d dynamic\n", st.DCEInsts, st.DCEDynSaved)
+		}
 	}
 
 	if *doVet {

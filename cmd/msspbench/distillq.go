@@ -7,7 +7,7 @@ import (
 	"mssp/internal/workloads"
 )
 
-// distillQuality measures what the analysis-driven distillation passes buy
+// distillQuality measures what the analysis-driven distillation pass buys
 // across the whole workload suite at Train scale: the summed static size of
 // the distilled programs, and the summed dynamic master instruction count
 // from real MSSP runs (master work is the quantity distillation exists to
@@ -25,8 +25,6 @@ func distillQuality() (distillQualityResult, error) {
 		for _, w := range workloads.All() {
 			opts := mssp.DefaultPipelineOptions()
 			opts.Distill.DeadCodeElim = passes
-			opts.Distill.SinkDeadStores = passes
-			opts.Distill.ConstFold = passes
 			pl, err := mssp.Prepare(w.Build(workloads.Train), opts)
 			if err != nil {
 				return 0, 0, fmt.Errorf("%s: %w", w.Name, err)
@@ -47,10 +45,10 @@ func distillQuality() (distillQualityResult, error) {
 	if out.staticOn, out.masterOn, err = measure(true); err != nil {
 		return out, err
 	}
-	// The passes must never grow the master's program or its dynamic work;
+	// The pass must never grow the master's program or its dynamic work;
 	// refusing to record a regression keeps the tracked baseline honest.
 	if out.staticOn > out.staticOff || out.masterOn > out.masterOff {
-		return out, fmt.Errorf("analysis passes regressed distillation quality: static %v -> %v, master insts %v -> %v",
+		return out, fmt.Errorf("analysis pass regressed distillation quality: static %v -> %v, master insts %v -> %v",
 			out.staticOff, out.staticOn, out.masterOff, out.masterOn)
 	}
 	return out, nil

@@ -147,7 +147,7 @@ func run(quick bool, in, out, label string) error {
 
 	// Distillation quality is an ablation pair, not a before/after history:
 	// the same run records both labels, so the entry always shows what the
-	// analysis passes buy on the current tree.
+	// analysis pass buys on the current tree.
 	dq, err := distillQuality()
 	if err != nil {
 		return err

@@ -53,7 +53,7 @@ func main() {
 		doDistill  = flag.Bool("distill", false, "also vet the distilled output")
 		thresholds = flag.String("threshold", "0.99", "comma-separated bias thresholds for -distill")
 		stride     = flag.Uint64("stride", 100, "profiling task-size target for -distill")
-		passes     = flag.Bool("passes", false, "enable analysis-driven distillation passes for -distill")
+		passes     = flag.Bool("passes", false, "enable the analysis-driven dead-code elimination pass for -distill")
 		ref        = flag.Bool("ref", false, "build workloads at reference scale instead of training scale")
 		taint      = flag.Bool("taint", false, "also run the speculative-taint leak rules MV009-MV011")
 		jsonOut    = flag.Bool("json", false, "emit findings as a JSON array on stdout (summary goes to stderr)")
@@ -163,8 +163,6 @@ func main() {
 				BiasThreshold:  thr,
 				MinBranchCount: 16,
 				DeadCodeElim:   *passes,
-				SinkDeadStores: *passes,
-				ConstFold:      *passes,
 			})
 			if err != nil {
 				fatal(fmt.Errorf("%s@%v: distill: %v", tg.name, thr, err))

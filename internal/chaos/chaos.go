@@ -81,12 +81,12 @@ type Options struct {
 	// is meaningless (and ignored) when Interp is "slow", which bypasses
 	// the predecoded tables entirely.
 	Fuse string
-	// DistillPasses turns on every analysis-driven distillation pass
-	// (dead-code elimination, checkpoint-aware store sinking, assumption-
-	// seeded constant folding). The architected results must be bit-
-	// identical with the passes on or off — that is the passes' whole
-	// soundness contract, and passes_test.go enforces it differentially
-	// across the seed corpus.
+	// DistillPasses turns on the analysis-driven distillation pass
+	// (distill.Options.DeadCodeElim: dead-code elimination against
+	// checkpoint liveness). The architected results must be bit-identical
+	// with the pass on or off — that is the pass's whole soundness
+	// contract, and passes_test.go enforces it differentially across the
+	// seed corpus.
 	DistillPasses bool
 	// Engine selects which speculative machines the differential runs.
 	// "" or "det" runs the deterministic machine only (the historical
@@ -354,8 +354,6 @@ func Run(opts Options) *Report {
 		BiasThreshold:  rep.Knobs.BiasThreshold,
 		MinBranchCount: 4,
 		DeadCodeElim:   opts.DistillPasses,
-		SinkDeadStores: opts.DistillPasses,
-		ConstFold:      opts.DistillPasses,
 	})
 	if err != nil {
 		failf("distill: %v", err)

@@ -360,10 +360,10 @@ func BenchmarkInterpreterLoop(b *testing.B) {
 }
 
 // TestISASemanticsMatchStep holds isa.ALU and isa.Taken — the operand-form
-// semantics the fused dispatcher's fallback and the dataflow constant
-// folder evaluate — against the reference interpreter: every ALU and branch
-// op, stepped once through Step, over operands that include division by
-// zero and the INT64_MIN / -1 overflow.
+// semantics the fused dispatcher's fallback evaluates — against the
+// reference interpreter: every ALU and branch op, stepped once through
+// Step, over operands that include division by zero and the INT64_MIN / -1
+// overflow.
 func TestISASemanticsMatchStep(t *testing.T) {
 	const minInt = uint64(1) << 63
 	vals := []uint64{0, 1, 2, 7, 63, 64, 65, minInt, minInt - 1, ^uint64(0), u(-2), u(-7), 0xdeadbeefcafe}

@@ -1,7 +1,7 @@
 // Package dataflow provides the static program analyses the distiller and
 // the msspvet linter run over MIR control-flow graphs: a generic worklist
-// solver plus concrete register-liveness, may-initialized and
-// conditional-constant-propagation analyses.
+// solver plus concrete register-liveness, may-initialized and taint
+// analyses.
 //
 // All analyses are intraprocedural over cfg.Graph and conservative at every
 // point where static knowledge runs out:

@@ -153,133 +153,6 @@ func TestMayInit(t *testing.T) {
 	}
 }
 
-func TestConstsFolding(t *testing.T) {
-	g := mustGraph(t, `
-		ldi  r1, 5
-		addi r2, r1, 3
-		muli r3, r2, 10
-		sub  r4, r3, r1
-		halt
-	`)
-	cf := Consts(g, ConstOptions{})
-	for _, want := range []struct {
-		pc  uint64
-		reg uint8
-		val uint64
-	}{{pcOf(1), 2, 8}, {pcOf(2), 3, 80}, {pcOf(3), 4, 75}} {
-		reg, val, ok := cf.ResultAt(want.pc)
-		if !ok || reg != want.reg || val != want.val {
-			t.Errorf("ResultAt(%d) = (%d,%d,%v), want (%d,%d,true)",
-				want.pc, reg, val, ok, want.reg, want.val)
-		}
-	}
-	if _, _, ok := cf.ResultAt(pcOf(0)); !ok {
-		t.Error("ldi itself is a provable constant")
-	}
-}
-
-func TestConstsBranchFeasibility(t *testing.T) {
-	g := mustGraph(t, `
-		        ldi  r1, 5
-		        beqz r1, dead
-		        ldi  r2, 1
-		        halt
-		dead:   ldi  r2, 2
-		        halt
-	`)
-	cf := Consts(g, ConstOptions{})
-	if cf.Executed(pcOf(4)) {
-		t.Error("the taken edge of beqz on a known non-zero is infeasible")
-	}
-	if !cf.Executed(pcOf(2)) {
-		t.Error("the fall-through must be executable")
-	}
-	if reg, val, ok := cf.ResultAt(pcOf(2)); !ok || reg != 2 || val != 1 {
-		t.Errorf("live arm must fold: got (%d,%d,%v)", reg, val, ok)
-	}
-}
-
-func TestConstsJoin(t *testing.T) {
-	// sp is Varying at entry, so both arms are feasible.
-	g := mustGraph(t, `
-		        beqz sp, else
-		        ldi  r2, 5
-		        ldi  r3, 1
-		        j    join
-		else:   ldi  r2, 5
-		        ldi  r3, 2
-		join:   addi r4, r2, 1
-		        addi r5, r3, 1
-		        halt
-	`)
-	cf := Consts(g, ConstOptions{})
-	if reg, val, ok := cf.ResultAt(pcOf(6)); !ok || reg != 4 || val != 6 {
-		t.Errorf("same constant on both arms must fold: (%d,%d,%v)", reg, val, ok)
-	}
-	if _, _, ok := cf.ResultAt(pcOf(7)); ok {
-		t.Error("conflicting constants must not fold")
-	}
-}
-
-func TestConstsAssume(t *testing.T) {
-	g := mustGraph(t, `
-		ldi  r3, 100
-		ld   r1, 0(r3)
-		ldi  r2, 7
-		nop               # stands for a pruned beq r1, r2 (taken)
-		addi r4, r1, 1
-		halt
-	`)
-	base := Consts(g, ConstOptions{})
-	if _, _, ok := base.ResultAt(pcOf(4)); ok {
-		t.Fatal("without the assumption r1 is a load result: unknown")
-	}
-	cf := Consts(g, ConstOptions{Assume: map[uint64]Equality{pcOf(3): {Rs1: 1, Rs2: 2}}})
-	if reg, val, ok := cf.ResultAt(pcOf(4)); !ok || reg != 4 || val != 8 {
-		t.Errorf("assumed r1==r2==7 must fold addi to 8: (%d,%d,%v)", reg, val, ok)
-	}
-}
-
-func TestConstsRootsAndEntryVarying(t *testing.T) {
-	src := `
-		main:   ldi  r1, 5
-		loop:   addi r2, r1, 1
-		        halt
-	`
-	g := mustGraph(t, src)
-	if _, _, ok := Consts(g, ConstOptions{}).ResultAt(pcOf(1)); !ok {
-		t.Fatal("without roots the addi folds")
-	}
-	// A reseed root at the loop header brings unknown register state.
-	cf := Consts(g, ConstOptions{Roots: []uint64{pcOf(1)}})
-	if _, _, ok := cf.ResultAt(pcOf(1)); ok {
-		t.Error("a root at the addi must make r1 Varying there")
-	}
-	// EntryVarying poisons even entry-reachable zeros.
-	g2 := mustGraph(t, "add r2, r1, r0\nhalt\n")
-	if _, _, ok := Consts(g2, ConstOptions{}).ResultAt(pcOf(0)); !ok {
-		t.Error("architectural entry zeros fold r1+r0 to 0")
-	}
-	if _, _, ok := Consts(g2, ConstOptions{EntryVarying: true}).ResultAt(pcOf(0)); ok {
-		t.Error("EntryVarying must suppress entry-zero folding")
-	}
-}
-
-func TestConstsCallClobbers(t *testing.T) {
-	g := mustGraph(t, `
-		.entry main
-		f:      ret
-		main:   ldi  r1, 3
-		        call f
-		        addi r2, r1, 1
-		        halt
-	`)
-	cf := Consts(g, ConstOptions{})
-	if _, _, ok := cf.ResultAt(pcOf(3)); ok {
-		t.Error("a call may rewrite every register; r1 is unknown after it")
-	}
-}
-
 func TestForwardAnalysesDegradeOnIndirect(t *testing.T) {
 	g := mustGraph(t, `
 		main:   la   r1, target
@@ -293,19 +166,10 @@ func TestForwardAnalysesDegradeOnIndirect(t *testing.T) {
 		t.Fatal("test program must contain an indirect jump")
 	}
 	mi := MayInit(g, 0)
-	cf := Consts(g, ConstOptions{})
 	for pc := uint64(0); pc < uint64(6); pc++ {
 		if mi.Before(pc) != AllRegs {
 			t.Fatalf("MayInit must be AllRegs everywhere, pc %d: %v", pc, mi.Before(pc))
 		}
-		if !cf.Executed(pc) {
-			t.Fatalf("every block may execute under indirection, pc %d", pc)
-		}
-	}
-	// Even an in-block ldi/addi pair must not fold: a jalr can land between
-	// them.
-	if _, _, ok := cf.ResultAt(uint64(4)); ok {
-		t.Error("constant folding must be fully disabled under indirection")
 	}
 }
 

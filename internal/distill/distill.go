@@ -32,7 +32,6 @@ import (
 	"sort"
 
 	"mssp/internal/cfg"
-	"mssp/internal/dataflow"
 	"mssp/internal/isa"
 	"mssp/internal/profile"
 )
@@ -58,33 +57,18 @@ type Options struct {
 	// convergence the same way; enable this only as an ablation.
 	PruneLoopExits bool
 
-	// The analysis-driven passes below run on the pruned program before
-	// layout, using the internal/dataflow framework. All three are disabled
-	// when the program contains indirect jumps (Stats.AnalysisSkipped): a
-	// jalr can land on any instruction, so no static liveness or constant
-	// fact survives. docs/ANALYSIS.md states each pass's exact soundness
-	// contract.
-
-	// DeadCodeElim removes instructions whose results are provably never
-	// consumed — not by any later distilled instruction and not by any FORK
-	// checkpoint (checkpoints are modeled as reading every register). This
-	// pass cannot change any checkpoint the master produces; it only makes
-	// the master reach each fork in fewer instructions.
+	// DeadCodeElim runs the analysis-driven pass on the pruned program
+	// before layout, using the internal/dataflow liveness analysis: it
+	// removes instructions whose results are never consumed, to a
+	// fixpoint. A FORK counts as reading only the registers that are live
+	// into the *original* program at its anchor, because the verify unit
+	// compares just the checkpoint values the slave actually reads, and a
+	// slave executes the original program from the anchor. The pass is
+	// disabled when the program contains indirect jumps
+	// (Stats.AnalysisSkipped): a jalr can land on any instruction, and the
+	// distiller does not reason about edges it cannot see.
+	// docs/ANALYSIS.md states the exact soundness contract.
 	DeadCodeElim bool
-	// SinkDeadStores strengthens dead-code elimination across checkpoints:
-	// a FORK only "reads" the registers that are live into the *original*
-	// program at its anchor, because the verify unit compares just the
-	// checkpoint values the slave actually reads, and a slave executes the
-	// original program from the anchor. Registers dead in the original
-	// program at every reachable anchor can be sunk past those checkpoints.
-	SinkDeadStores bool
-	// ConstFold rewrites instructions whose results are provably constant
-	// into equivalent load-immediates. The propagation is seeded with the
-	// register equalities implied by the branches pass 1 pruned (a
-	// beq pruned to its taken edge asserts rs1 == rs2), so folds inherit
-	// branch pruning's deliberate unsoundness: a wrong fold is a wrong
-	// hint, caught by the verify unit like any other misspeculation.
-	ConstFold bool
 }
 
 // DefaultOptions returns the configuration used by the paper-shaped
@@ -107,17 +91,13 @@ type Stats struct {
 	ElidedNops      int     // nops (incl. pruned branches) removed in layout
 	StaticCodeRatio float64 // DistInsts / OrigInsts
 
-	// Analysis-pass effects (zero unless the corresponding Options knobs
-	// are on). Dynamic estimates weight each removed instruction by its
-	// training-profile execution count; they estimate master instructions
-	// saved per training run, not a guarantee about other inputs.
-	DCEInsts          int    // instructions removed as never-live
-	DCEDynSaved       uint64 // estimated dynamic executions those removals save
-	DeadStores        int    // further removals enabled by checkpoint liveness
-	DeadStoreDynSaved uint64 // estimated dynamic executions those removals save
-	ConstFolds        int    // instructions folded to load-immediates
-	ConstFoldDyn      uint64 // profiled dynamic executions of folded instructions
-	// AnalysisSkipped reports that analysis passes were requested but
+	// Analysis-pass effects (zero unless Options.DeadCodeElim is on). The
+	// dynamic estimate weights each removed instruction by its training-
+	// profile execution count: it estimates master instructions saved per
+	// training run, not a guarantee about other inputs.
+	DCEInsts    int    // instructions removed as never-live
+	DCEDynSaved uint64 // estimated dynamic executions those removals save
+	// AnalysisSkipped reports that the analysis pass was requested but
 	// disabled because the program contains indirect jumps.
 	AnalysisSkipped bool
 }
@@ -191,12 +171,7 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 		return best
 	}
 
-	// Pass 1: biased-branch pruning on a copy of the code. Each pruned
-	// branch whose kept direction implies a register equality (a beq falling
-	// to its taken edge, a bne falling through) is recorded as a constant-
-	// propagation assumption holding immediately after the rewritten
-	// instruction.
-	assume := make(map[uint64]dataflow.Equality)
+	// Pass 1: biased-branch pruning on a copy of the code.
 	base := work.Code.Base
 	for i := range work.Code.Words {
 		pc := base + uint64(i)
@@ -232,14 +207,8 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 		work.Code.Words[i] = isa.Encode(rewrite)
 		if rewrite.Op == isa.OpNop {
 			st.PrunedToNop++
-			if in.Op == isa.OpBne { // kept fall-through asserts rs1 == rs2
-				assume[pc] = dataflow.Equality{Rs1: in.Rs1, Rs2: in.Rs2}
-			}
 		} else {
 			st.PrunedToJump++
-			if in.Op == isa.OpBeq { // kept taken edge asserts rs1 == rs2
-				assume[pc] = dataflow.Equality{Rs1: in.Rs1, Rs2: in.Rs2}
-			}
 		}
 	}
 
@@ -281,16 +250,15 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 		}
 	}
 
-	// Analysis passes: constant folding and liveness-driven dead-code
-	// removal on the pruned program, in original address space. They only
-	// replace non-terminator instructions with other non-terminators (ldi
-	// or nop), so g's block structure stays valid and the layout pass below
-	// compacts the new nops exactly like pruned branches.
-	if opts.DeadCodeElim || opts.SinkDeadStores || opts.ConstFold {
+	// Analysis pass: liveness-driven dead-code removal on the pruned
+	// program, in original address space. It only replaces non-terminator
+	// instructions with nops, so g's block structure stays valid and the
+	// layout pass below compacts the new nops exactly like pruned branches.
+	if opts.DeadCodeElim {
 		if g.HasIndirect {
 			st.AnalysisSkipped = true
 		} else {
-			runAnalysisPasses(work, g, g0, survives, anchorSet, assume, prof, opts, &st)
+			eliminateDeadCode(work, g, g0, survives, anchorSet, prof, &st)
 		}
 	}
 

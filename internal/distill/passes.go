@@ -7,115 +7,53 @@ import (
 	"mssp/internal/profile"
 )
 
-// runAnalysisPasses applies the dataflow-driven distillation passes to the
-// pruned program in place, in original address space:
+// eliminateDeadCode is the DeadCodeElim pass. It nops out, in place and in
+// original address space, every surviving def of the pruned program that
+// nothing consumes, repeating until nothing changes: each removed def
+// deletes uses, which can kill further defs upstream.
 //
-//  1. ConstFold: rewrite provably-constant results to load-immediates,
-//     seeded by the pruned-branch equality assumptions.
-//  2. DeadCodeElim: nop out defs never consumed, treating every FORK
-//     checkpoint as a reader of all registers (checkpoint-preserving).
-//  3. SinkDeadStores: repeat with each checkpoint reading only the
-//     registers live into the original program at its anchor.
+// A FORK placed before an anchor captures the register file, but the verify
+// unit compares only the checkpoint values the slave reads, and a slave
+// executes the *original* program from the anchor. So each anchor counts as
+// reading exactly the registers live into the original program (g0) there;
+// any other register a checkpoint carries can hold anything.
 //
 // The caller guarantees g has no indirect jumps. Only surviving, pure,
-// register-writing instructions are rewritten, and only to ldi or nop —
-// never to or from a block terminator — so g stays structurally valid while
-// its underlying code words change.
-func runAnalysisPasses(work *isa.Program, g, g0 *cfg.Graph, survives []bool,
-	anchorSet map[uint64]bool, assume map[uint64]dataflow.Equality,
-	prof *profile.Profile, opts Options, st *Stats) {
+// register-writing instructions are rewritten, and only to nop — never a
+// block terminator — so g stays structurally valid while its underlying
+// code words change.
+func eliminateDeadCode(work *isa.Program, g, g0 *cfg.Graph, survives []bool,
+	anchorSet map[uint64]bool, prof *profile.Profile, st *Stats) {
 	base := work.Code.Base
-
-	if opts.ConstFold {
-		// No Roots: facts are proved along distilled paths from the entry
-		// only. A master reseeded mid-program can reach a fold with state
-		// that violates it, but a wrong fold is just a wrong hint — the
-		// same verified unsoundness as the pruned-branch assumptions the
-		// propagation is seeded with. Poisoning every anchor would instead
-		// kill nearly every fold, since anchors recur on a short stride.
-		cf := dataflow.Consts(g, dataflow.ConstOptions{
-			Assume: assume,
-			// The master is seeded with arbitrary architected state;
-			// nothing is known at entry.
-			EntryVarying: true,
-		})
+	origLive := dataflow.Live(g0, dataflow.LivenessOptions{})
+	opts := dataflow.LivenessOptions{AtPC: func(pc uint64) dataflow.RegSet {
+		if anchorSet[pc] {
+			return origLive.Before(pc)
+		}
+		return 0
+	}}
+	for {
+		lf := dataflow.Live(g, opts)
+		changed := false
 		for i, w := range work.Code.Words {
 			pc := base + uint64(i)
 			if !survives[i] {
 				continue
 			}
-			reg, val, ok := cf.ResultAt(pc)
-			if !ok || !fitsLdiImm(val) {
+			in := isa.Decode(w)
+			if _, ok := dataflow.Def(in); !ok || dataflow.IsCall(in) {
+				continue // keep calls and anything without a pure def
+			}
+			if !lf.DeadDef(pc) {
 				continue
 			}
-			ldi := isa.Encode(isa.Inst{Op: isa.OpLdi, Rd: reg, Imm: int64(val)})
-			if ldi == w {
-				continue // already that exact load-immediate
-			}
-			work.Code.Words[i] = ldi
-			st.ConstFolds++
-			st.ConstFoldDyn += prof.Exec[pc]
+			work.Code.Words[i] = isa.Encode(isa.Inst{Op: isa.OpNop})
+			st.DCEInsts++
+			st.DCEDynSaved += prof.Exec[pc]
+			changed = true
+		}
+		if !changed {
+			return
 		}
 	}
-
-	// Dead-def elimination to a fixpoint: each removed def deletes uses,
-	// which can kill further defs upstream.
-	elim := func(at func(uint64) dataflow.RegSet, insts *int, dyn *uint64) {
-		for {
-			lf := dataflow.Live(g, dataflow.LivenessOptions{AtPC: at})
-			changed := false
-			for i, w := range work.Code.Words {
-				pc := base + uint64(i)
-				if !survives[i] {
-					continue
-				}
-				in := isa.Decode(w)
-				if _, ok := dataflow.Def(in); !ok || dataflow.IsCall(in) {
-					continue // keep calls and anything without a pure def
-				}
-				if !lf.DeadDef(pc) {
-					continue
-				}
-				work.Code.Words[i] = isa.Encode(isa.Inst{Op: isa.OpNop})
-				*insts++
-				*dyn += prof.Exec[pc]
-				changed = true
-			}
-			if !changed {
-				return
-			}
-		}
-	}
-
-	if opts.DeadCodeElim {
-		// A checkpoint captures the whole register file; with only this
-		// pass on, every captured register counts as read, so checkpoints
-		// are byte-identical to the unanalyzed distillation's.
-		elim(func(pc uint64) dataflow.RegSet {
-			if anchorSet[pc] {
-				return dataflow.AllRegs
-			}
-			return 0
-		}, &st.DCEInsts, &st.DCEDynSaved)
-	}
-
-	if opts.SinkDeadStores {
-		// The verify unit compares only checkpoint values the slave reads,
-		// and a slave executes the *original* program from the anchor: a
-		// register not live into the original program there can hold
-		// anything.
-		origLive := dataflow.Live(g0, dataflow.LivenessOptions{})
-		elim(func(pc uint64) dataflow.RegSet {
-			if anchorSet[pc] {
-				return origLive.Before(pc)
-			}
-			return 0
-		}, &st.DeadStores, &st.DeadStoreDynSaved)
-	}
-}
-
-// fitsLdiImm reports whether v round-trips through ldi's sign-extended
-// 32-bit immediate.
-func fitsLdiImm(v uint64) bool {
-	return int64(v) == int64(int32(v))
 }

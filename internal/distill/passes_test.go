@@ -11,9 +11,8 @@ import (
 )
 
 // deadCodeSrc carries two kinds of removable work in its hot loop: mul r9 is
-// overwritten before anything can observe it (removable while preserving
-// every checkpoint bit), and ldi r9 lives into checkpoints but is never read
-// by the original program (removable only with checkpoint liveness).
+// overwritten before anything can observe it, and ldi r9 lives into
+// checkpoints but is never read by the original program.
 const deadCodeSrc = `
 	        ldi  r1, 1024
 	        ldi  r4, 0
@@ -21,50 +20,28 @@ const deadCodeSrc = `
 	        bnez r2, common       ; biased: taken 1008/1024 times
 	rare:   addi r4, r4, 100
 	common: mul  r9, r1, r1       ; dead: overwritten before any use
-	        ldi  r9, 0            ; store sinkable: r9 never read anywhere
+	        ldi  r9, 0            ; dead at every anchor: r9 never read anywhere
 	        addi r4, r4, 1
 	        addi r1, r1, -1
 	        bnez r1, loop
 	        halt
 `
 
-func TestDeadCodeElimPreservesCheckpointLiveness(t *testing.T) {
+func TestDeadCodeElimUsesOriginalLiveness(t *testing.T) {
 	opts := Options{BiasThreshold: 0.95, MinBranchCount: 16, DeadCodeElim: true}
 	_, _, res := distillSrc(t, deadCodeSrc, opts, 50)
-	if res.Stats.DCEInsts != 1 {
-		t.Errorf("DCEInsts = %d, want 1 (the overwritten mul)", res.Stats.DCEInsts)
-	}
-	if res.Stats.DeadStores != 0 || res.Stats.DCEDynSaved == 0 {
-		t.Errorf("stats wrong: %+v", res.Stats)
-	}
-	dis := res.Prog.Disassemble()
-	if strings.Contains(dis, "mul") {
-		t.Error("the dead mul survived dead-code elimination")
-	}
-	// The ldi r9 reaches checkpoints, which this pass must treat as readers
-	// of every register.
-	if !strings.Contains(dis, "ldi r9, 0") {
-		t.Error("checkpoint-live ldi r9 must survive plain dead-code elimination")
-	}
-}
-
-func TestSinkDeadStoresUsesOriginalLiveness(t *testing.T) {
-	opts := Options{BiasThreshold: 0.95, MinBranchCount: 16,
-		DeadCodeElim: true, SinkDeadStores: true}
-	_, _, res := distillSrc(t, deadCodeSrc, opts, 50)
-	if res.Stats.DCEInsts != 1 {
-		t.Errorf("DCEInsts = %d, want 1", res.Stats.DCEInsts)
-	}
-	// r9 is never live in the original program, so no slave can read it
-	// from any checkpoint: the ldi sinks away. The andi goes with it — its
-	// only consumer was the branch pass 1 pruned, and r2 is not live into
-	// the original program at any anchor either.
-	if res.Stats.DeadStores != 2 {
-		t.Errorf("DeadStores = %d, want 2 (ldi r9 and the pruned branch's andi)", res.Stats.DeadStores)
+	// The mul is overwritten before any read. r9 is never live in the
+	// original program, so no slave can read it from any checkpoint: the
+	// ldi goes too. So does the andi — its only consumer was the branch
+	// pass 1 pruned, and r2 is not live into the original program at any
+	// anchor either.
+	if res.Stats.DCEInsts != 3 || res.Stats.DCEDynSaved == 0 {
+		t.Errorf("DCEInsts = %d, DCEDynSaved = %d; want 3 (mul, ldi r9, andi) and > 0",
+			res.Stats.DCEInsts, res.Stats.DCEDynSaved)
 	}
 	dis := res.Prog.Disassemble()
 	if strings.Contains(dis, "mul") || strings.Contains(dis, "ldi r9, 0") || strings.Contains(dis, "andi") {
-		t.Errorf("dead work survived sinking:\n%s", dis)
+		t.Errorf("dead work survived elimination:\n%s", dis)
 	}
 	// The distilled program must still run and halt.
 	s := state.NewFromProgram(res.Prog, 1<<19)
@@ -73,73 +50,53 @@ func TestSinkDeadStoresUsesOriginalLiveness(t *testing.T) {
 	}
 }
 
-// constFoldSrc loads a statically opaque value every iteration, branches on
-// it, and stores a value derived from it. The branch never fires on the
-// training input, so pruning it leaves an equality assumption that lets the
-// propagation fold the add the store consumes — and then liveness delete the
-// load that fed it.
-const constFoldSrc = `
-	.entry main
-	main:   ldi  r1, 1024
-	        ldi  r6, 7
-	        la   r3, cell
-	loop:   ld   r5, 0(r3)       ; always 7, but statically unknown
-	        bne  r5, r6, odd     ; never taken: pruned, asserting r5 == r6
-	        add  r7, r5, r6      ; = 14 under the assumption
-	        st   r7, 1(r3)       ; keeps r7 live
-	        j    next
-	odd:    st   r6, 1(r3)
-	next:   addi r1, r1, -1
-	        bnez r1, loop
-	        halt
-	.data
-	.org 5000
-	cell:   .word 7, 0
-`
-
-func TestConstFoldUsesPrunedBranchAssumptions(t *testing.T) {
-	opts := Options{BiasThreshold: 0.95, MinBranchCount: 16,
-		ConstFold: true, DeadCodeElim: true, SinkDeadStores: true}
-	_, _, res := distillSrc(t, constFoldSrc, opts, 50)
-	if res.Stats.ConstFolds == 0 {
-		t.Fatalf("no folds: %+v", res.Stats)
+// TestDeadCodeElimHasTraffic keeps the pass honest on real code: over the
+// Train workloads at the default settings it must never grow a distilled
+// program, must shrink at least one with profiled dynamic work saved, and
+// must skip interp, whose jalr dispatch makes liveness vacuous. A pass that
+// removes nothing on any workload is distiller code no run pays off.
+func TestDeadCodeElimHasTraffic(t *testing.T) {
+	shrunk := 0
+	for _, w := range workloads.All() {
+		p := w.Build(workloads.Train)
+		prof, err := profile.Collect(p, profile.Options{Stride: 100})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		on := DefaultOptions()
+		on.DeadCodeElim = true
+		resOn, err := Distill(p, prof, on)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		resOff, err := Distill(p, prof, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		nOn, nOff := len(resOn.Prog.Code.Words), len(resOff.Prog.Code.Words)
+		if nOn > nOff {
+			t.Errorf("%s: the pass grew the distilled program %d -> %d", w.Name, nOff, nOn)
+		}
+		if nOn < nOff && resOn.Stats.DCEDynSaved > 0 {
+			shrunk++
+		}
+		if skipped := resOn.Stats.AnalysisSkipped; skipped != (w.Name == "interp") {
+			t.Errorf("%s: AnalysisSkipped = %v", w.Name, skipped)
+		}
 	}
-	dis := res.Prog.Disassemble()
-	if !strings.Contains(dis, "ldi r7, 14") {
-		t.Errorf("add r7, r5, r6 did not fold to ldi r7, 14:\n%s", dis)
-	}
-	// With the add folded, only the checkpoints still mention r5, and r5 is
-	// dead in the original program at the loop anchor (the load writes it
-	// before any read): the load disappears.
-	if strings.Contains(dis, "ld r5") {
-		t.Errorf("folding must let liveness delete the feeding load:\n%s", dis)
-	}
-	if res.Stats.DCEInsts+res.Stats.DeadStores == 0 {
-		t.Error("expected cascade removals after folding")
-	}
-	// The store consuming the folded constant must survive.
-	if !strings.Contains(dis, "st r7") {
-		t.Errorf("store of the folded value must survive:\n%s", dis)
-	}
-	// Without pruning there is no assumption and the load stays opaque:
-	// nothing folds.
-	_, _, plain := distillSrc(t, constFoldSrc,
-		Options{BiasThreshold: 0.95, MinBranchCount: 1 << 60,
-			ConstFold: true, DeadCodeElim: true, SinkDeadStores: true}, 50)
-	if plain.Stats.ConstFolds != 0 {
-		t.Errorf("folds without pruned-branch assumptions: %+v", plain.Stats)
+	if shrunk == 0 {
+		t.Error("the pass shrank no Train workload's distilled program")
 	}
 }
 
 func TestAnalysisPassesDefaultOff(t *testing.T) {
-	base, _, off := distillSrc(t, deadCodeSrc, DefaultOptions(), 50)
-	_ = base
+	_, _, off := distillSrc(t, deadCodeSrc, DefaultOptions(), 50)
 	s := off.Stats
-	if s.DCEInsts != 0 || s.DeadStores != 0 || s.ConstFolds != 0 || s.AnalysisSkipped {
+	if s.DCEInsts != 0 || s.AnalysisSkipped {
 		t.Fatalf("analysis side effects with default options: %+v", s)
 	}
-	if DefaultOptions().DeadCodeElim || DefaultOptions().SinkDeadStores || DefaultOptions().ConstFold {
-		t.Fatal("analysis passes must be opt-in")
+	if DefaultOptions().DeadCodeElim {
+		t.Fatal("the analysis pass must be opt-in")
 	}
 }
 
@@ -164,13 +121,12 @@ const indirectSrc = `
 `
 
 // TestIndirectJumpsDisableAnalysisPasses is the regression test for the
-// pass-gating contract: any indirect jump makes the analyses vacuous, so the
-// passes must do nothing and say so, and real indirect workloads (the
-// interpreter's jalr dispatch) must behave identically with the knobs on and
+// pass-gating contract: any indirect jump makes the analysis vacuous, so the
+// pass must do nothing and say so, and real indirect workloads (the
+// interpreter's jalr dispatch) must behave identically with the knob on and
 // off.
 func TestIndirectJumpsDisableAnalysisPasses(t *testing.T) {
-	on := Options{BiasThreshold: 0.95, MinBranchCount: 4,
-		DeadCodeElim: true, SinkDeadStores: true, ConstFold: true}
+	on := Options{BiasThreshold: 0.95, MinBranchCount: 4, DeadCodeElim: true}
 	off := Options{BiasThreshold: 0.95, MinBranchCount: 4}
 
 	_, _, resOn := distillSrc(t, indirectSrc, on, 30)
@@ -178,15 +134,15 @@ func TestIndirectJumpsDisableAnalysisPasses(t *testing.T) {
 	if !resOn.Stats.AnalysisSkipped {
 		t.Fatal("AnalysisSkipped not set for a jump-table program")
 	}
-	if resOn.Stats.DCEInsts+resOn.Stats.DeadStores+resOn.Stats.ConstFolds != 0 {
-		t.Fatalf("passes ran under indirection: %+v", resOn.Stats)
+	if resOn.Stats.DCEInsts != 0 {
+		t.Fatalf("the pass ran under indirection: %+v", resOn.Stats)
 	}
 	if len(resOn.Prog.Code.Words) != len(resOff.Prog.Code.Words) {
-		t.Fatal("pass knobs changed output length under indirection")
+		t.Fatal("the pass knob changed output length under indirection")
 	}
 	for i := range resOn.Prog.Code.Words {
 		if resOn.Prog.Code.Words[i] != resOff.Prog.Code.Words[i] {
-			t.Fatalf("pass knobs changed distilled word %d under indirection", i)
+			t.Fatalf("the pass knob changed distilled word %d under indirection", i)
 		}
 	}
 

@@ -215,7 +215,7 @@ func (op Op) ReadsRs2() bool {
 // is x, INT64_MIN/-1 wraps to INT64_MIN and INT64_MIN%-1 is 0. OpLdi yields
 // b, and OpLdih puts b's low half over a's low 32 bits. Any other op yields
 // 0. This is the semantics the interpreters in internal/cpu execute and the
-// constant folding in internal/dataflow evaluates.
+// taint analysis in internal/dataflow evaluates on exactly-known operands.
 func ALU(op Op, a, b uint64) uint64 {
 	switch op {
 	case OpAdd, OpAddi:

@@ -1,6 +1,6 @@
 // Package profile collects the execution profiles that drive program
 // distillation: per-instruction execution counts, conditional-branch bias,
-// control-flow edge counts, and the task-boundary anchor set.
+// and the task-boundary anchor set.
 //
 // Anchors are the static program counters at which the distiller will insert
 // FORK task markers. They are selected online during a profiling run, the
@@ -22,9 +22,6 @@ import (
 	"mssp/internal/state"
 )
 
-// Edge is a control-flow edge between two dynamic program counters.
-type Edge struct{ From, To uint64 }
-
 // Profile summarizes one or more training runs of a program.
 type Profile struct {
 	// Exec counts how many times each instruction address executed.
@@ -32,11 +29,6 @@ type Profile struct {
 	// Taken and NotTaken count conditional branch outcomes per address.
 	Taken    map[uint64]uint64
 	NotTaken map[uint64]uint64
-	// Edges counts control-transfer edges (taken branches, jumps, and the
-	// implicit fall-through after a not-taken branch).
-	Edges map[Edge]uint64
-	// IndirectTargets counts jalr targets per jalr site.
-	IndirectTargets map[uint64]map[uint64]uint64
 	// Anchors is the static task-boundary set, ascending.
 	Anchors []uint64
 	// Total is the number of instructions executed while profiling.
@@ -84,12 +76,10 @@ func Collect(p *isa.Program, opts Options) (*Profile, error) {
 		opts.SP = defaultSP
 	}
 	prof := &Profile{
-		Exec:            make(map[uint64]uint64),
-		Taken:           make(map[uint64]uint64),
-		NotTaken:        make(map[uint64]uint64),
-		Edges:           make(map[Edge]uint64),
-		IndirectTargets: make(map[uint64]map[uint64]uint64),
-		Stride:          opts.Stride,
+		Exec:     make(map[uint64]uint64),
+		Taken:    make(map[uint64]uint64),
+		NotTaken: make(map[uint64]uint64),
+		Stride:   opts.Stride,
 	}
 
 	// Pass 1: counts. Both passes need per-instruction observation, so they
@@ -107,26 +97,13 @@ func Collect(p *isa.Program, opts Options) (*Profile, error) {
 		prof.Exec[pc]++
 		prof.Total++
 
-		switch {
-		case in.Op.IsBranch():
+		if in.Op.IsBranch() {
 			if s.PC == pc+1 {
 				prof.NotTaken[pc]++
 			} else {
 				prof.Taken[pc]++
 			}
-			prof.Edges[Edge{pc, s.PC}]++
-		case in.Op == isa.OpJal:
-			prof.Edges[Edge{pc, s.PC}]++
-		case in.Op == isa.OpJalr:
-			prof.Edges[Edge{pc, s.PC}]++
-			m := prof.IndirectTargets[pc]
-			if m == nil {
-				m = make(map[uint64]uint64)
-				prof.IndirectTargets[pc] = m
-			}
-			m[s.PC]++
 		}
-
 		if in.Op == isa.OpHalt {
 			prof.Halted = true
 			break
@@ -206,19 +183,4 @@ func (p *Profile) Bias(pc uint64) (takenFrac float64, total uint64) {
 		return 0, 0
 	}
 	return float64(t) / float64(total), total
-}
-
-// HotFraction returns the fraction of all executed instructions accounted
-// for by the given set of addresses. Used in tests and reports.
-func (p *Profile) HotFraction(addrs map[uint64]bool) float64 {
-	if p.Total == 0 {
-		return 0
-	}
-	var n uint64
-	for a, c := range p.Exec {
-		if addrs[a] {
-			n += c
-		}
-	}
-	return float64(n) / float64(p.Total)
 }

@@ -1,7 +1,7 @@
 package task
 
 // This file implements the task pool: recycled per-execution machinery
-// (capture environments, live-in/live-out deltas, write buffers) and
+// (capture environments and live-in/live-out deltas) and
 // recycled architected snapshots. One task execution used to cost a dozen
 // allocations before it retired — env, two deltas, their overlays and pages,
 // the snapshot — and the engines retire thousands of tasks per run, so
@@ -15,7 +15,6 @@ package task
 import (
 	"sync"
 
-	"mssp/internal/mem"
 	"mssp/internal/state"
 )
 
@@ -31,35 +30,29 @@ type Pool struct {
 }
 
 // scratch bundles everything one task execution needs: the capture env, the
-// result, and the deltas/overlay the result borrows. It cycles between
+// result, and the deltas the result borrows. It cycles between
 // exactly one in-flight execution and the pool's free list.
 type scratch struct {
 	env     slaveEnv
 	ex      Exec
 	liveIn  *state.Delta
 	liveOut *state.Delta
-	writes  *mem.Overlay
 	// inUse guards against double release, the classic pool corruption: two
 	// holders of one scratch would silently share live-in/live-out storage.
 	inUse bool
 }
 
 func newScratch() *scratch {
-	return &scratch{
-		liveIn:  state.NewDelta(),
-		liveOut: state.NewDelta(),
-		writes:  mem.NewOverlay(),
-	}
+	return &scratch{liveIn: state.NewDelta(), liveOut: state.NewDelta()}
 }
 
-// reset re-arms the scratch for task t, emptying the recycled deltas and
-// write buffer in place (their owned pages survive; pages shared with
-// outstanding snapshots are dropped by the generation check).
+// reset re-arms the scratch for task t, emptying the recycled deltas in
+// place (their owned pages survive; pages shared with outstanding snapshots
+// are dropped by the generation check).
 func (sc *scratch) reset(t *Task) {
 	sc.liveIn.Reset()
 	sc.liveOut.Reset()
-	sc.writes.Reset()
-	sc.env.reset(t, sc.writes, sc.liveIn)
+	sc.env.reset(t, sc.liveIn, sc.liveOut)
 	sc.ex = Exec{LiveIn: sc.liveIn, LiveOut: sc.liveOut, sc: sc}
 	sc.inUse = true
 }

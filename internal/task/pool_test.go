@@ -11,7 +11,7 @@ import (
 )
 
 // memSrc touches memory as well as registers so pooled runs exercise the
-// write buffer, live-in overlay and checkpoint reader paths.
+// live-out store, live-in overlay and checkpoint reader paths.
 const memSrc = `
 	        ldi  r1, 5          ; 0
 	        ldi  r3, 100        ; 1

@@ -8,7 +8,9 @@
 // architected snapshot, while recording everything it read before writing
 // (the live-in set) and everything it wrote (the live-out set). This is the
 // ⟨S_in, n, S_out, k⟩ task tuple of the formal MSSP model, with the live-in
-// set accumulated lazily as the actual read-before-write footprint.
+// set accumulated lazily as the actual read-before-write footprint. Stores
+// go straight into the live-out delta, which is the slave's only write
+// buffer: a load checks it before the checkpoint and the snapshot.
 //
 // Task execution never touches architected state; the verify/commit unit
 // (internal/core) decides later whether the recorded live-ins are consistent
@@ -153,7 +155,7 @@ type Exec struct {
 
 // slaveEnv is a slave processor: the task's register file and PC over its
 // architected snapshot, plus the capture machinery that logs live-ins and
-// buffers live-outs. It runs a task two ways. With a predecoded table the
+// live-outs. It runs a task two ways. With a predecoded table the
 // task executes on cpu's run loop (Code.RunCapture), which sends loads and
 // stores to ReadMem/WriteMem through hook and logs register live-ins from
 // per-dispatch masks. Without one, slaveEnv is the cpu.Env that cpu.Step
@@ -171,19 +173,22 @@ type slaveEnv struct {
 	// env.
 	hook cpu.Capture
 
-	writes *mem.Overlay // local write buffer (live-outs)
+	// liveOut is the task's live-out delta. Stores go straight into its
+	// memory part, which doubles as the slave's write buffer: loads check
+	// it first.
+	liveOut *state.Delta
 
 	// ckRd reads the checkpoint diff through a reader-owned cursor, so the
 	// env never mutates the frozen diff's own page caches.
 	ckRd mem.OverlayReader
 }
 
-// reset arms e for task t over an empty write buffer and live-in delta.
-func (e *slaveEnv) reset(t *Task, writes *mem.Overlay, liveIn *state.Delta) {
+// reset arms e for task t over empty live-in and live-out deltas.
+func (e *slaveEnv) reset(t *Task, liveIn, liveOut *state.Delta) {
 	*e = slaveEnv{
-		t:      t,
-		st:     state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
-		writes: writes,
+		t:       t,
+		st:      state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
+		liveOut: liveOut,
 	}
 	e.hook = cpu.Capture{Mem: e, LiveIn: liveIn, End: t.End, Unfused: len(t.NonSpec) != 0}
 	if t.HasEnd {
@@ -216,7 +221,7 @@ func (e *slaveEnv) ReadMem(addr uint64) uint64 {
 	if inRegions(e.t.NonSpec, addr) {
 		e.hook.NonSpec = true
 	}
-	if v, ok := e.writes.Get(addr); ok {
+	if v, ok := e.liveOut.MemVal(addr); ok {
 		return v
 	}
 	v, ok := e.ckRd.Get(addr)
@@ -231,7 +236,7 @@ func (e *slaveEnv) WriteMem(addr, v uint64) {
 	if inRegions(e.t.NonSpec, addr) {
 		e.hook.NonSpec = true
 	}
-	e.writes.Set(addr, v)
+	e.liveOut.SetMem(addr, v)
 }
 
 // Fetch reads instruction words from the architected snapshot only: MIR
@@ -252,8 +257,8 @@ var _ cpu.Env = (*slaveEnv)(nil)
 // semantically identical (TestExecuteFastSlowEquivalence).
 func (t *Task) Execute(cap uint64) *Exec {
 	env := new(slaveEnv)
-	env.reset(t, mem.NewOverlay(), state.NewDelta())
-	ex := &Exec{LiveIn: env.hook.LiveIn, LiveOut: state.NewDelta()}
+	ex := &Exec{LiveIn: state.NewDelta(), LiveOut: state.NewDelta()}
+	env.reset(t, ex.LiveIn, ex.LiveOut)
 	return t.execute(env, ex, cap)
 }
 
@@ -319,9 +324,9 @@ func (t *Task) step(env *slaveEnv, ex *Exec, cap uint64) {
 		}
 		ex.Steps++
 		if env.hook.NonSpec {
-			// The offending instruction's effects stay in the local
-			// buffers and are discarded with the task; the machine
-			// performs the access non-speculatively instead.
+			// The offending instruction's effects stay in the task's
+			// deltas and are discarded with it; the machine performs
+			// the access non-speculatively instead.
 			ex.Outcome = OutcomeNonSpec
 			return
 		}
@@ -339,17 +344,13 @@ func (t *Task) step(env *slaveEnv, ex *Exec, cap uint64) {
 	ex.Outcome = OutcomeOverflow
 }
 
-// finish assembles the live-out delta: written registers, the write buffer,
-// and the final PC.
+// finish completes the live-out delta, whose memory part the stores already
+// filled: the written registers and the final PC.
 func (t *Task) finish(env *slaveEnv, ex *Exec) {
 	for r := 1; r < isa.NumRegs; r++ {
 		if env.hook.Written&(1<<r) != 0 {
 			ex.LiveOut.SetReg(r, env.st.Regs[r])
 		}
 	}
-	env.writes.Range(func(a, v uint64) bool {
-		ex.LiveOut.SetMem(a, v)
-		return true
-	})
 	ex.LiveOut.SetPC(env.st.PC)
 }

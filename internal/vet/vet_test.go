@@ -167,7 +167,7 @@ func distilledProg(t *testing.T, passes bool) (*isa.Program, *Distilled) {
 	}
 	res, err := distill.Distill(p, prof, distill.Options{
 		BiasThreshold: 0.95, MinBranchCount: 16,
-		DeadCodeElim: passes, SinkDeadStores: passes, ConstFold: passes,
+		DeadCodeElim: passes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestRegisteredWorkloadsAreClean(t *testing.T) {
 			for _, passes := range []bool{false, true} {
 				res, err := distill.Distill(p, prof, distill.Options{
 					BiasThreshold: thr, MinBranchCount: 16,
-					DeadCodeElim: passes, SinkDeadStores: passes, ConstFold: passes,
+					DeadCodeElim: passes,
 				})
 				if err != nil {
 					t.Fatalf("%s@%v: %v", w.Name, thr, err)
