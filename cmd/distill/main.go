@@ -78,11 +78,7 @@ func main() {
 	if *stats {
 		// The dynamic count estimates saved master work from the training
 		// profile: executions of each removed instruction's original pc.
-		if st.AnalysisSkipped {
-			fmt.Println("dead code eliminated: skipped, program has indirect jumps")
-		} else {
-			fmt.Printf("dead code eliminated: %d static, ~%d dynamic\n", st.DCEInsts, st.DCEDynSaved)
-		}
+		fmt.Printf("dead code eliminated: %d static, ~%d dynamic\n", st.DCEInsts, st.DCEDynSaved)
 	}
 
 	if *doVet {

@@ -8,10 +8,13 @@
 //
 // Usage:
 //
-//	msspbench [-quick] [-in BENCH_core.json] [-out BENCH_core.json] [-label fastpath]
+//	msspbench -label NAME [-quick] [-in BENCH_core.json] [-out BENCH_core.json]
 //
-// -quick runs the experiment smoke at Train scale and a short soak, and
-// skips the Ref-scale wall-clock entry; it is the CI bench-smoke mode. The
+// -label is required: it names the history point every measurement
+// upserts, so a run under a label already in the file replaces that
+// label's points. -quick runs the experiment smoke at Train scale and a
+// short soak, and skips the Ref-scale wall-clock entry; it is the CI
+// bench-smoke mode, which writes to its own -out file. The
 // tool exits non-zero if the run-loop allocates or if the fast and slow
 // interpreters disagree, so every baseline refresh re-proves the fast-path
 // contract before recording numbers. docs/PERFORMANCE.md explains how to
@@ -20,6 +23,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -65,16 +69,26 @@ func main() {
 	quick := flag.Bool("quick", false, "smoke mode: Train-scale experiments, short soak, no Ref wall-clock entry")
 	in := flag.String("in", "BENCH_core.json", "existing baseline file to merge into (missing file starts fresh)")
 	out := flag.String("out", "BENCH_core.json", "output file")
-	label := flag.String("label", "fastpath", "history label for this run's measurements")
+	label := flag.String("label", "", "history label for this run's measurements (required; replaces that label's points in -out)")
 	flag.Parse()
 
 	if err := run(*quick, *in, *out, *label); err != nil {
 		fmt.Fprintln(os.Stderr, "msspbench:", err)
+		if errors.Is(err, errNoLabel) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
+// errNoLabel is run's refusal to start without -label. A default label
+// would silently replace the points of whichever run recorded it first.
+var errNoLabel = errors.New("-label is required: it names the history points this run writes")
+
 func run(quick bool, in, out, label string) error {
+	if label == "" {
+		return errNoLabel
+	}
 	// Re-prove the fast-path contract before recording any numbers.
 	if err := checkZeroAlloc(); err != nil {
 		return err

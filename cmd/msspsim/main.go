@@ -19,7 +19,9 @@ import (
 
 	"mssp"
 	"mssp/internal/bench"
+	"mssp/internal/core"
 	"mssp/internal/obs"
+	"mssp/internal/refine"
 	"mssp/internal/trace"
 	"mssp/internal/workloads"
 )
@@ -32,7 +34,7 @@ func main() {
 		slaves    = flag.Int("slaves", 7, "number of slave processors")
 		stride    = flag.Uint64("stride", 100, "task-size target in instructions")
 		threshold = flag.Float64("threshold", 0.99, "distiller bias threshold (1.0 disables pruning)")
-		audit     = flag.Bool("audit", false, "run the jumping-refinement auditor alongside")
+		audit     = flag.Bool("audit", false, "audit the printed run against the sequential model (jumping refinement)")
 		par       = flag.Bool("parallel", false, "run the true-parallel engine (goroutine master/slaves, wall-clock timing) instead of the deterministic machine")
 		traceOut  = flag.String("trace", "", "write the task-lifecycle event stream to this JSONL file")
 		timeline  = flag.Int("timeline", 0, "print the last N commit/squash timeline events")
@@ -87,6 +89,20 @@ func main() {
 		obs.Attach(&opts.Machine, sink)
 	}
 
+	// The auditor rides on the run this command prints, on either engine,
+	// so it audits exactly that run and costs no second simulation.
+	var aud *refine.Auditor
+	if *audit {
+		aud = refine.NewAuditor(prog, opts.Machine.SP, refine.DefaultOptions())
+		prev := opts.Machine.OnCommit
+		opts.Machine.OnCommit = func(ev core.CommitEvent) {
+			if prev != nil {
+				prev(ev)
+			}
+			aud.OnCommit(ev)
+		}
+	}
+
 	pl, err := mssp.Prepare(prog, opts)
 	if err != nil {
 		fatal(err)
@@ -96,7 +112,7 @@ func main() {
 		pl.Distilled.Stats.StaticCodeRatio, len(pl.Distilled.Anchors))
 
 	if *par {
-		runParallel(pl, sink, &rec, *timeline, *audit)
+		runParallel(pl, sink, &rec, *timeline, aud)
 		return
 	}
 
@@ -122,25 +138,27 @@ func main() {
 		fmt.Printf("\ntimeline (last %d events):\n%s", *timeline, rec.String())
 	}
 
-	if *audit {
-		rep, err := pl.Audit()
-		if err != nil {
-			fatal(err)
-		}
-		if rep.OK {
-			fmt.Printf("audit:    OK — %d commits, %d reference instructions replayed\n",
-				rep.Commits, rep.RefSteps)
-		} else {
-			fmt.Printf("audit:    VIOLATED — %v\n", rep.FirstViolation())
-			os.Exit(1)
-		}
+	if aud != nil {
+		report(aud.Finish(res.MSSP.Final))
 	}
+}
+
+// report prints the audit of the run printed above it, exiting 1 on a
+// violation.
+func report(rep *refine.Report) {
+	if !rep.OK {
+		fmt.Printf("audit:    VIOLATED — %v\n", rep.FirstViolation())
+		os.Exit(1)
+	}
+	fmt.Printf("audit:    OK — %d commits, %d reference instructions replayed\n",
+		rep.Commits, rep.RefSteps)
 }
 
 // runParallel executes the pipeline on the true-parallel engine, timing the
 // run and its sequential baseline on the wall clock (the parallel engine has
-// no cycle model; real elapsed time is its only honest speedup metric).
-func runParallel(pl *mssp.Pipeline, sink *obs.JSONL, rec *trace.Recorder, timeline int, audit bool) {
+// no cycle model; real elapsed time is its only honest speedup metric). A
+// non-nil aud is already attached to the run's commit stream.
+func runParallel(pl *mssp.Pipeline, sink *obs.JSONL, rec *trace.Recorder, timeline int, aud *refine.Auditor) {
 	t0 := time.Now()
 	res, err := pl.RunParallel()
 	parWall := time.Since(t0)
@@ -155,24 +173,18 @@ func runParallel(pl *mssp.Pipeline, sink *obs.JSONL, rec *trace.Recorder, timeli
 	m := res.Parallel.Metrics
 	fmt.Printf("parallel: %s\n", m.String())
 	fmt.Printf("baseline: %d instructions (state verified equal)\n", res.Baseline.Steps)
-	fmt.Printf("wall:     %v for %d committed insts on %d goroutines (msspbench records calibrated speedup vs the timed sequential core)\n",
-		parWall, m.CommittedInsts, res.Parallel.Goroutines)
+	auditNote := ""
+	if aud != nil {
+		auditNote = ", audit included"
+	}
+	fmt.Printf("wall:     %v for %d committed insts on %d goroutines%s (msspbench records calibrated speedup vs the timed sequential core)\n",
+		parWall, m.CommittedInsts, res.Parallel.Goroutines, auditNote)
 
 	if timeline > 0 {
 		fmt.Printf("\ntimeline (last %d events):\n%s", timeline, rec.String())
 	}
-	if audit {
-		rep, err := pl.AuditParallel()
-		if err != nil {
-			fatal(err)
-		}
-		if rep.OK {
-			fmt.Printf("audit:    OK — %d commits, %d reference instructions replayed\n",
-				rep.Commits, rep.RefSteps)
-		} else {
-			fmt.Printf("audit:    VIOLATED — %v\n", rep.FirstViolation())
-			os.Exit(1)
-		}
+	if aud != nil {
+		report(aud.Finish(res.Parallel.Final))
 	}
 }
 

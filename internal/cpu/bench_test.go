@@ -124,7 +124,7 @@ func BenchmarkRunTight(b *testing.B) {
 		runBench(b, p, func(s *state.State) (RunResult, error) { return Run(StateEnv{S: s}, 1_000_000) })
 	})
 	b.Run("devirt", func(b *testing.B) {
-		runBench(b, p, func(s *state.State) (RunResult, error) { return RunState(s, 1_000_000) })
+		runBench(b, p, func(s *state.State) (RunResult, error) { return NewCode(nil).RunState(s, 1_000_000) })
 	})
 	b.Run("predecoded", func(b *testing.B) {
 		d := isa.Predecode(p)
@@ -144,7 +144,7 @@ func BenchmarkRunMem(b *testing.B) {
 		runBench(b, p, func(s *state.State) (RunResult, error) { return Run(StateEnv{S: s}, 1_000_000) })
 	})
 	b.Run("devirt", func(b *testing.B) {
-		runBench(b, p, func(s *state.State) (RunResult, error) { return RunState(s, 1_000_000) })
+		runBench(b, p, func(s *state.State) (RunResult, error) { return NewCode(nil).RunState(s, 1_000_000) })
 	})
 	b.Run("predecoded", func(b *testing.B) {
 		d := isa.Predecode(p)
@@ -180,7 +180,7 @@ func TestRunLoopZeroAlloc(t *testing.T) {
 		name string
 		run  func(s *state.State) error
 	}{
-		{"devirt", func(s *state.State) error { _, err := RunState(s, 1_000_000); return err }},
+		{"devirt", func(s *state.State) error { _, err := NewCode(nil).RunState(s, 1_000_000); return err }},
 		{"predecoded", func(s *state.State) error { _, err := NewCode(d).RunState(s, 1_000_000); return err }},
 		{"fused", func(s *state.State) error { _, err := NewCode(df).RunState(s, 1_000_000); return err }},
 		{"slow-env", func(s *state.State) error { _, err := Run(StateEnv{S: s}, 1_000_000); return err }},

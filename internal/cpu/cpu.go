@@ -7,9 +7,10 @@
 // (which layer live-in/live-out capture on top). This is the determinism
 // requirement of the formal model made structural: two consistent
 // environments stepping the same instruction produce the same writes,
-// because they run the same code path here. The master processor and the
-// fast paths run the same semantics on the devirtualized loop in fast.go,
-// which the equivalence tests hold to Step.
+// because they run the same code path here, which evaluates the reference
+// semantics isa.ALU and isa.Taken. The master processor and the fast paths
+// run the devirtualized loop in fast.go, the one other copy, which the
+// equivalence tests hold to the reference.
 package cpu
 
 import (
@@ -53,132 +54,51 @@ func (f *Fault) Error() string {
 // so stepping a halted machine halts again. This makes n-step sequential
 // execution total, which the refinement checker relies on.
 //
-// Step is the slow path: it fetches and decodes the instruction word through
-// the environment on every call. Execution contexts that know their program
-// up front step through a Code instead, which serves decoded instructions
-// from a predecoded table with identical semantics.
+// Step is the slow path: it is Code.Step with no predecoded table, so it
+// fetches and decodes the instruction word through the environment on every
+// call. Execution contexts that know their program up front step through a
+// Code over the program's table instead.
 func Step(env Env) (isa.Inst, error) {
-	pc := env.PC()
-	w := env.Fetch(pc)
-	in := isa.Decode(w)
-	if !in.Op.Valid() {
-		return in, &Fault{PC: pc, Word: w}
-	}
-	stepExec(env, in, pc)
-	return in, nil
+	var c Code
+	return c.Step(env)
 }
 
 // stepExec applies one decoded instruction's semantics to env, including the
-// PC update. It is the single definition of per-instruction semantics for
-// every Env-based execution context; the fault check happened at fetch.
+// PC update; the fault check happened at fetch. Register writers compute
+// through isa.ALU and conditional branches through isa.Taken, the reference
+// semantics. It reads exactly the registers in.Regs reports, the footprint
+// the run loop logs as live-ins. Nop and FORK (which the master interprets)
+// only advance the PC.
 func stepExec(env Env, in isa.Inst, pc uint64) {
 	next := pc + 1
-	switch in.Op {
-	case isa.OpNop, isa.OpFork:
-		// FORK is architecturally a no-op; the master engine interprets it.
-
-	case isa.OpAdd:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))+env.ReadReg(int(in.Rs2)))
-	case isa.OpSub:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))-env.ReadReg(int(in.Rs2)))
-	case isa.OpMul:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))*env.ReadReg(int(in.Rs2)))
-	case isa.OpDiv, isa.OpRem:
-		env.WriteReg(int(in.Rd), isa.ALU(in.Op, env.ReadReg(int(in.Rs1)), env.ReadReg(int(in.Rs2))))
-	case isa.OpAnd:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))&env.ReadReg(int(in.Rs2)))
-	case isa.OpOr:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))|env.ReadReg(int(in.Rs2)))
-	case isa.OpXor:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))^env.ReadReg(int(in.Rs2)))
-	case isa.OpSll:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))<<(env.ReadReg(int(in.Rs2))&63))
-	case isa.OpSrl:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))>>(env.ReadReg(int(in.Rs2))&63))
-	case isa.OpSra:
-		env.WriteReg(int(in.Rd), uint64(int64(env.ReadReg(int(in.Rs1)))>>(env.ReadReg(int(in.Rs2))&63)))
-	case isa.OpSlt:
-		env.WriteReg(int(in.Rd), boolWord(int64(env.ReadReg(int(in.Rs1))) < int64(env.ReadReg(int(in.Rs2)))))
-	case isa.OpSltu:
-		env.WriteReg(int(in.Rd), boolWord(env.ReadReg(int(in.Rs1)) < env.ReadReg(int(in.Rs2))))
-
-	case isa.OpAddi:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))+uint64(in.Imm))
-	case isa.OpAndi:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))&uint64(in.Imm))
-	case isa.OpOri:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))|uint64(in.Imm))
-	case isa.OpXori:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))^uint64(in.Imm))
-	case isa.OpSlli:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))<<(uint64(in.Imm)&63))
-	case isa.OpSrli:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))>>(uint64(in.Imm)&63))
-	case isa.OpSrai:
-		env.WriteReg(int(in.Rd), uint64(int64(env.ReadReg(int(in.Rs1)))>>(uint64(in.Imm)&63)))
-	case isa.OpSlti:
-		env.WriteReg(int(in.Rd), boolWord(int64(env.ReadReg(int(in.Rs1))) < in.Imm))
-	case isa.OpSltui:
-		env.WriteReg(int(in.Rd), boolWord(env.ReadReg(int(in.Rs1)) < uint64(in.Imm)))
-	case isa.OpMuli:
-		env.WriteReg(int(in.Rd), env.ReadReg(int(in.Rs1))*uint64(in.Imm))
-
-	case isa.OpLdi:
-		env.WriteReg(int(in.Rd), uint64(in.Imm))
-	case isa.OpLdih:
-		low := env.ReadReg(int(in.Rs1)) & 0xffffffff
-		env.WriteReg(int(in.Rd), uint64(in.Imm)<<32|low)
-
-	case isa.OpLd:
+	switch op := in.Op; {
+	case op >= isa.OpAdd && op <= isa.OpLdih:
+		a, b := uint64(0), uint64(in.Imm)
+		if op != isa.OpLdi {
+			a = env.ReadReg(int(in.Rs1))
+		}
+		if op <= isa.OpSltu {
+			b = env.ReadReg(int(in.Rs2))
+		}
+		env.WriteReg(int(in.Rd), isa.ALU(op, a, b))
+	case op.IsBranch():
+		if isa.Taken(op, env.ReadReg(int(in.Rs1)), env.ReadReg(int(in.Rs2))) {
+			next = uint64(in.Imm)
+		}
+	case op == isa.OpLd:
 		env.WriteReg(int(in.Rd), env.ReadMem(env.ReadReg(int(in.Rs1))+uint64(in.Imm)))
-	case isa.OpSt:
+	case op == isa.OpSt:
 		env.WriteMem(env.ReadReg(int(in.Rs1))+uint64(in.Imm), env.ReadReg(int(in.Rs2)))
-
-	case isa.OpBeq:
-		if env.ReadReg(int(in.Rs1)) == env.ReadReg(int(in.Rs2)) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpBne:
-		if env.ReadReg(int(in.Rs1)) != env.ReadReg(int(in.Rs2)) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpBlt:
-		if int64(env.ReadReg(int(in.Rs1))) < int64(env.ReadReg(int(in.Rs2))) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpBge:
-		if int64(env.ReadReg(int(in.Rs1))) >= int64(env.ReadReg(int(in.Rs2))) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpBltu:
-		if env.ReadReg(int(in.Rs1)) < env.ReadReg(int(in.Rs2)) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpBgeu:
-		if env.ReadReg(int(in.Rs1)) >= env.ReadReg(int(in.Rs2)) {
-			next = uint64(in.Imm)
-		}
-
-	case isa.OpJal:
+	case op == isa.OpJal:
 		env.WriteReg(int(in.Rd), pc+1)
 		next = uint64(in.Imm)
-	case isa.OpJalr:
-		target := env.ReadReg(int(in.Rs1)) + uint64(in.Imm)
+	case op == isa.OpJalr:
+		next = env.ReadReg(int(in.Rs1)) + uint64(in.Imm)
 		env.WriteReg(int(in.Rd), pc+1)
-		next = target
-
-	case isa.OpHalt:
+	case op == isa.OpHalt:
 		next = pc // halt is a fixpoint
 	}
-
 	env.SetPC(next)
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // RunResult summarizes a bounded run.
@@ -225,9 +145,11 @@ var _ Env = StateEnv{}
 // returns the number actually executed (fewer than n only at a halt or
 // fault). This is the seq(S, n) of the formal model.
 //
-// Seq runs on the devirtualized fast path (RunState); callers that hold the
-// program can go faster still by predecoding it and using Code.RunState.
+// Seq runs on the devirtualized loop, decoding each instruction from
+// memory; callers that hold the program can go faster still by predecoding
+// it and using Code.RunState.
 func Seq(s *state.State, n uint64) (uint64, error) {
-	res, err := RunState(s, n)
+	var stop StopResult
+	res, _, err := runConcrete(s, nil, false, n, false, &stop, nil)
 	return res.Steps, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/state"
 )
@@ -359,44 +360,62 @@ func BenchmarkInterpreterLoop(b *testing.B) {
 	}
 }
 
-// TestISASemanticsMatchStep holds isa.ALU and isa.Taken — the operand-form
-// semantics the fused dispatcher's fallback evaluates — against the
-// reference interpreter: every ALU and branch op, stepped once through
-// Step, over operands that include division by zero and the INT64_MIN / -1
-// overflow.
-func TestISASemanticsMatchStep(t *testing.T) {
+// TestRunLoopMatchesISA holds the run loop's inlined switch, the second
+// definition of the instruction semantics, to the reference, isa.ALU and
+// isa.Taken, which stepExec evaluates: every ALU and branch op, over
+// operands that include division by zero and the INT64_MIN / -1 overflow,
+// dispatched singly from a plain predecoded table and as the last
+// component of a fused pair.
+func TestRunLoopMatchesISA(t *testing.T) {
 	const minInt = uint64(1) << 63
 	vals := []uint64{0, 1, 2, 7, 63, 64, 65, minInt, minInt - 1, ^uint64(0), u(-2), u(-7), 0xdeadbeefcafe}
 	imms := []int64{0, 1, -1, 7, -7, 63, 64, 1<<31 - 1, -1 << 31}
-	step := func(in isa.Inst, a, b uint64) *state.State {
+	forms := [2]string{"single", "fused"}
+	// run executes in with r1 = a and r2 = b, once on its own and once
+	// behind an ldi that fuses with it, returning the final states in
+	// forms order.
+	run := func(in isa.Inst, a, b uint64) (out [2]*state.State) {
 		t.Helper()
-		s := state.New()
-		w, err := isa.EncodeChecked(in)
-		if err != nil {
-			t.Fatalf("encode %v: %v", in, err)
+		for i, form := range forms {
+			code := []isa.Inst{in, {Op: isa.OpHalt}}
+			if form == "fused" {
+				code = append([]isa.Inst{{Op: isa.OpLdi, Rd: 4, Imm: 1}}, code...)
+			}
+			p := progFromInsts(t, code, nil, nil)
+			tab := isa.Predecode(p)
+			if form == "fused" {
+				tab = fuse.Predecode(p, fuse.Options{})
+			}
+			s := state.New()
+			s.Regs[1], s.Regs[2] = a, b
+			n := uint64(len(code) - 1)
+			st, err := NewCode(tab).RunToStop(s, n)
+			if err != nil || st.Steps != n || (st.Fused == n) != (form == "fused") {
+				t.Fatalf("%v %s: %+v, %v", in, form, st, err)
+			}
+			out[i] = s
 		}
-		s.Mem.Write(0, w)
-		s.Regs[1], s.Regs[2] = a, b
-		if _, err := Step(StateEnv{S: s}); err != nil {
-			t.Fatalf("%v: %v", in, err)
-		}
-		return s
+		return out
 	}
 	for op := isa.OpAdd; op <= isa.OpLdih; op++ {
 		for _, a := range vals {
 			if op <= isa.OpSltu {
 				for _, b := range vals {
-					in := isa.Inst{Op: op, Rd: 3, Rs1: 1, Rs2: 2}
-					if got, want := isa.ALU(op, a, b), step(in, a, b).Regs[3]; got != want {
-						t.Errorf("isa.ALU(%v, %#x, %#x) = %#x, Step gives %#x", op, a, b, got, want)
+					want := isa.ALU(op, a, b)
+					for i, s := range run(isa.Inst{Op: op, Rd: 3, Rs1: 1, Rs2: 2}, a, b) {
+						if s.Regs[3] != want {
+							t.Errorf("%s %v(%#x, %#x) = %#x, isa.ALU gives %#x", forms[i], op, a, b, s.Regs[3], want)
+						}
 					}
 				}
 				continue
 			}
 			for _, imm := range imms {
-				in := isa.Inst{Op: op, Rd: 3, Rs1: 1, Imm: imm}
-				if got, want := isa.ALU(op, a, uint64(imm)), step(in, a, 0).Regs[3]; got != want {
-					t.Errorf("isa.ALU(%v, %#x, %d) = %#x, Step gives %#x", op, a, imm, got, want)
+				want := isa.ALU(op, a, uint64(imm))
+				for i, s := range run(isa.Inst{Op: op, Rd: 3, Rs1: 1, Imm: imm}, a, 0) {
+					if s.Regs[3] != want {
+						t.Errorf("%s %v(%#x, %d) = %#x, isa.ALU gives %#x", forms[i], op, a, imm, s.Regs[3], want)
+					}
 				}
 			}
 		}
@@ -404,11 +423,58 @@ func TestISASemanticsMatchStep(t *testing.T) {
 	for op := isa.OpBeq; op <= isa.OpBgeu; op++ {
 		for _, a := range vals {
 			for _, b := range vals {
-				in := isa.Inst{Op: op, Rs1: 1, Rs2: 2, Imm: 100}
-				if got, want := isa.Taken(op, a, b), step(in, a, b).PC == 100; got != want {
-					t.Errorf("isa.Taken(%v, %#x, %#x) = %v, Step gives %v", op, a, b, got, want)
+				want := isa.Taken(op, a, b)
+				for i, s := range run(isa.Inst{Op: op, Rs1: 1, Rs2: 2, Imm: 100}, a, b) {
+					if got := s.PC == 100; got != want {
+						t.Errorf("%s %v(%#x, %#x) taken = %v, isa.Taken gives %v", forms[i], op, a, b, got, want)
+					}
 				}
 			}
+		}
+	}
+}
+
+// regLog is a StateEnv that records the registers an instruction reads and
+// writes, as Inst.Regs bitmasks.
+type regLog struct {
+	StateEnv
+	reads, writes uint32
+}
+
+func (e *regLog) ReadReg(r int) uint64 {
+	e.reads |= 1 << r
+	return e.StateEnv.ReadReg(r)
+}
+
+func (e *regLog) WriteReg(r int, v uint64) {
+	e.writes |= 1 << r
+	e.StateEnv.WriteReg(r, v)
+}
+
+// TestStepReadsExactlyRegs pins the footprint contract per opcode: Step
+// reads exactly the registers Inst.Regs reports as read and writes exactly
+// those it reports as written (r0 aside), which is what the run loop logs
+// as a slave's live-ins. An Env that records reads, like the slow slave
+// path or the taint replay, must see the same footprint.
+func TestStepReadsExactlyRegs(t *testing.T) {
+	for op := isa.Op(0); op.Valid(); op++ {
+		in := isa.Inst{Op: op, Rd: 3, Rs1: 1, Rs2: 2, Imm: 5}
+		s := state.New()
+		w, err := isa.EncodeChecked(in)
+		if err != nil {
+			t.Fatalf("encode %v: %v", in, err)
+		}
+		s.Mem.Write(0, w)
+		env := &regLog{StateEnv: StateEnv{S: s}}
+		if _, err := Step(env); err != nil {
+			t.Fatalf("%v: %v", in, err)
+		}
+		reads, writes := in.Regs()
+		if got := env.reads &^ 1; got != reads {
+			t.Errorf("%v reads %032b, Inst.Regs says %032b", in, got, reads)
+		}
+		if got := env.writes &^ 1; got != writes {
+			t.Errorf("%v writes %032b, Inst.Regs says %032b", in, got, writes)
 		}
 	}
 }

@@ -150,7 +150,7 @@ var executors = []struct {
 		return Run(StateEnv{S: s}, max)
 	}},
 	{"devirt", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
-		return RunState(s, max)
+		return NewCode(nil).RunState(s, max)
 	}},
 	{"predecode-devirt", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
 		return NewCode(isa.Predecode(p)).RunState(s, max)

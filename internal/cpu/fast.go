@@ -9,15 +9,17 @@ package cpu
 //   - Predecode: a Code runner serves instructions from an
 //     isa.DecodedProgram table instead of Fetch+Decode. Code.Step keeps the
 //     Env interface, for sequential fallback and the reference slave path.
-//   - Devirtualization: RunState / Code.RunState / RunToStop / RunCapture
+//   - Devirtualization: Seq / Code.RunState / RunToStop / RunCapture
 //     execute directly against a concrete *state.State and *mem.Memory on
 //     one run loop, runConcrete. The SEQ baseline, cpu.Seq, the refinement
 //     checker's replay and the master of both engines run it with no hook;
 //     slaves run it through a Capture, which logs their live-ins, buffers
 //     their stores and adds their stop rules.
 //
-// Semantics are identical to the slow path by construction and by test
-// (TestFastSlowEquivalence, the chaos corpus differential): MIR is not
+// isa.ALU and isa.Taken are the reference semantics, which stepExec and the
+// fused fallback evaluate; runConcrete's inlined switch is the one other
+// copy, held to them op by op (TestRunLoopMatchesISA) and program by program
+// (TestFastSlowEquivalence, the chaos corpus differential). MIR is not
 // self-modifying, but if a store does land in the predecoded code segment
 // the runner notices and permanently falls back to fetching through
 // memory, so even self-modifying programs execute exactly like the slow
@@ -52,31 +54,26 @@ func NewCode(prog *isa.DecodedProgram) *Code { return &Code{prog: prog} }
 // predecoded table for the rest of this runner's life.
 func (c *Code) Dirty() bool { return c.dirty }
 
-// Step executes one instruction in env, exactly like Step, but fetching
-// from the predecoded table whenever the PC lies inside it and no store
-// has dirtied it.
+// Step executes one instruction in env through the reference semantics,
+// fetching from the predecoded table whenever the PC lies inside it and no
+// store has dirtied it, and through env.Fetch otherwise.
 func (c *Code) Step(env Env) (isa.Inst, error) {
 	pc := env.PC()
-	var in isa.Inst
+	in, valid, ok := isa.Inst{}, false, false
 	if c.prog != nil && !c.dirty {
-		if tin, valid, ok := c.prog.At(pc); ok {
-			if !valid {
-				return tin, &Fault{PC: pc, Word: c.prog.Word(pc)}
-			}
-			in = tin
-		} else {
-			w := env.Fetch(pc)
-			in = isa.Decode(w)
-			if !in.Op.Valid() {
-				return in, &Fault{PC: pc, Word: w}
-			}
-		}
-	} else {
-		w := env.Fetch(pc)
+		in, valid, ok = c.prog.At(pc)
+	}
+	var w uint64
+	if !ok {
+		w = env.Fetch(pc)
 		in = isa.Decode(w)
-		if !in.Op.Valid() {
-			return in, &Fault{PC: pc, Word: w}
+		valid = in.Op.Valid()
+	}
+	if !valid {
+		if ok {
+			w = c.prog.Word(pc)
 		}
+		return in, &Fault{PC: pc, Word: w}
 	}
 	stepExec(env, in, pc)
 	// A store into the code segment makes the table stale; re-reading rs1
@@ -99,15 +96,6 @@ func (c *Code) RunState(s *state.State, max uint64) (RunResult, error) {
 	var stop StopResult
 	res, dirty, err := runConcrete(s, c.prog, c.dirty, max, false, &stop, nil)
 	c.dirty = dirty
-	return res, err
-}
-
-// RunState executes at most max instructions directly against s with no
-// interface dispatch, decoding each instruction from memory (no predecoded
-// table). This is the devirtualized drop-in for Run(StateEnv{S: s}, max).
-func RunState(s *state.State, max uint64) (RunResult, error) {
-	var stop StopResult
-	res, _, err := runConcrete(s, nil, false, max, false, &stop, nil)
 	return res, err
 }
 
@@ -315,7 +303,14 @@ func wrr(s *state.State, r uint8, v uint64) {
 	}
 }
 
-// runConcrete is the devirtualized interpreter loop behind RunState,
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// runConcrete is the devirtualized interpreter loop behind Seq,
 // Code.RunState, Code.RunToStop and Code.RunCapture. When code is non-nil
 // and not dirty, instructions come from the predecode table; otherwise each
 // fetch reads memory and decodes. It returns the (possibly updated) dirty
@@ -331,8 +326,8 @@ func wrr(s *state.State, r uint8, v uint64) {
 // which is where the cpu/run_tight drift between the fastpath and predict
 // baselines came from (see docs/PERFORMANCE.md).
 //
-// Per-instruction semantics mirror stepExec exactly; the equivalence suite
-// and the chaos corpus differential hold the two definitions together.
+// Its switch is the second copy of the per-instruction semantics, held to
+// the reference, isa.ALU and isa.Taken, as the file comment says.
 func runConcrete(s *state.State, code *isa.DecodedProgram, dirty bool, max uint64, stops bool, stop *StopResult, c *Capture) (RunResult, bool, error) {
 	var res RunResult
 	m := s.Mem

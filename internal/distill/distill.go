@@ -63,11 +63,10 @@ type Options struct {
 	// fixpoint. A FORK counts as reading only the registers that are live
 	// into the *original* program at its anchor, because the verify unit
 	// compares just the checkpoint values the slave actually reads, and a
-	// slave executes the original program from the anchor. The pass is
-	// disabled when the program contains indirect jumps
-	// (Stats.AnalysisSkipped): a jalr can land on any instruction, and the
-	// distiller does not reason about edges it cannot see.
-	// docs/ANALYSIS.md states the exact soundness contract.
+	// slave executes the original program from the anchor. Indirect jumps
+	// need no special case: liveness treats return and indirect blocks as
+	// boundaries where every register is live. docs/ANALYSIS.md states the
+	// exact soundness contract.
 	DeadCodeElim bool
 }
 
@@ -97,9 +96,6 @@ type Stats struct {
 	// training run, not a guarantee about other inputs.
 	DCEInsts    int    // instructions removed as never-live
 	DCEDynSaved uint64 // estimated dynamic executions those removals save
-	// AnalysisSkipped reports that the analysis pass was requested but
-	// disabled because the program contains indirect jumps.
-	AnalysisSkipped bool
 }
 
 // Result is a distilled program plus the metadata the master processor needs
@@ -255,11 +251,7 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 	// instructions with nops, so g's block structure stays valid and the
 	// layout pass below compacts the new nops exactly like pruned branches.
 	if opts.DeadCodeElim {
-		if g.HasIndirect {
-			st.AnalysisSkipped = true
-		} else {
-			eliminateDeadCode(work, g, g0, survives, anchorSet, prof, &st)
-		}
+		eliminateDeadCode(work, g, g0, survives, anchorSet, prof, &st)
 	}
 
 	// Pass 3: layout. Compute each surviving instruction's distilled size.

@@ -18,10 +18,11 @@ import (
 // reading exactly the registers live into the original program (g0) there;
 // any other register a checkpoint carries can hold anything.
 //
-// The caller guarantees g has no indirect jumps. Only surviving, pure,
-// register-writing instructions are rewritten, and only to nop — never a
-// block terminator — so g stays structurally valid while its underlying
-// code words change.
+// Returns and indirect jumps leave their blocks with every register live,
+// so no def that reaches one is removed. Only
+// surviving, pure, register-writing instructions are rewritten, and only
+// to nop — never a block terminator — so g stays structurally valid while
+// its underlying code words change.
 func eliminateDeadCode(work *isa.Program, g, g0 *cfg.Graph, survives []bool,
 	anchorSet map[uint64]bool, prof *profile.Profile, st *Stats) {
 	base := work.Code.Base

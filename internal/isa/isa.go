@@ -214,8 +214,10 @@ func (op Op) ReadsRs2() bool {
 // comparisons yield 1 or 0, and division never traps: x/0 is all ones, x%0
 // is x, INT64_MIN/-1 wraps to INT64_MIN and INT64_MIN%-1 is 0. OpLdi yields
 // b, and OpLdih puts b's low half over a's low 32 bits. Any other op yields
-// 0. This is the semantics the interpreters in internal/cpu execute and the
-// taint analysis in internal/dataflow evaluates on exactly-known operands.
+// 0. ALU and Taken are the reference semantics: internal/cpu's Env
+// interpreter and its fused dispatcher's fallback evaluate them, its run
+// loop's inlined switch is tested against them op by op, and the taint
+// analysis in internal/dataflow evaluates them on exactly-known operands.
 func ALU(op Op, a, b uint64) uint64 {
 	switch op {
 	case OpAdd, OpAddi:
@@ -270,7 +272,8 @@ func ALU(op Op, a, b uint64) uint64 {
 
 // Taken reports whether conditional branch op is taken on a, the rs1
 // value, and b, the rs2 value; signed and unsigned compares as the mnemonics
-// say. Any other op is never taken.
+// say. Any other op is never taken. Like ALU, it is the reference
+// semantics.
 func Taken(op Op, a, b uint64) bool {
 	switch op {
 	case OpBeq:

@@ -192,26 +192,6 @@ func (p *Pipeline) RunParallel() (*ParallelRunResult, error) {
 	return &ParallelRunResult{Parallel: res, Baseline: b}, nil
 }
 
-// AuditParallel runs the prepared program on the true-parallel engine with
-// the streaming jumping-refinement auditor consuming its commit stream —
-// the same oracle Audit applies to the deterministic machine.
-func (p *Pipeline) AuditParallel() (*RefinementReport, error) {
-	cfg := p.Opts.Machine
-	aud := refine.NewAuditor(p.Prog, cfg.SP, refine.DefaultOptions())
-	prev := cfg.OnCommit
-	cfg.OnCommit = func(ev core.CommitEvent) {
-		if prev != nil {
-			prev(ev)
-		}
-		aud.OnCommit(ev)
-	}
-	res, err := parallel.Run(p.Prog, p.Distilled, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("mssp: %w", err)
-	}
-	return aud.Finish(res.Final), nil
-}
-
 // TraceEvent is one task-lifecycle transition (fork, dispatch, verify,
 // commit, squash, fallback-enter/-exit) with its model-time cycle stamp;
 // see internal/obs and docs/OBSERVABILITY.md for the schema.
