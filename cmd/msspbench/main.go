@@ -260,16 +260,16 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
-// benchStep measures one predecoded Step through the Env interface.
+// benchStep measures one Step through the Env interface, which fetches and
+// decodes from memory: the reference executions' path.
 func benchStep() float64 {
 	p := workloads.MicroTight(1)
-	c := cpu.NewCode(isa.Predecode(p))
 	s := state.NewFromProgram(p, 1<<28)
 	env := cpu.StateEnv{S: s}
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.PC = 1
-			if _, err := c.Step(env); err != nil {
+			if _, err := cpu.Step(env); err != nil {
 				b.Fatal(err)
 			}
 		}

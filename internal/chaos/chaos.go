@@ -67,9 +67,9 @@ type Options struct {
 	// Interp selects the execution core: "fast" (or empty, the default)
 	// uses the predecoded/devirtualized interpreter everywhere; "slow"
 	// drops the predecoded tables (core.Config.DisableFastPath), so the
-	// sequential baseline and the MSSP legs' slaves and sequential fallback
-	// step through the Env interface (cpu.stepExec), while the master
-	// decodes from memory in the run loop. The two settings must produce
+	// sequential baseline and the MSSP legs' slaves step through the Env
+	// interface (cpu.stepExec), while the master and sequential fallback
+	// decode from memory in the run loop. The two settings must produce
 	// byte-identical reports — the interpreter differential in
 	// interp_test.go and cmd/msspfuzz -interp both run each seed both ways.
 	Interp string

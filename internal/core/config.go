@@ -123,12 +123,11 @@ type Config struct {
 
 	// DisableFastPath drops the predecoded instruction tables, so every
 	// execution context fetches and decodes from memory. The master of
-	// both engines then decodes in cpu's run loop; slaves and sequential
-	// fallback step through the Env interface, so cpu.stepExec, the
-	// reference semantics, runs every slave task and fallback chunk (the
-	// sequential baseline runs it too). Functionally the two paths are
-	// identical (the machine's output never depends on this flag); the
-	// chaos harness runs both and diffs them.
+	// both engines and sequential fallback then decode in cpu's run loop;
+	// slaves step through the Env interface, so cpu.stepExec, the
+	// reference semantics, runs every slave task. Functionally the two
+	// paths are identical (the machine's output never depends on this
+	// flag); the chaos harness runs both and diffs them.
 	DisableFastPath bool
 
 	// DisableFusion keeps the predecoded tables but skips the

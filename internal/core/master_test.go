@@ -20,7 +20,7 @@ import (
 // engines run this master, so the test covers both engines' checkpoints.
 // It runs one master life from a machine's initial state and a reference
 // master in lockstep on its own copy of the start image: the reference
-// steps the plain predecoded program one instruction at a time, applies the
+// steps the distilled program one instruction at a time, applies the
 // fork policy written out per instruction, and computes each checkpoint the
 // plain way, by diffing the memory against a snapshot taken at the previous
 // fork and folding the changed words into a cumulative overlay. Every fork
@@ -93,12 +93,11 @@ func TestMasterCheckpointMatchesDiff(t *testing.T) {
 	}
 }
 
-// refMaster is the reference master: the plain predecoded distilled
-// program stepped through cpu.Code.Step on its own copy of a life's start
-// image, with the fork policy and the checkpoint built the plain way.
+// refMaster is the reference master: the distilled program stepped through
+// cpu.Step on its own copy of a life's start image, with the fork policy
+// and the checkpoint built the plain way.
 type refMaster struct {
 	st        *state.State
-	code      *cpu.Code
 	dist      *distill.Result
 	cfg       *Config
 	since     uint64
@@ -127,7 +126,6 @@ func newRefMaster(t *testing.T, m *Machine) *refMaster {
 	img.CopyWords(m.Dist.Prog.Code.Base, m.Dist.Prog.Code.Words)
 	return &refMaster{
 		st:        &state.State{Regs: m.Arch.Regs, PC: dpc, Mem: img},
-		code:      cpu.NewCode(isa.Predecode(m.Dist.Prog)),
 		dist:      m.Dist,
 		cfg:       &m.Cfg,
 		since:     1 << 62, // the first fork is always taken
@@ -143,7 +141,7 @@ func newRefMaster(t *testing.T, m *Machine) *refMaster {
 func (r *refMaster) next() (f refFork, ok bool) {
 	env := cpu.StateEnv{S: r.st}
 	for {
-		in, err := r.code.Step(env)
+		in, err := cpu.Step(env)
 		if err != nil {
 			r.stop = MasterLost
 			return f, false

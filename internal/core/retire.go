@@ -328,10 +328,11 @@ func (r *Retirer) Release(h *InFlight) {
 // run like a halt. Forward progress is guaranteed: at least one
 // instruction executes unless the first one faults.
 func (r *Retirer) Fallback() (steps uint64) {
-	env := cpu.StateEnv{S: r.Arch}
 	// Fallback runs the original program against architected state, so the
 	// predecoded table is valid exactly while the code segment is clean; the
-	// runner's own dirty tracking catches stores this chunk performs.
+	// runner's own dirty tracking catches stores this chunk performs. It
+	// runs one instruction per call, so it sees every arrival at an anchor,
+	// a fall-through into one included.
 	code := cpu.NewCode(r.taskCode())
 	bound := 4 * r.Cfg.MaxTaskLen
 	halted := false
@@ -341,13 +342,13 @@ func (r *Retirer) Fallback() (steps uint64) {
 		Start: r.Arch.PC,
 	})
 	for steps < bound {
-		in, err := code.Step(env)
+		res, err := code.RunState(r.Arch, 1)
 		if err != nil {
 			halted = true
 			break
 		}
 		steps++
-		if in.Op == isa.OpHalt {
+		if res.Halted {
 			halted = true
 			break
 		}

@@ -13,9 +13,8 @@ import (
 // the interface-dispatch cost visible next to the devirtualized loops;
 // cmd/msspbench runs these same loops to produce BENCH_core.json.
 
-// BenchmarkStep measures one dynamic instruction through each single-step
-// entry point: the slow Env path (fetch+decode per step) and a predecoded
-// Code runner over the same Env.
+// BenchmarkStep measures one dynamic instruction through the single-step
+// Env path (fetch+decode per step).
 func BenchmarkStep(b *testing.B) {
 	p := tightLoopProgram(b, 1)
 	b.Run("slow", func(b *testing.B) {
@@ -26,19 +25,6 @@ func BenchmarkStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.PC = 1 // stay on the addi
 			if _, err := Step(env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("predecoded", func(b *testing.B) {
-		s := state.NewFromProgram(p, 1<<28)
-		env := StateEnv{S: s}
-		c := NewCode(isa.Predecode(p))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.PC = 1
-			if _, err := c.Step(env); err != nil {
 				b.Fatal(err)
 			}
 		}

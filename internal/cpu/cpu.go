@@ -2,15 +2,16 @@
 // reference machine against which the MSSP machine's correctness is measured.
 //
 // Execution is defined against the Env interface rather than a concrete
-// state so the same single-step semantics drives the reference
-// interpreter, the profiler, sequential fallback, and slave processors
-// (which layer live-in/live-out capture on top). This is the determinism
-// requirement of the formal model made structural: two consistent
-// environments stepping the same instruction produce the same writes,
-// because they run the same code path here, which evaluates the reference
-// semantics isa.ALU and isa.Taken. The master processor and the fast paths
-// run the devirtualized loop in fast.go, the one other copy, which the
-// equivalence tests hold to the reference.
+// state so the same single-step semantics, Step, drives the reference
+// executions: the reference interpreter (Run), slave processors on the Env
+// path (which layer live-in/live-out capture on top), and the taint replay.
+// This is the determinism requirement of the formal model made structural:
+// two consistent environments stepping the same instruction produce the
+// same writes, because they run the same code path here, which evaluates
+// the reference semantics isa.ALU and isa.Taken. Everything else — the SEQ
+// baseline, the master, fast-path slaves, the profiler and sequential
+// fallback — runs the devirtualized loop in fast.go, the one other copy,
+// which the equivalence tests hold to the reference.
 package cpu
 
 import (
@@ -54,13 +55,17 @@ func (f *Fault) Error() string {
 // so stepping a halted machine halts again. This makes n-step sequential
 // execution total, which the refinement checker relies on.
 //
-// Step is the slow path: it is Code.Step with no predecoded table, so it
-// fetches and decodes the instruction word through the environment on every
-// call. Execution contexts that know their program up front step through a
-// Code over the program's table instead.
+// Step is the slow path: it fetches and decodes the instruction word through
+// the environment on every call.
 func Step(env Env) (isa.Inst, error) {
-	var c Code
-	return c.Step(env)
+	pc := env.PC()
+	w := env.Fetch(pc)
+	in := isa.Decode(w)
+	if !in.Op.Valid() {
+		return in, &Fault{PC: pc, Word: w}
+	}
+	stepExec(env, in, pc)
+	return in, nil
 }
 
 // stepExec applies one decoded instruction's semantics to env, including the

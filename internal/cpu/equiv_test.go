@@ -12,9 +12,9 @@ import (
 )
 
 // The equivalence suite holds the fast-path contract: every execution core —
-// the slow Env interpreter, the devirtualized loop, and both predecoded
-// variants — produces bit-identical final states, step counts and faults on
-// the same program. docs/PERFORMANCE.md points here.
+// the slow Env interpreter, the devirtualized loop, and its predecoded and
+// fused variants — produces bit-identical final states, step counts and
+// faults on the same program. docs/PERFORMANCE.md points here.
 
 // equivProgram is a test program plus the step bound to run it under.
 type equivProgram struct {
@@ -155,23 +155,6 @@ var executors = []struct {
 	{"predecode-devirt", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
 		return NewCode(isa.Predecode(p)).RunState(s, max)
 	}},
-	{"predecode-step", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
-		c := NewCode(isa.Predecode(p))
-		env := StateEnv{S: s}
-		var res RunResult
-		for res.Steps < max {
-			in, err := c.Step(env)
-			if err != nil {
-				return res, err
-			}
-			res.Steps++
-			if in.Op == isa.OpHalt {
-				res.Halted = true
-				break
-			}
-		}
-		return res, nil
-	}},
 	{"fused-devirt", func(p *isa.Program, s *state.State, max uint64) (RunResult, error) {
 		return NewCode(fuse.Predecode(p, fuse.Options{})).RunState(s, max)
 	}},
@@ -275,19 +258,6 @@ func TestCodeDirtyTransition(t *testing.T) {
 		t.Fatalf("data store dirtied the runner")
 	}
 
-	// Same transition through the Env-based Step path.
-	c3 := NewCode(isa.Predecode(p))
-	s3 := state.NewFromProgram(p, 1<<28)
-	env := StateEnv{S: s3}
-	for i := 0; i < 3; i++ {
-		if _, err := c3.Step(env); err != nil {
-			t.Fatalf("Step %d: %v", i, err)
-		}
-	}
-	if !c3.Dirty() {
-		t.Fatalf("Step path: store into code segment did not dirty the runner")
-	}
-
 	// A store into a fused pair's interior: the table goes permanently
 	// dirty and the rewritten instruction executes from memory, on this
 	// run and on a re-run from the entry.
@@ -310,35 +280,29 @@ func TestCodeDirtyTransition(t *testing.T) {
 	})
 }
 
-// TestPredecodeTable checks the DecodedProgram accessors against Decode.
+// TestPredecodeTable checks the DecodedProgram table against Decode.
 func TestPredecodeTable(t *testing.T) {
 	p := faultProgram(t)
 	d := isa.Predecode(p)
 	if d.Base() != p.Code.Base || d.Len() != len(p.Code.Words) {
 		t.Fatalf("table shape: base %d len %d, want %d %d", d.Base(), d.Len(), p.Code.Base, len(p.Code.Words))
 	}
+	_, insts, valid, words := d.Table()
 	for i, w := range p.Code.Words {
 		pc := p.Code.Base + uint64(i)
 		if !d.Covers(pc) {
 			t.Fatalf("Covers(%d) = false inside table", pc)
 		}
-		in, valid, ok := d.At(pc)
-		if !ok {
-			t.Fatalf("At(%d) not ok", pc)
-		}
 		want := isa.Decode(w)
-		if in != want || valid != want.Op.Valid() {
-			t.Fatalf("At(%d) = %v/%v, want %v/%v", pc, in, valid, want, want.Op.Valid())
-		}
-		if d.Word(pc) != w {
-			t.Fatalf("Word(%d) = %#x, want %#x", pc, d.Word(pc), w)
+		if insts[i] != want || valid[i] != want.Op.Valid() || words[i] != w {
+			t.Fatalf("entry %d = %v/%v/%#x, want %v/%v/%#x", i, insts[i], valid[i], words[i], want, want.Op.Valid(), w)
 		}
 	}
 	if d.Covers(p.Code.Base + uint64(len(p.Code.Words))) {
 		t.Fatalf("Covers reports true past the table end")
 	}
-	if _, _, ok := d.At(p.Code.Base - 1); ok && p.Code.Base == 0 {
+	if d.Covers(p.Code.Base - 1) {
 		// base 0: pc-1 wraps to a huge index, must be out of range
-		t.Fatalf("At(base-1) unexpectedly ok")
+		t.Fatalf("Covers(base-1) = true")
 	}
 }

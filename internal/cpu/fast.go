@@ -4,17 +4,18 @@ package cpu
 //
 // The slow path — Step over the Env interface — pays, per dynamic
 // instruction, one Fetch through memory, one Decode, and five-plus virtual
-// calls. The fast path removes those costs in two independent layers:
+// calls. It runs only in the reference executions (the cpu package
+// comment). The fast path removes those costs in two independent layers:
 //
 //   - Predecode: a Code runner serves instructions from an
-//     isa.DecodedProgram table instead of Fetch+Decode. Code.Step keeps the
-//     Env interface, for sequential fallback and the reference slave path.
+//     isa.DecodedProgram table instead of Fetch+Decode.
 //   - Devirtualization: Seq / Code.RunState / RunToStop / RunCapture
 //     execute directly against a concrete *state.State and *mem.Memory on
 //     one run loop, runConcrete. The SEQ baseline, cpu.Seq, the refinement
-//     checker's replay and the master of both engines run it with no hook;
-//     slaves run it through a Capture, which logs their live-ins, buffers
-//     their stores and adds their stop rules.
+//     checker's replay, the profiler, sequential fallback and the master of
+//     both engines run it with no hook; slaves run it through a Capture,
+//     which logs their live-ins, buffers their stores and adds their stop
+//     rules.
 //
 // isa.ALU and isa.Taken are the reference semantics, which stepExec and the
 // fused fallback evaluate; runConcrete's inlined switch is the one other
@@ -54,37 +55,10 @@ func NewCode(prog *isa.DecodedProgram) *Code { return &Code{prog: prog} }
 // predecoded table for the rest of this runner's life.
 func (c *Code) Dirty() bool { return c.dirty }
 
-// Step executes one instruction in env through the reference semantics,
-// fetching from the predecoded table whenever the PC lies inside it and no
-// store has dirtied it, and through env.Fetch otherwise.
-func (c *Code) Step(env Env) (isa.Inst, error) {
-	pc := env.PC()
-	in, valid, ok := isa.Inst{}, false, false
-	if c.prog != nil && !c.dirty {
-		in, valid, ok = c.prog.At(pc)
-	}
-	var w uint64
-	if !ok {
-		w = env.Fetch(pc)
-		in = isa.Decode(w)
-		valid = in.Op.Valid()
-	}
-	if !valid {
-		if ok {
-			w = c.prog.Word(pc)
-		}
-		return in, &Fault{PC: pc, Word: w}
-	}
-	stepExec(env, in, pc)
-	// A store into the code segment makes the table stale; re-reading rs1
-	// here is safe (stores never write registers) and unobservable (the
-	// execution above already recorded the rs1 read where that matters).
-	if in.Op == isa.OpSt && c.prog != nil && !c.dirty &&
-		c.prog.Covers(env.ReadReg(int(in.Rs1))+uint64(in.Imm)) {
-		c.dirty = true
-	}
-	return in, nil
-}
+// Step is the package-level Step: it fetches through env and ignores the
+// table. It remains only for benchmark/replay.go, which times it as a
+// master's path, and goes when that does.
+func (c *Code) Step(env Env) (isa.Inst, error) { return Step(env) }
 
 // RunState executes at most max instructions directly against s on the
 // fully devirtualized loop: concrete register file and memory accesses,

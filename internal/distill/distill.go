@@ -46,16 +46,6 @@ type Options struct {
 	// MinBranchCount is the minimum profiled execution count for a branch
 	// to be eligible for pruning. Branches seen fewer times are kept.
 	MinBranchCount uint64
-	// KeepColdCode disables unreachable-code elimination (ablation knob).
-	KeepColdCode bool
-	// PruneLoopExits permits pruning a branch even when the side being
-	// discarded leaves the branch's innermost natural loop. The default
-	// (false) preserves such branches: long-running loops are always
-	// maximally biased toward iterating, and discarding their exits turns
-	// the distilled program into an infinite loop that can only make
-	// progress through squash/recovery. Real distillers preserve loop
-	// convergence the same way; enable this only as an ablation.
-	PruneLoopExits bool
 
 	// DeadCodeElim runs the analysis-driven pass on the pruned program
 	// before layout, using the internal/dataflow liveness analysis: it
@@ -191,13 +181,17 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 		default:
 			continue
 		}
-		if !opts.PruneLoopExits {
-			if l := innermostLoop(pc); l != nil {
-				coldBlock := g0.BlockFor(coldSucc)
-				if coldBlock != nil && !l.Blocks[coldBlock.Start] {
-					st.PreservedExits++
-					continue // discarding this side would drop a loop exit
-				}
+		// A branch whose discarded side leaves its innermost natural loop
+		// stays: long-running loops are always maximally biased toward
+		// iterating, and discarding their exits turns the distilled program
+		// into an infinite loop that can only make progress through
+		// squash/recovery. Real distillers preserve loop convergence the
+		// same way.
+		if l := innermostLoop(pc); l != nil {
+			coldBlock := g0.BlockFor(coldSucc)
+			if coldBlock != nil && !l.Blocks[coldBlock.Start] {
+				st.PreservedExits++
+				continue // discarding this side would drop a loop exit
 			}
 		}
 		work.Code.Words[i] = isa.Encode(rewrite)
@@ -214,24 +208,18 @@ func Distill(p *isa.Program, prof *profile.Profile, opts Options) (*Result, erro
 		return nil, fmt.Errorf("distill: rewritten program: %w", err)
 	}
 	survives := make([]bool, len(work.Code.Words))
-	if opts.KeepColdCode {
-		for i := range survives {
-			survives[i] = true
+	reach := g.Reachable()
+	for _, b := range g.Blocks {
+		if !reach[b.Start] {
+			continue
 		}
-	} else {
-		reach := g.Reachable()
-		for _, b := range g.Blocks {
-			if !reach[b.Start] {
-				continue
-			}
-			for pc := b.Start; pc < b.End; pc++ {
-				survives[pc-base] = true
-			}
+		for pc := b.Start; pc < b.End; pc++ {
+			survives[pc-base] = true
 		}
-		for i := range survives {
-			if !survives[i] {
-				st.DroppedInsts++
-			}
+	}
+	for i := range survives {
+		if !survives[i] {
+			st.DroppedInsts++
 		}
 	}
 

@@ -54,24 +54,6 @@ func TestPrunesBiasedBranch(t *testing.T) {
 	}
 }
 
-func TestPruneLoopExitsAblation(t *testing.T) {
-	_, _, res := distillSrc(t, biasedSrc,
-		Options{BiasThreshold: 0.95, MinBranchCount: 16, PruneLoopExits: true}, 50)
-	// Without the safeguard both biased branches are pruned and the
-	// distilled loop never terminates.
-	if res.Stats.PrunedToJump != 2 || res.Stats.PreservedExits != 0 {
-		t.Fatalf("stats = %+v, want both branches pruned", res.Stats)
-	}
-	sd := state.NewFromProgram(res.Prog, 1<<19)
-	rd, err := cpu.Run(cpu.StateEnv{S: sd}, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Halted {
-		t.Error("exit-pruned distilled program halted; expected an infinite hot loop")
-	}
-}
-
 func TestThresholdOneDisablesPruning(t *testing.T) {
 	_, _, res := distillSrc(t, biasedSrc, Options{BiasThreshold: 1.0, MinBranchCount: 16}, 50)
 	// 98% and 99.9% biased branches survive at threshold 1.0.
@@ -219,16 +201,6 @@ func TestJalrLinkBaseAliasKeptRaw(t *testing.T) {
 	_, _, res := distillSrc(t, src, DefaultOptions(), 3)
 	if res.Stats.CallExpansions != 0 {
 		t.Errorf("aliased jalr should not expand: %+v", res.Stats)
-	}
-}
-
-func TestKeepColdCode(t *testing.T) {
-	_, _, res := distillSrc(t, biasedSrc, Options{BiasThreshold: 0.95, MinBranchCount: 16, KeepColdCode: true}, 50)
-	if res.Stats.DroppedInsts != 0 {
-		t.Errorf("KeepColdCode dropped %d instructions", res.Stats.DroppedInsts)
-	}
-	if res.Stats.PrunedToJump == 0 {
-		t.Error("pruning should still happen with KeepColdCode")
 	}
 }
 

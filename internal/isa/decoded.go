@@ -9,9 +9,9 @@ package isa
 // A DecodedProgram is immutable after Predecode and therefore safe to share
 // between any number of concurrent executions. Mutability concerns — a
 // store landing in the code segment, which would make the table stale —
-// are handled by the executors (cpu.Code's Step and run loop), which watch
-// store addresses and fall back to fetching through memory the moment one
-// hits the code segment. MIR programs are not self-modifying, so in
+// are handled by the one executor, cpu.Code's run loop, which watches store
+// addresses and falls back to fetching through memory the moment one hits
+// the code segment. MIR programs are not self-modifying, so in
 // practice the fallback never triggers; it exists so the fast path is a
 // pure optimization with no semantic footprint.
 type DecodedProgram struct {
@@ -63,21 +63,6 @@ func (d *DecodedProgram) Len() int { return len(d.insts) }
 func (d *DecodedProgram) Covers(addr uint64) bool {
 	return addr-d.base < uint64(len(d.insts))
 }
-
-// At returns the predecoded instruction at pc, whether its word decodes to
-// a valid opcode, and whether pc lies in the table at all. The raw word is
-// recoverable through Word for fault reporting.
-func (d *DecodedProgram) At(pc uint64) (in Inst, valid, ok bool) {
-	i := pc - d.base
-	if i >= uint64(len(d.insts)) {
-		return Inst{}, false, false
-	}
-	return d.insts[i], d.valid[i], true
-}
-
-// Word returns the raw instruction word at pc. It panics if pc is outside
-// the table; callers guard with Covers.
-func (d *DecodedProgram) Word(pc uint64) uint64 { return d.words[pc-d.base] }
 
 // RegsAt returns the register footprint (Inst.Regs) of table entry i,
 // which must be in range.

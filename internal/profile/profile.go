@@ -82,31 +82,64 @@ func Collect(p *isa.Program, opts Options) (*Profile, error) {
 		Stride:   opts.Stride,
 	}
 
-	// Pass 1: counts. Both passes need per-instruction observation, so they
-	// step through predecoded runners rather than the batch run loops.
+	// Both passes run the program on the run loop one stretch per call: from
+	// the PC through the first instruction that ends a block or stores. Only
+	// a stretch's last instruction can branch, and a store that rewrites
+	// code lands only at a stretch's end, so lengths computed from the code
+	// words hold until the runner turns dirty; from then on, and outside the
+	// code segment, a stretch is one instruction.
 	code := isa.Predecode(p)
-	s := state.NewFromProgram(p, opts.SP)
-	env := cpu.StateEnv{S: s}
-	run1 := cpu.NewCode(code)
+	base, insts, _, _ := code.Table()
+	lens := make([]uint64, len(insts))
+	for i := len(insts) - 1; i >= 0; i-- {
+		lens[i] = 1
+		if op := insts[i].Op; i+1 < len(insts) && !op.EndsBlock() && op != isa.OpSt {
+			lens[i] += lens[i+1]
+		}
+	}
+	// next runs the stretch at s.PC, or its first max instructions, and
+	// returns the run and the op of the last instruction run.
+	next := func(s *state.State, c *cpu.Code, max uint64) (res cpu.RunResult, last isa.Op, err error) {
+		n := uint64(1)
+		if i := s.PC - base; i < uint64(len(lens)) && !c.Dirty() {
+			n = min(lens[i], max)
+			last = insts[i+n-1].Op
+		} else {
+			last = isa.Decode(s.Mem.Read(s.PC)).Op
+		}
+		res, err = c.RunState(s, n)
+		return res, last, err
+	}
+
+	// Pass 1: counts, one tally per stretch, credited to each of its pcs
+	// when the pass ends.
+	type stretch struct{ pc, n uint64 }
+	runs := make(map[stretch]uint64)
+	s, c := state.NewFromProgram(p, opts.SP), cpu.NewCode(code)
 	for prof.Total < opts.MaxSteps {
 		pc := s.PC
-		in, err := run1.Step(env)
+		res, last, err := next(s, c, opts.MaxSteps-prof.Total)
 		if err != nil {
 			return nil, fmt.Errorf("profile: %w", err)
 		}
-		prof.Exec[pc]++
-		prof.Total++
+		runs[stretch{pc, res.Steps}]++
+		prof.Total += res.Steps
 
-		if in.Op.IsBranch() {
-			if s.PC == pc+1 {
-				prof.NotTaken[pc]++
+		if end := pc + res.Steps - 1; last.IsBranch() {
+			if s.PC == end+1 {
+				prof.NotTaken[end]++
 			} else {
-				prof.Taken[pc]++
+				prof.Taken[end]++
 			}
 		}
-		if in.Op == isa.OpHalt {
+		if res.Halted {
 			prof.Halted = true
 			break
+		}
+	}
+	for st, k := range runs {
+		for pc := st.pc; pc < st.pc+st.n; pc++ {
+			prof.Exec[pc] += k
 		}
 	}
 
@@ -134,15 +167,14 @@ func Collect(p *isa.Program, opts Options) (*Profile, error) {
 			}
 		}
 	}
+	// Only a stretch's first pc can follow a block end, so anchors are
+	// decided once per stretch.
 	anchorSet := map[uint64]bool{}
 	sinceAnchor := uint64(0)
 	blockEnded := true // program start behaves like a boundary
-	s2 := state.NewFromProgram(p, opts.SP)
-	env2 := cpu.StateEnv{S: s2}
-	run2 := cpu.NewCode(code)
-	for steps := uint64(0); steps < opts.MaxSteps; steps++ {
-		pc := s2.PC
-		if blockEnded {
+	s, c = state.NewFromProgram(p, opts.SP), cpu.NewCode(code)
+	for steps := uint64(0); steps < opts.MaxSteps; {
+		if pc := s.PC; blockEnded {
 			switch {
 			case anchorSet[pc]:
 				// Crossing an existing anchor restarts the spacing count,
@@ -155,13 +187,14 @@ func Collect(p *isa.Program, opts Options) (*Profile, error) {
 				sinceAnchor = 0
 			}
 		}
-		in, err := run2.Step(env2)
+		res, last, err := next(s, c, opts.MaxSteps-steps)
 		if err != nil {
 			return nil, fmt.Errorf("profile: %w", err)
 		}
-		sinceAnchor++
-		blockEnded = in.Op.EndsBlock()
-		if in.Op == isa.OpHalt {
+		steps += res.Steps
+		sinceAnchor += res.Steps
+		blockEnded = last.EndsBlock()
+		if res.Halted {
 			break
 		}
 	}

@@ -256,26 +256,32 @@ func TestNoReachableHalt(t *testing.T) {
 }
 
 func TestColdCodeReachableViaForkRoots(t *testing.T) {
-	// KeepColdCode leaves pruned-away blocks in the image; they are only
-	// reachable through master reseeds at anchors, which the distilled-mode
-	// reachability models as FORK roots. No MV003 findings may appear.
-	p := asm.MustAssemble(distillable)
-	prof, err := profile.Collect(p, profile.Options{Stride: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := distill.Distill(p, prof, distill.Options{
-		BiasThreshold: 0.95, MinBranchCount: 16, KeepColdCode: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := Check(res.Prog, &Distilled{Anchors: res.Anchors, OrigToDist: res.OrigToDist})
+	// A distilled-shape program whose second FORK block no distilled edge
+	// reaches: the master reaches it only by a reseed at its anchor, which
+	// distilled-mode reachability models as a FORK root. No findings may
+	// appear there, while plain-mode reachability reports the block.
+	p := asm.MustAssemble(`
+		main:   fork 0
+		        ldi  r1, 64
+		loop:   addi r1, r1, -1
+		        bnez r1, loop
+		        halt
+		cold:   fork 10
+		        addi r4, r4, 100
+		        j    loop
+	`)
+	fs, err := Check(p, &Distilled{Anchors: []uint64{0, 10}, OrigToDist: map[uint64]uint64{0: 0, 10: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fs) != 0 {
-		t.Fatalf("cold-code distillation has findings: %v", fs)
+		t.Fatalf("FORK-rooted block has findings: %v", fs)
+	}
+	if fs, err = Check(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r := rules(fs); r["MV003"] != 1 {
+		t.Fatalf("plain reachability should miss the cold block: %v", fs)
 	}
 }
 

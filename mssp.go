@@ -109,7 +109,7 @@ func Prepare(prog *Program, opts PipelineOptions) (*Pipeline, error) {
 	if train == nil {
 		train = prog
 	}
-	prof, err := profile.Collect(train, profile.Options{Stride: opts.Stride})
+	prof, err := profile.Collect(train, profile.Options{Stride: opts.Stride, SP: opts.Machine.SP})
 	if err != nil {
 		return nil, fmt.Errorf("mssp: %w", err)
 	}
@@ -145,7 +145,7 @@ func (p *Pipeline) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mssp: %w", err)
 	}
-	b, err := baseline.Run(p.Prog, baseline.Config{CPI: p.Opts.Machine.SlaveCPI})
+	b, err := baseline.Run(p.Prog, baseline.Config{CPI: p.Opts.Machine.SlaveCPI, SP: p.Opts.Machine.SP})
 	if err != nil {
 		return nil, fmt.Errorf("mssp: %w", err)
 	}
@@ -182,7 +182,7 @@ func (p *Pipeline) RunParallel() (*ParallelRunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mssp: %w", err)
 	}
-	b, err := baseline.Run(p.Prog, baseline.Config{CPI: p.Opts.Machine.SlaveCPI})
+	b, err := baseline.Run(p.Prog, baseline.Config{CPI: p.Opts.Machine.SlaveCPI, SP: p.Opts.Machine.SP})
 	if err != nil {
 		return nil, fmt.Errorf("mssp: %w", err)
 	}

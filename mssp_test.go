@@ -103,3 +103,40 @@ func TestFacadeErrors(t *testing.T) {
 		t.Error("bad machine config accepted")
 	}
 }
+
+// spSrc's trip count and stores follow the stack pointer: it pushes sp>>14
+// words below sp.
+const spSrc = `
+	.entry main
+	main:   srli r1, sp, 14
+	loop:   addi sp, sp, -1
+	        st   r1, 0(sp)
+	        addi r1, r1, -1
+	        bnez r1, loop
+	        halt
+`
+
+// TestFacadeStackPointer runs a program that depends on the stack pointer at
+// a non-default Machine.SP: the profile, both engines and the baseline must
+// all start from it.
+func TestFacadeStackPointer(t *testing.T) {
+	opts := DefaultPipelineOptions()
+	opts.Machine.SP = 1 << 20
+	pl, err := Prepare(MustAssemble(spSrc), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Baseline.Final.Mem.Read(1<<20-1), uint64(64); got != want {
+		t.Errorf("top of stack = %d, want %d", got, want)
+	}
+	if pl.Profile.Total != res.Baseline.Steps {
+		t.Errorf("profile ran %d instructions, baseline %d", pl.Profile.Total, res.Baseline.Steps)
+	}
+	if _, err := pl.RunParallel(); err != nil {
+		t.Fatal(err)
+	}
+}
