@@ -99,7 +99,7 @@ func (p *FaultPlan) Injection() *core.FaultInjection {
 			}
 			if p.fires(taskID, siteMem, pMem) {
 				h := p.hash(taskID, siteMem|siteParam<<8)
-				ck.MemDiff.Set(genDataBase+h%ArrWords, h>>8)
+				ck.SetMem(genDataBase+h%ArrWords, h>>8)
 			}
 		},
 		SlaveDelay: func(taskID uint64) float64 {

@@ -172,9 +172,12 @@ type FaultInjection struct {
 	CorruptStart func(taskID, start uint64) uint64
 
 	// CorruptCheckpoint mutates the checkpoint a spawning task carries
-	// (corrupted register predictions or memory-diff words). The slave
-	// executes against the corrupted prediction; the verify unit catches
-	// any consequence as a livein or fault squash.
+	// (corrupted register predictions or memory words). It may assign
+	// Regs, but must change memory only through task.Checkpoint.SetMem,
+	// which adds a layer private to the task: the checkpoint's base and
+	// layers are shared with other tasks' checkpoints. The slave executes
+	// against the corrupted prediction; the verify unit catches any
+	// consequence as a livein or fault squash.
 	CorruptCheckpoint func(taskID uint64, ck *task.Checkpoint)
 
 	// SlaveDelay returns extra cycles added to the task's slave completion

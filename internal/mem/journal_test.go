@@ -21,15 +21,19 @@ func journalAddr(rng *rand.Rand) uint64 {
 }
 
 // flushSet collects one flush as an address → (new, old) set, failing on an
-// address reported twice.
+// address reported twice or out of ascending order.
 func flushSet(t *testing.T, j *Journal) map[uint64][2]uint64 {
 	t.Helper()
 	got := map[uint64][2]uint64{}
+	var last uint64
 	j.Flush(func(a, mv, ov uint64) {
 		if _, dup := got[a]; dup {
 			t.Fatalf("flush reported %#x twice", a)
 		}
-		got[a] = [2]uint64{mv, ov}
+		if len(got) != 0 && a < last {
+			t.Fatalf("flush reported %#x after %#x", a, last)
+		}
+		got[a], last = [2]uint64{mv, ov}, a
 	})
 	return got
 }
@@ -54,7 +58,7 @@ func sameSet(got, want map[uint64][2]uint64) bool {
 }
 
 // Property: every flush reports exactly what Memory.Diff reports against a
-// snapshot taken at the previous flush. The journaled memory m is only ever
+// snapshot taken at the previous flush, in ascending address order. The journaled memory m is only ever
 // snapshotted mid-interval, which must not disturb the recorded prior
 // contents; the reference diffs a plain mirror that receives the same
 // writes, so both the in-place and the copy-on-write first-write paths are

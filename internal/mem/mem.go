@@ -8,8 +8,9 @@
 // machine was in when the master forked them — exactly the stale-read hazard
 // the MSSP verify/commit unit exists to catch. The master learns what it
 // changed since the previous fork from a Journal attached to its Memory
-// (journal.go) and folds it into an Overlay, snapshotted at every fork to
-// form the checkpoint's live-in diff.
+// (journal.go), folds it into a cumulative Overlay and builds it into a
+// Layer (layer.go); a checkpoint's memory is the chain of layers since the
+// last compaction above a snapshot of that overlay taken at it.
 //
 // Both structures keep their pages in a persistent radix trie (trie.go):
 // Snapshot shares the root, the first write after it copies one
@@ -40,9 +41,10 @@
 //     nodes and pages whose generation matches the writing value's own
 //     (exclusively owned), and shared ones are only ever read.
 //   - A logically frozen Overlay (one nobody will mutate again, such as a
-//     checkpoint diff) may be read from many goroutines at once through
+//     checkpoint's base) may be read from many goroutines at once through
 //     per-goroutine OverlayReader cursors, which keep their page cache on
-//     the reader instead of the overlay.
+//     the reader instead of the overlay. Layers are never written once
+//     built, so the same cursors read a chain of them above the overlay.
 //
 // Reset and SnapshotInto recycle allocations across lives (pooled task
 // machinery); their safety rests on the same generation tags. The full

@@ -10,6 +10,7 @@ import (
 	"mssp/internal/core"
 	"mssp/internal/distill"
 	"mssp/internal/isa"
+	"mssp/internal/mem"
 	"mssp/internal/parallel"
 	"mssp/internal/profile"
 	"mssp/internal/task"
@@ -312,10 +313,11 @@ const sameValueSrc = `
 `
 
 // TestUnchangedStoresAddNoCheckpointWords pins the checkpoint definition
-// both engines share: a word enters a checkpoint's MemDiff only once its
-// value at a fork differs from its value at the previous fork. The master
-// of sameValueSrc stores only values its words already hold, so no
-// checkpoint binds one and CheckpointNew stays 0.
+// both engines share: a word enters a checkpoint's memory view only once
+// its value at a fork differs from its value at the previous fork. The
+// master of sameValueSrc stores only values its words already hold, so no
+// checkpoint binds one, in its base or any layer, and CheckpointNew stays
+// 0.
 func TestUnchangedStoresAddNoCheckpointWords(t *testing.T) {
 	h := prep(t, sameValueSrc, 100, distill.DefaultOptions())
 	stores := 0
@@ -338,8 +340,10 @@ func TestUnchangedStoresAddNoCheckpointWords(t *testing.T) {
 				// goroutine that runs the engine, and changes nothing.
 				CorruptCheckpoint: func(_ uint64, ck *task.Checkpoint) {
 					forks++
+					var rd mem.OverlayReader
+					ck.View(&rd)
 					for a := buf; a < buf+8; a++ {
-						if _, ok := ck.MemDiff.Get(a); ok {
+						if _, ok := rd.Get(a); ok {
 							bound++
 						}
 					}

@@ -9,6 +9,7 @@ import (
 	"mssp/internal/distill"
 	"mssp/internal/mem"
 	"mssp/internal/profile"
+	"mssp/internal/task"
 	"mssp/internal/workloads"
 )
 
@@ -121,25 +122,38 @@ func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
 		if ck.NewDiffWords != want.NewDiffWords {
 			t.Fatalf("fork %d at %#x: NewDiffWords %d, synchronous master %d", n, fm.anchor, ck.NewDiffWords, want.NewDiffWords)
 		}
-		if err := sameWords(ck.MemDiff, want.MemDiff); err != nil {
-			t.Fatalf("fork %d at %#x: MemDiff %v", n, fm.anchor, err)
+		if err := sameWords(ck, want); err != nil {
+			t.Fatalf("fork %d at %#x: memory view %v", n, fm.anchor, err)
 		}
 		n++
 	}
 	return
 }
 
-// sameWords reports how got and want differ as address-to-value sets, or
-// nil when they bind the same words to the same values.
-func sameWords(got, want *mem.Overlay) (err error) {
-	if got.Len() != want.Len() {
-		return fmt.Errorf("binds %d words, the synchronous master's %d", got.Len(), want.Len())
-	}
-	got.Range(func(a, v uint64) bool {
-		if w, ok := want.Get(a); !ok || w != v {
-			err = fmt.Errorf("has [%#x]=%d where the synchronous master's has %d (bound: %v)", a, v, w, ok)
+// sameWords reports how got's and want's whole memory views, read through
+// the lookup the slaves use, differ as address-to-value sets, or nil when
+// they bind the same words to the same values.
+func sameWords(got, want task.Checkpoint) (err error) {
+	var g, w mem.OverlayReader
+	got.View(&g)
+	want.View(&w)
+	// Every word either view binds, from its base or any layer, must read
+	// the same through both.
+	same := func(a, _ uint64) bool {
+		gv, gok := g.Get(a)
+		wv, wok := w.Get(a)
+		if gv != wv || gok != wok {
+			err = fmt.Errorf("has [%#x]=%d (bound: %v) where the synchronous master's has %d (bound: %v)", a, gv, gok, wv, wok)
 		}
 		return err == nil
-	})
+	}
+	for _, ck := range []task.Checkpoint{got, want} {
+		if err == nil {
+			ck.MemDiff.Range(same)
+		}
+		if err == nil {
+			ck.Layers.Range(same)
+		}
+	}
 	return err
 }
