@@ -38,3 +38,24 @@ func TestCheckFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckMix pins that -mix refuses the flags of the axes it draws per
+// seed, and nothing else.
+func TestCheckMix(t *testing.T) {
+	for _, tc := range []struct {
+		set []string
+		ok  bool
+	}{
+		{nil, true},
+		{[]string{"mix", "count", "seed", "out", "v", "require-coverage"}, true},
+		{[]string{"mix", "faults"}, false},
+		{[]string{"mix", "interp"}, false},
+		{[]string{"mix", "fuse"}, false},
+		{[]string{"mix", "engine"}, false},
+		{[]string{"mix", "taint"}, false},
+	} {
+		if err := checkMix(tc.set); (err == nil) != tc.ok {
+			t.Errorf("checkMix(%v) = %v, want ok=%v", tc.set, err, tc.ok)
+		}
+	}
+}

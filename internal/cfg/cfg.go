@@ -176,3 +176,88 @@ func (g *Graph) Reachable() map[uint64]bool {
 	}
 	return seen
 }
+
+// HaltReach returns the block starts reachable from the entry, and those
+// of every block that can reach a halt. An indirect jump may go to any
+// address-taken block: one whose address, passed through translate (nil
+// keeps it), appears as a data word or as an ldi immediate, or any block
+// when none does. A return counts as reaching a halt: the continuation of
+// its call site, the call block's successor, is checked there.
+func (g *Graph) HaltReach(translate func(uint64) (uint64, bool)) (reach, halts map[uint64]bool) {
+	var targets []uint64
+	if g.HasIndirect {
+		targets = g.addressTaken(translate)
+	}
+	succs := func(b *Block) []uint64 {
+		if b.HasIndirect {
+			return append(append([]uint64(nil), b.Succs...), targets...)
+		}
+		return b.Succs
+	}
+	entry := g.BlockFor(g.Prog.Entry).Start
+	reach = map[uint64]bool{entry: true}
+	for stack := []uint64{entry}; len(stack) > 0; {
+		b := g.ByStart[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		for _, s := range succs(b) {
+			if !reach[s] {
+				reach[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	// Descending order carries halting back along forward edges in one
+	// pass; back edges take one more pass each.
+	halts = map[uint64]bool{}
+	for changed := true; changed; {
+		changed = false
+		for k := len(g.Blocks) - 1; k >= 0; k-- {
+			b := g.Blocks[k]
+			if halts[b.Start] {
+				continue
+			}
+			ok := b.IsReturn || g.Prog.InstAt(b.End-1).Op == isa.OpHalt
+			for _, s := range succs(b) {
+				ok = ok || halts[s]
+			}
+			if ok {
+				halts[b.Start] = true
+				changed = true
+			}
+		}
+	}
+	return reach, halts
+}
+
+// addressTaken returns the block starts an indirect jump may reach, as
+// HaltReach defines them.
+func (g *Graph) addressTaken(translate func(uint64) (uint64, bool)) []uint64 {
+	var out []uint64
+	taken := func(a uint64) {
+		if translate != nil {
+			var ok bool
+			if a, ok = translate(a); !ok {
+				return
+			}
+		}
+		if g.ByStart[a] != nil {
+			out = append(out, a)
+		}
+	}
+	for _, seg := range g.Prog.Data {
+		for _, w := range seg.Words {
+			taken(w)
+		}
+	}
+	for pc := g.Prog.Code.Base; pc < g.Prog.Code.End(); pc++ {
+		if in := g.Prog.InstAt(pc); in.Op == isa.OpLdi {
+			taken(uint64(in.Imm))
+		}
+	}
+	if len(out) == 0 {
+		for _, b := range g.Blocks {
+			out = append(out, b.Start)
+		}
+	}
+	return out
+}

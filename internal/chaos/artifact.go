@@ -9,9 +9,10 @@ import (
 
 // Artifact is the JSONL failure record cmd/msspfuzz writes: everything
 // needed to reproduce a failing differential run. Replay needs only Seed,
-// FaultIntensity and the taint mode recorded in Gen — the whole run is a
-// pure function of those — but the record also carries the rendered failures
-// and the generated-program shape so a human can triage without re-running.
+// FaultIntensity and the taint mode recorded in Gen, or for a mixed soak's
+// seed the Mix — the whole run is a pure function of those — but the record
+// also carries the rendered failures and the generated-program shape so a
+// human can triage without re-running.
 type Artifact struct {
 	// Seed replays the run: chaos.Run({Seed, FaultIntensity}).
 	Seed uint64 `json:"seed"`
@@ -21,6 +22,9 @@ type Artifact struct {
 	Gen GenConfig `json:"gen"`
 	// Knobs is the derived machine configuration.
 	Knobs Knobs `json:"knobs"`
+	// Mix is a mixed soak's draw for the seed (nil outside one); replay
+	// runs Mix.Options(Seed).
+	Mix *Mix `json:"mix,omitempty"`
 	// Failures lists every divergence the run found, rendered.
 	Failures []string `json:"failures"`
 }
@@ -32,6 +36,7 @@ func NewArtifact(rep *Report) *Artifact {
 		FaultIntensity: rep.FaultIntensity,
 		Gen:            rep.Gen,
 		Knobs:          rep.Knobs,
+		Mix:            rep.Mix,
 		Failures:       rep.Failures,
 	}
 }

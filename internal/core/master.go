@@ -27,9 +27,9 @@ type Master struct {
 	st   state.State
 	code *cpu.Code
 	// journal records the pages written since the previous fork, and ckpt
-	// folds its flushes into the life's cumulative overlay and builds each
-	// fork's checkpoint view of it, compacting once every
-	// Config.TaskBuffer forks.
+	// builds each fork's checkpoint view from its flushes, one layer per
+	// fork in windows of Config.TaskBuffer forks, and counts the words new
+	// since the reseed.
 	journal mem.Journal
 	ckpt    *mem.Layered
 
@@ -153,16 +153,16 @@ func (m *Master) Run(budget uint64) (r MasterRun) {
 // A word enters the checkpoint's view once its value at a fork differs
 // from its value at the previous fork (or the reseed); a store that leaves
 // a word's value unchanged adds nothing. The journal's flush finds those
-// words in the pages written since the previous fork, and ckpt folds them
-// into the life's cumulative overlay, which counts the new ones, and into
-// this fork's layer; once every TaskBuffer forks it compacts instead, and
-// the overlay's snapshot becomes the base of this checkpoint and of the
-// ones up to the next compaction (mem.Layered).
+// words in the pages written since the previous fork, and ckpt builds them
+// into this fork's layer of the current window's chain and counts the ones
+// new since the reseed. The view is that chain over the previous window's
+// final layer, and a slave reads every other word from its architected
+// snapshot (mem.Layered, task.Checkpoint).
 func (m *Master) Checkpoint() task.Checkpoint {
-	base, top, newWords := m.ckpt.Fork(&m.journal)
+	prev, top, newWords := m.ckpt.Fork(&m.journal)
 	return task.Checkpoint{
 		Regs:         m.st.Regs,
-		MemDiff:      base,
+		Prev:         prev,
 		Layers:       top,
 		NewDiffWords: newWords,
 	}

@@ -24,17 +24,15 @@ import (
 // steps the distilled program one instruction at a time, applies the
 // fork policy written out per instruction, and computes each checkpoint the
 // plain way, by diffing the memory against a snapshot taken at the previous
-// fork and folding the changed words into a cumulative overlay. Every fork
-// the master takes must match it in anchor, count, registers, NewDiffWords
-// and the whole memory view, base and layers.
+// fork. Every fork the master takes must match it in anchor, count,
+// registers and NewDiffWords, counted against a cumulative overlay of every
+// diff, and in the whole memory view, both windows: the words changed at
+// the forks since the previous window began, at their current values.
 //
-// The master compacts its layers into a new base once every TaskBuffer
-// forks, so each workload runs at three windows: the default at 2 slaves
-// (8), 1 at 1 slave (a compaction at every fork, so every checkpoint is a
-// base alone), and one above the number of forks compared (no compaction,
-// so every checkpoint is layers over the empty base). Without compaction a
-// check reads a chain as long as the forks so far, so that run compares
-// the first 150 forks.
+// A window spans TaskBuffer forks, so each workload runs at three windows:
+// the default at 2 slaves (8), 1 at 1 slave (every view is the fork's own
+// changes alone), and one above the number of forks compared (one window,
+// so every view holds every word changed since the reseed).
 func TestMasterCheckpointMatchesDiff(t *testing.T) {
 	forks := 1000
 	if testing.Short() {
@@ -84,7 +82,7 @@ func TestMasterCheckpointMatchesDiff(t *testing.T) {
 
 // checkMasterLife runs m's master and a reference master in lockstep for up
 // to forks forks, checks every checkpoint against the reference's and the
-// compaction schedule, and returns how many forks it compared.
+// window schedule, and returns how many forks it compared.
 func checkMasterLife(t *testing.T, m *Machine, forks int) (n int) {
 	t.Helper()
 	ref := newRefMaster(t, m)
@@ -116,17 +114,15 @@ func checkMasterLife(t *testing.T, m *Machine, forks int) (n int) {
 		if ck.NewDiffWords != want.newWords {
 			t.Fatalf("fork %d at %#x: NewDiffWords %d, reference %d", n, r.Anchor, ck.NewDiffWords, want.newWords)
 		}
-		if err := sameWords(ck, ref.cum); err != nil {
+		if err := sameWords(ck, ref.view(window)); err != nil {
 			t.Fatalf("fork %d at %#x: memory view %v", n, r.Anchor, err)
 		}
-		// A compaction leaves a base alone; before the first one the base
-		// is the empty start of the life.
-		if compacted := (n+1)%window == 0; compacted && ck.Layers != nil {
-			t.Fatalf("fork %d at %#x: layers left over at a compaction (window %d)", n, r.Anchor, window)
+		// A window's last fork leaves the previous window's layer alone.
+		if (n+1)%window == 0 && ck.Layers != nil {
+			t.Fatalf("fork %d at %#x: a current window's layer left at its last fork (window %d)", n, r.Anchor, window)
 		}
-		if n+1 < window && ck.MemDiff.Len() != 0 {
-			t.Fatalf("fork %d at %#x: base binds %d words before the first compaction (window %d)",
-				n, r.Anchor, ck.MemDiff.Len(), window)
+		if ck.MemDiff != nil {
+			t.Fatalf("fork %d at %#x: the master set a base", n, r.Anchor)
 		}
 	}
 	return n
@@ -142,7 +138,10 @@ type refMaster struct {
 	since     uint64
 	crossings map[uint64]uint64
 	diffBase  *mem.Memory
-	cum       *mem.Overlay
+	// cum binds every word changed since the life began, and changed lists
+	// the words each fork changed, oldest fork first.
+	cum     *mem.Overlay
+	changed [][]uint64
 	// stop is how the life ended, once next has reported its end.
 	stop MasterStop
 }
@@ -174,8 +173,8 @@ func newRefMaster(t *testing.T, m *Machine) *refMaster {
 	}
 }
 
-// next steps the reference to its next taken fork and folds the words that
-// changed since the previous one into cum. At the end of the life instead
+// next steps the reference to its next taken fork, folds the words that
+// changed since the previous one into cum and lists them in changed. At the end of the life instead
 // it sets stop and reports ok false.
 func (r *refMaster) next() (f refFork, ok bool) {
 	env := cpu.StateEnv{S: r.st}
@@ -197,12 +196,15 @@ func (r *refMaster) next() (f refFork, ok bool) {
 				f = refFork{anchor: a, count: r.crossings[a]}
 				r.since = 0
 				clear(r.crossings)
+				var ch []uint64
 				r.st.Mem.Diff(r.diffBase, func(a, v, _ uint64) {
 					if _, ok := r.cum.Get(a); !ok {
 						f.newWords++
 					}
 					r.cum.Set(a, v)
+					ch = append(ch, a)
 				})
+				r.changed = append(r.changed, ch)
 				r.diffBase = r.st.Mem.Snapshot()
 				return f, true
 			}
@@ -219,6 +221,25 @@ func (r *refMaster) next() (f refFork, ok bool) {
 			return f, false
 		}
 	}
+}
+
+// view returns the memory view the reference defines at its latest fork,
+// for windows of the given length: the words changed at the forks since the
+// previous window began (at a window's last fork, that window alone), at
+// their current values.
+func (r *refMaster) view(window int) *mem.Overlay {
+	f := len(r.changed)
+	span := f%window + window
+	if f%window == 0 {
+		span = window
+	}
+	v := mem.NewOverlay()
+	for _, as := range r.changed[max(f-span, 0):] {
+		for _, a := range as {
+			v.Set(a, r.st.Mem.Read(a))
+		}
+	}
+	return v
 }
 
 // sameWords reports how ck's whole memory view, read through the lookup
@@ -239,8 +260,11 @@ func sameWords(ck task.Checkpoint, want *mem.Overlay) (err error) {
 		}
 		return err == nil
 	}
-	if err == nil {
+	if err == nil && ck.MemDiff != nil {
 		ck.MemDiff.Range(bound)
+	}
+	if err == nil {
+		ck.Prev.Range(bound)
 	}
 	if err == nil {
 		ck.Layers.Range(bound)
@@ -248,12 +272,12 @@ func sameWords(ck task.Checkpoint, want *mem.Overlay) (err error) {
 	return err
 }
 
-// TestMasterLayerAllocs pins what a fork costs the master between
-// compactions once warm: at most one allocation, the fork's layer. Its
-// page entries, values and page index come from the layer builder's
-// chunks, and cum is written in place, because nothing has snapshotted it
-// since. The window is above every fork the test takes, so no compaction
-// falls inside it.
+// TestMasterLayerAllocs pins what a fork costs the master once warm, at
+// the default window at 2 slaves (8), so a window's last fork, where the
+// layers start again, is measured too: at most one allocation, the fork's
+// layer. Its page entries, values and page index come from the layer
+// builder's chunks, and cum is written in place, because nothing ever
+// snapshots it.
 func TestMasterLayerAllocs(t *testing.T) {
 	w, err := workloads.ByName("mtf")
 	if err != nil {
@@ -269,7 +293,7 @@ func TestMasterLayerAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Slaves, cfg.TaskBuffer = 2, 1<<20
+	cfg.Slaves = 2
 	m, err := New(p, d, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -278,27 +302,30 @@ func TestMasterLayerAllocs(t *testing.T) {
 	if !ms.Reseed(m.Arch) {
 		t.Fatal("reseed started no master life")
 	}
-	layered := 0
+	layered, ended := 0, 0
 	var top *mem.Layer
 	fork := func() {
 		if r := ms.Run(math.MaxUint64); r.Stop != MasterForked {
 			t.Fatalf("the master life ended (%d)", r.Stop)
 		}
 		ck := ms.Checkpoint()
-		if ck.Layers != top {
+		if ck.Layers != top && ck.Layers != nil {
 			layered++
+		}
+		if ck.Layers == nil {
+			ended++
 		}
 		top = ck.Layers
 	}
 	for i := 0; i < 300; i++ {
 		fork()
 	}
-	layered = 0
+	layered, ended = 0, 0
 	if allocs := testing.AllocsPerRun(200, fork); allocs > 1 {
-		t.Fatalf("a fork between compactions allocates %v objects, want at most 1 (its layer)", allocs)
+		t.Fatalf("a fork allocates %v objects, want at most 1 (its layer)", allocs)
 	}
-	if layered == 0 {
-		t.Fatal("no measured fork built a layer")
+	if layered == 0 || ended == 0 {
+		t.Fatalf("the measured forks built %d layers and ended %d windows, want some of each", layered, ended)
 	}
-	t.Logf("%d of 201 measured forks built a layer", layered)
+	t.Logf("%d of 201 measured forks built a layer, %d ended a window", layered, ended)
 }

@@ -71,3 +71,47 @@ func TestDeadCodeElimUnderIndirectJumps(t *testing.T) {
 		}
 	}
 }
+
+// TestStrandedLoopExitRestored pins the loop-exit safeguard's
+// post-condition: every block the distilled program can reach can still
+// reach a halt. The jump-table program's loop is entered only through its
+// indirect jump, so NaturalLoops does not see it, and at threshold 0.95
+// pass 1 prunes the loop's exit, bnez r1, loop, into a jump. The distilled
+// program then cannot halt, and its master runs on past the original's
+// end. The post-condition restores the branch, so the master halts.
+func TestStrandedLoopExitRestored(t *testing.T) {
+	p := asm.MustAssemble(indirectSrc)
+	prof, err := profile.Collect(p, profile.Options{Stride: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dce := range []bool{false, true} {
+		d, err := distill.Distill(p, prof, distill.Options{BiasThreshold: 0.95, MinBranchCount: 4, DeadCodeElim: dce})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Stats.PreservedExits == 0 {
+			t.Errorf("dce %v: no exit preserved: %+v", dce, d.Stats)
+		}
+		branches := 0
+		for _, w := range d.Prog.Code.Words {
+			if isa.Decode(w).Op.IsBranch() {
+				branches++
+			}
+		}
+		if branches == 0 {
+			t.Errorf("dce %v: the distilled loop has no conditional exit", dce)
+		}
+		m, err := core.New(p, d, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.MasterHalts == 0 {
+			t.Errorf("dce %v: the master never halted: %+v", dce, res.Metrics)
+		}
+	}
+}

@@ -116,7 +116,7 @@ func TestFamilyConcurrencyWhileGrowing(t *testing.T) {
 		go func(id uint64, m *Memory, o *Overlay) {
 			defer wg.Done()
 			var r OverlayReader
-			r.Init(o, nil)
+			r.Init(o, nil, nil)
 			for rep := 0; rep < 20; rep++ {
 				for a := uint64(0); a < 4*PageWords; a += 3 {
 					if m.Read(a) != a {

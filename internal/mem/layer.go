@@ -2,18 +2,16 @@ package mem
 
 import "math/bits"
 
-// Layer is the top of a chain of immutable layers in a layered view: a
-// frozen base Overlay under the layers of the forks since the base was
-// taken, read newest first, so the newest layer that binds a word gives its
-// value and a word no layer binds reads through to the base. A Layer keeps
-// the whole chain flattened by page: for every page some layer of the chain
-// binds words on, one entry holds every word the chain binds on it, each at
-// its newest value. Building a layer copies the entries of the pages the
-// new layer writes, merged with their older words, and one pointer per
-// other page of the chain; the pages it does not write stay shared with
-// the layers below. An OverlayReader reads a view (OverlayReader.Init): a
-// page no layer binds words on reads from the base, and a page some layer
-// does is merged once per view from the base page and that one entry.
+// Layer is the top of a chain of immutable layers: the layers of the forks
+// of one window, read newest first, so the newest layer that binds a word
+// gives its value. A Layer keeps the whole chain flattened by page: for
+// every page some layer of the chain binds words on, one entry holds every
+// word the chain binds on it, each at its newest value. Building a layer
+// copies the entries of the pages the new layer writes, merged with their
+// older words, and one pointer per other page of the chain; the pages it
+// does not write stay shared with the layers below. An OverlayReader reads
+// a view of at most two chains (OverlayReader.Init), finding a word by a
+// mask test in at most one entry of each.
 //
 // A Layer is never written once built, so any number of goroutines may read
 // one at once. A nil *Layer is the empty chain.
@@ -33,10 +31,28 @@ type lpage struct {
 	vals []uint64
 }
 
-// page returns the chain's entry for page pn, or nil.
+// noLPage is the entry of a page no layer binds words on: it binds none.
+var noLPage lpage
+
+// get returns the value the entry binds to word i of its page, and whether
+// it binds one: the value's index among vals is the number of bound words
+// below i.
+func (p *lpage) get(i uint64) (uint64, bool) {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if p.mask[w]&bit == 0 {
+		return 0, false
+	}
+	n := bits.OnesCount64(p.mask[w] & (bit - 1))
+	for _, m := range p.mask[:w] {
+		n += bits.OnesCount64(m)
+	}
+	return p.vals[n], true
+}
+
+// page returns the chain's entry for page pn, or noLPage.
 func (l *Layer) page(pn uint64) *lpage {
-	if l.sig&(1<<(pn&63)) == 0 {
-		return nil
+	if l == nil || l.sig&(1<<(pn&63)) == 0 {
+		return &noLPage
 	}
 	lo, hi := 0, len(l.pages)
 	for lo < hi {
@@ -50,7 +66,7 @@ func (l *Layer) page(pn uint64) *lpage {
 	if lo < len(l.pages) && l.pages[lo].pn == pn {
 		return l.pages[lo]
 	}
-	return nil
+	return &noLPage
 }
 
 // Range calls f for every word the chain binds, in ascending address order,
@@ -208,58 +224,56 @@ func (b *layerBuilder) page(pn uint64, o *lpage, adds []binding) *lpage {
 	return &b.pages[len(b.pages)-1]
 }
 
-// Layered keeps a writer's cumulative overlay and builds the layered views
-// of it that the writer hands out, one per fork: the master's checkpoints
-// (core.Master.Checkpoint). The overlay is private and written in place. At
-// every window-th fork it is compacted: its O(1) snapshot becomes the base
-// of that fork's view and of the views up to the next compaction, and the
-// layers start again from none. At the other forks the view is that base
-// under one more layer, holding the words the fork changed. So the
-// overlay's pages are copied on write once per window forks, not once per
-// fork. A Layered is goroutine-confined; the views it returns are frozen.
+// Layered keeps a writer's changes since its last Reset and builds the
+// layered views of them that the writer hands out, one per fork: the
+// master's checkpoints (core.Master.Checkpoint). Each fork adds one layer,
+// holding the words the fork changed, to the current window's chain. At
+// every window-th fork the chain ends: its final layer becomes the
+// previous window's, and the next fork starts a new chain from none. A
+// fork's view is the current window's chain over the previous window's
+// final layer, so it holds the words changed at the forks since the
+// previous window began, at their newest values, and nothing older. A
+// reader takes every other word from below the view: a slave, from its
+// architected snapshot.
+//
+// The writer's cumulative overlay only counts the words changed since the
+// Reset. It is private, written in place and never snapshotted, so it
+// copies no page on write. A Layered is goroutine-confined; the views it
+// returns are frozen.
 type Layered struct {
-	cum, base, empty *Overlay
-	top              *Layer
-	b                layerBuilder
-	window, forks    int
+	cum           *Overlay
+	prev, top     *Layer
+	b             layerBuilder
+	window, forks int
 }
 
-// NewLayered returns a Layered that compacts once every window forks
-// (every fork when window is below 2), with nothing accumulated.
+// NewLayered returns a Layered whose windows span window forks (one fork
+// when window is below 2), with nothing accumulated.
 func NewLayered(window int) *Layered {
-	l := &Layered{cum: NewOverlay(), empty: NewOverlay(), window: window}
-	l.base = l.empty
-	return l
+	return &Layered{cum: NewOverlay(), window: window}
 }
 
-// Reset starts over from nothing accumulated, with an empty base and no
-// layers, keeping the overlay's allocations for its next writes: the pages
-// an earlier base shares stay with the base.
+// Reset starts over from nothing accumulated and no layers, keeping the
+// overlay's allocations for its next writes.
 func (l *Layered) Reset() {
 	l.cum.Reset()
-	l.base, l.top, l.forks = l.empty, nil, 0
+	l.prev, l.top, l.forks = nil, nil, 0
 }
 
-// Fork folds j's flush into the cumulative overlay and returns this fork's
-// view, top above base, and the number of words the overlay gained: the
-// words whose value changed, for the first time since the Reset, since the
-// previous fork.
-func (l *Layered) Fork(j *Journal) (base *Overlay, top *Layer, newWords int) {
-	l.forks++
-	compact := l.forks >= l.window
+// Fork folds j's flush into the cumulative overlay and a new layer, and
+// returns this fork's view, top above prev, and the number of words the
+// overlay gained: the words whose value changed, for the first time since
+// the Reset, since the previous fork. At the window's last fork top is nil
+// and prev is the window's final layer.
+func (l *Layered) Fork(j *Journal) (prev, top *Layer, newWords int) {
+	n := l.cum.Len()
 	j.Flush(func(a, v, _ uint64) {
-		if _, ok := l.cum.Get(a); !ok {
-			newWords++
-		}
 		l.cum.Set(a, v)
-		if !compact {
-			l.b.add(a, v)
-		}
+		l.b.add(a, v)
 	})
-	if compact {
-		l.base, l.top, l.forks = l.cum.Snapshot(), nil, 0
-	} else {
-		l.top = l.b.build(l.top)
+	l.top = l.b.build(l.top)
+	if l.forks++; l.forks >= l.window {
+		l.prev, l.top, l.forks = l.top, nil, 0
 	}
-	return l.base, l.top, newWords
+	return l.prev, l.top, l.cum.Len() - n
 }

@@ -8,9 +8,10 @@
 // machine was in when the master forked them — exactly the stale-read hazard
 // the MSSP verify/commit unit exists to catch. The master learns what it
 // changed since the previous fork from a Journal attached to its Memory
-// (journal.go), folds it into a cumulative Overlay and builds it into a
-// Layer (layer.go); a checkpoint's memory is the chain of layers since the
-// last compaction above a snapshot of that overlay taken at it.
+// (journal.go), counts it into a cumulative Overlay and builds it into a
+// Layer (layer.go); a checkpoint's memory is the current window's chain of
+// layers over the previous window's final layer, and a slave reads every
+// other word from its architected snapshot.
 //
 // Both structures keep their pages in a persistent radix trie (trie.go):
 // Snapshot shares the root, the first write after it copies one

@@ -99,7 +99,7 @@ func TestOverlayReader(t *testing.T) {
 	o.Set(1, 10)
 	o.Set(2000, 20)
 	var r OverlayReader
-	r.Init(o, nil)
+	r.Init(o, nil, nil)
 	if v, ok := r.Get(1); !ok || v != 10 {
 		t.Errorf("reader Get(1) = %d,%v; want 10,true", v, ok)
 	}
@@ -135,7 +135,7 @@ func TestOverlayReaderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var r OverlayReader
-			r.Init(frozen, nil)
+			r.Init(frozen, nil, nil)
 			for a := uint64(0); a < 4*PageWords; a++ {
 				v, ok := r.Get(a)
 				if a%3 == 0 {

@@ -316,7 +316,7 @@ const sameValueSrc = `
 // both engines share: a word enters a checkpoint's memory view only once
 // its value at a fork differs from its value at the previous fork. The
 // master of sameValueSrc stores only values its words already hold, so no
-// checkpoint binds one, in its base or any layer, and CheckpointNew stays
+// checkpoint binds one, in either window's layer, and CheckpointNew stays
 // 0.
 func TestUnchangedStoresAddNoCheckpointWords(t *testing.T) {
 	h := prep(t, sameValueSrc, 100, distill.DefaultOptions())

@@ -137,8 +137,8 @@ func sameWords(got, want task.Checkpoint) (err error) {
 	var g, w mem.OverlayReader
 	got.View(&g)
 	want.View(&w)
-	// Every word either view binds, from its base or any layer, must read
-	// the same through both.
+	// Every word either view binds, from its base or either window's
+	// layer, must read the same through both.
 	same := func(a, _ uint64) bool {
 		gv, gok := g.Get(a)
 		wv, wok := w.Get(a)
@@ -148,8 +148,11 @@ func sameWords(got, want task.Checkpoint) (err error) {
 		return err == nil
 	}
 	for _, ck := range []task.Checkpoint{got, want} {
-		if err == nil {
+		if err == nil && ck.MemDiff != nil {
 			ck.MemDiff.Range(same)
+		}
+		if err == nil {
+			ck.Prev.Range(same)
 		}
 		if err == nil {
 			ck.Layers.Range(same)

@@ -168,22 +168,25 @@ func TestLiveInCapturesReadBeforeWrite(t *testing.T) {
 
 // TestCheckpointDiffOverridesSnapshot pins the order in which a slave reads
 // its checkpoint's memory view, on both slave paths: a word bound in the
-// newest layer overrides an older layer, a layer overrides the base
+// current window's newest layer overrides an older layer of that window
+// and the previous window's layer (Prev), Prev overrides the base
 // (MemDiff), and the base overrides the architected snapshot. Verification
 // keeps final state correct whatever a slave predicts, so no end-to-end
 // test would notice a slave that skipped a layer.
 func TestCheckpointDiffOverridesSnapshot(t *testing.T) {
-	const far = 500 + 3*mem.PageWords // on a page only the newest layer binds
+	const far = 500 + 3*mem.PageWords    // on a page only the current window binds
+	const prevOnly = far + mem.PageWords // on a page only Prev binds
 	loads := []struct {
 		addr uint64
 		want uint64
 	}{
-		{500, 4}, // snapshot 1, base 2, older layer 3, newest layer 4
-		{501, 2}, // snapshot 1, base 2
-		{502, 3}, // snapshot 1, base 2, older layer 3
-		{503, 5}, // snapshot 5
-		{far, 6}, // newest layer 6
-		{505, 8}, // base 7, SetMem's private layer 8
+		{500, 4},      // snapshot 1, base 2, Prev 3, older layer 10, newest layer 4
+		{501, 2},      // snapshot 1, base 2
+		{502, 3},      // snapshot 1, base 2, Prev 3
+		{503, 5},      // snapshot 5
+		{far, 6},      // newest layer 6
+		{505, 8},      // base 7, SetMem's private layer 8
+		{prevOnly, 9}, // Prev 9
 	}
 	words := make([]uint64, 0, len(loads)+1)
 	for i, l := range loads {
@@ -200,11 +203,11 @@ func TestCheckpointDiffOverridesSnapshot(t *testing.T) {
 		base.Set(a, 2)
 	}
 	base.Set(505, 7)
-	older := (*mem.Layer)(nil).With(500, 3).With(502, 3)
-	newest := older.With(500, 4).With(far, 6)
+	prev := (*mem.Layer)(nil).With(500, 3).With(502, 3).With(prevOnly, 9)
+	newest := (*mem.Layer)(nil).With(500, 10).With(500, 4).With(far, 6)
 
 	for _, code := range []*isa.DecodedProgram{nil, fuse.Predecode(p, fuse.Options{})} {
-		ck := Checkpoint{Regs: arch.Regs, MemDiff: base, Layers: newest}
+		ck := Checkpoint{Regs: arch.Regs, MemDiff: base, Prev: prev, Layers: newest}
 		ck.SetMem(505, 8)
 		tk := &Task{Start: 0, Checkpoint: ck, Snap: arch.Clone(), Code: code}
 		ex := tk.Execute(100)
@@ -222,9 +225,52 @@ func TestCheckpointDiffOverridesSnapshot(t *testing.T) {
 	}
 	// SetMem's layer is the task's own: the shared view still reads the base.
 	var rd mem.OverlayReader
-	(&Checkpoint{MemDiff: base, Layers: newest}).View(&rd)
+	(&Checkpoint{MemDiff: base, Prev: prev, Layers: newest}).View(&rd)
 	if v, ok := rd.Get(505); !ok || v != 7 {
 		t.Errorf("shared view reads m505 = %d (bound: %v) after SetMem, want the base's 7", v, ok)
+	}
+}
+
+// TestCheckpointWindowReadsSnapshotBelowIt runs a task over the views a
+// mem.Layered hands out, as the master builds them, on both slave paths. A
+// word the master changed more than 2W forks before the task's fork has
+// left the view, so the slave reads it from its architected snapshot; a
+// word the master changed at the task's own fork reads the master's value.
+func TestCheckpointWindowReadsSnapshotBelowIt(t *testing.T) {
+	const window = 3
+	const old, recent = 600, 700
+	p := asm.MustAssemble(`
+		ldi r3, 600
+		ld  r1, 0(r3)
+		ld  r2, 100(r3)
+		halt
+	`)
+	arch := state.NewFromProgram(p, 1<<19)
+	arch.Mem.Write(old, 1) // stale architected values
+	arch.Mem.Write(recent, 1)
+	master := arch.Mem.Snapshot()
+	var j mem.Journal
+	j.Attach(master)
+	lay := mem.NewLayered(window)
+	master.Write(old, 2)
+	prev, top, _ := lay.Fork(&j) // the first fork changes old
+	const last = 2*window + 2
+	for f := 2; f <= last; f++ {
+		master.Write(recent, uint64(f)) // every later fork changes recent
+		prev, top, _ = lay.Fork(&j)
+	}
+	for _, code := range []*isa.DecodedProgram{nil, fuse.Predecode(p, fuse.Options{})} {
+		tk := &Task{Start: 0, Checkpoint: Checkpoint{Regs: arch.Regs, Prev: prev, Layers: top}, Snap: arch.Clone(), Code: code}
+		ex := tk.Execute(100)
+		if ex.Outcome != OutcomeHalted {
+			t.Fatalf("run loop %v: outcome = %v", code != nil, ex.Outcome)
+		}
+		if v, _ := ex.LiveIn.MemVal(old); v != 1 {
+			t.Errorf("run loop %v: m%d = %d, want the snapshot's 1", code != nil, old, v)
+		}
+		if v, _ := ex.LiveIn.MemVal(recent); v != last {
+			t.Errorf("run loop %v: m%d = %d, want the master's %d", code != nil, recent, v, last)
+		}
 	}
 }
 

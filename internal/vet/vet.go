@@ -90,6 +90,8 @@ var Rules = []Rule{
 		Summary: "a branch condition (or indirect-jump target) depends on secret-derived data in speculatively executed code"},
 	{ID: "MV011", Name: "taint-to-committed-state", Both: true,
 		Summary: "secret-derived data can survive into verified task live-outs (a tainted store, or a tainted register live across an anchor)"},
+	{ID: "MV012", Name: "stranded-block", Distilled: true,
+		Summary: "a block the distilled program reaches from its entry can reach no halt (a loop exit pruned away)"},
 }
 
 // TaintRules lists the IDs of the taint rules CheckTaint reports, the
@@ -147,6 +149,7 @@ func Check(p *isa.Program, dist *Distilled) ([]Finding, error) {
 		c.checkUnreachable() // MV003
 		c.checkUninit()      // MV004
 		c.checkHalt()        // MV007
+		c.checkStranded()    // MV012
 	}
 
 	sort.Slice(c.out, func(i, j int) bool {
@@ -367,4 +370,25 @@ func (c *checker) checkHalt() {
 		}
 	}
 	c.report("MV007", c.p.Entry, "no reachable halt; the program cannot terminate")
+}
+
+// checkStranded reports MV012 for every block distilled code reaches from
+// its entry that can reach no halt, the distiller's post-condition checked
+// from outside. Indirect jumps in distilled code carry original-program
+// addresses, so the address-taken targets are mapped through OrigToDist
+// (cfg.Graph.HaltReach).
+func (c *checker) checkStranded() {
+	if c.dist == nil {
+		return
+	}
+	translate := func(a uint64) (uint64, bool) {
+		d, ok := c.dist.OrigToDist[a]
+		return d, ok
+	}
+	reach, halts := c.g.HaltReach(translate)
+	for _, b := range c.g.Blocks {
+		if reach[b.Start] && !halts[b.Start] {
+			c.report("MV012", b.Start, "reachable from the entry but can reach no halt; a loop exit was pruned away")
+		}
+	}
 }

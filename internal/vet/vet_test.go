@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -255,6 +256,46 @@ func TestNoReachableHalt(t *testing.T) {
 	// clean-distill test above covers that via real distiller output.
 }
 
+// TestStrandedBlock: a jump-table loop entered only through its indirect
+// jump, whose exit a distiller pruned into a jump, strands every block of
+// the loop; with the exit kept, nothing is stranded.
+func TestStrandedBlock(t *testing.T) {
+	const src = `
+	main:   ldi  r1, 64
+	        la   r3, table
+	loop:   andi r2, r1, 1
+	        add  r2, r2, r3
+	        ld   r12, 0(r2)
+	        jr   r12
+	case0:  mul  r9, r1, r1
+	        j    next
+	case1:  addi r4, r4, 1
+	next:   addi r1, r1, -1
+	        %s
+	        halt
+	.data
+	.org 4000
+	table:  .word case0, case1
+`
+	for _, tc := range []struct {
+		exit     string
+		stranded bool
+	}{{"j loop", true}, {"bnez r1, loop", false}} {
+		p := asm.MustAssemble(fmt.Sprintf(src, tc.exit))
+		ident := map[uint64]uint64{}
+		for pc := p.Code.Base; pc < p.Code.End(); pc++ {
+			ident[pc] = pc
+		}
+		fs, err := Check(p, &Distilled{OrigToDist: ident})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rules(fs)["MV012"] > 0; got != tc.stranded {
+			t.Errorf("exit %q: MV012 reported %v, want %v: %v", tc.exit, got, tc.stranded, fs)
+		}
+	}
+}
+
 func TestColdCodeReachableViaForkRoots(t *testing.T) {
 	// A distilled-shape program whose second FORK block no distilled edge
 	// reaches: the master reaches it only by a reseed at its anchor, which
@@ -338,8 +379,8 @@ func TestRuleCatalogWellFormed(t *testing.T) {
 			t.Errorf("rule %s missing name or summary", r.ID)
 		}
 	}
-	if len(Rules) != 11 {
-		t.Errorf("catalog has %d rules, want 11", len(Rules))
+	if len(Rules) != 12 {
+		t.Errorf("catalog has %d rules, want 12", len(Rules))
 	}
 	for _, id := range TaintRules {
 		if !seen[id] {
