@@ -387,12 +387,18 @@ func (r *Retirer) taskCode() *isa.DecodedProgram {
 
 // noteCodeWrites clears codeClean if the delta binds a memory word inside
 // the predecoded original code segment. Called before every live-out
-// superimposition; O(live-out set), like the Apply it guards.
+// superimposition. It tests the delta's lowest and highest bound addresses
+// against the segment, and checks word by word only when they straddle it.
 func (r *Retirer) noteCodeWrites(d *state.Delta) {
 	if !r.codeClean || d == nil {
 		return
 	}
-	d.Mem.Range(func(a, _ uint64) bool {
+	lo, hi, ok := d.MemBounds()
+	base := r.origCode.Base()
+	if !ok || hi < base || lo >= base+uint64(r.origCode.Len()) {
+		return
+	}
+	d.RangeMem(func(a, _ uint64) bool {
 		if r.origCode.Covers(a) {
 			r.codeClean = false
 			return false

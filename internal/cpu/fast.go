@@ -30,6 +30,11 @@ import (
 	"math/bits"
 
 	"mssp/internal/isa"
+	// The run loop's loads and stores call mem.Memory's Read and Write
+	// through state.State. The compiler inlines a function of another
+	// package only where it reads that package's export data, so cpu
+	// imports mem itself to keep those calls inlined.
+	_ "mssp/internal/mem"
 	"mssp/internal/state"
 )
 

@@ -1,7 +1,9 @@
 // Package mem provides the memory structures the MSSP simulator is built on:
 // a sparse, word-addressed 64-bit memory with O(1) copy-on-write snapshots
-// (Memory), and a sparse overlay that additionally distinguishes "written"
-// from "zero" cells (Overlay).
+// (Memory), a sparse overlay that additionally distinguishes "written"
+// from "zero" cells (Overlay), and a task's speculative buffer, one flat
+// page table of the words its slave read first and the words it wrote
+// (Table, table.go).
 //
 // Snapshots are the workhorse of the simulator. Architected state is
 // snapshotted at every task spawn so that slave processors read the state the
@@ -31,9 +33,9 @@
 // snapshots of one family on different goroutines, so the sharing rules are
 // load-bearing rather than theoretical:
 //
-//   - A single Memory or Overlay value is goroutine-confined. The page
-//     caches make even Read/Get mutating operations, so one value must
-//     never be touched by two goroutines, even read-only.
+//   - A single Memory, Overlay or Table value is goroutine-confined. The
+//     page caches make even Read/Get/Load mutating operations, so one value
+//     must never be touched by two goroutines, even read-only.
 //   - Distinct members of one snapshot family may be used — including
 //     Snapshot itself — from different goroutines concurrently, provided
 //     each value is handed off with ordinary happens-before edges (channel

@@ -289,15 +289,6 @@ func TestOverlayVsModel(t *testing.T) {
 				if ok != mok || v != mv {
 					return false
 				}
-			case 4:
-				v := rng.Uint64() % 50
-				_, had := model[addr]
-				if o.SetIfAbsent(addr, v) == had {
-					return false
-				}
-				if !had {
-					model[addr] = v
-				}
 			default:
 				v := rng.Uint64() % 50
 				o.Set(addr, v)

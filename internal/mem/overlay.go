@@ -31,15 +31,14 @@ var zeroOPage opage
 // its pages in the same persistent trie and supports the same O(1)
 // copy-on-write Snapshot.
 //
-// Overlays hold slaves' live-in and live-out memory, and the master's
-// cumulative overlay, which counts the words it changed since the reseed. A
-// frozen overlay may also be the base of a checkpoint's memory view, under
-// its layers (OverlayReader).
+// An overlay is the master's cumulative overlay, which counts the words it
+// changed since the reseed (Layered). A frozen overlay may also be the base
+// of a checkpoint's memory view, under its layers (OverlayReader). A
+// slave's live-ins and live-outs live in a Table.
 //
 // Like Memory, an Overlay carries one-entry last-page caches on Get and Set
 // (the set cache is dropped on Snapshot, both on Reset), so repeated
-// accesses to one page — the dominant pattern in slave write buffers and
-// live-in sets — skip the trie walk. The caches make Get a mutating
+// accesses to one page skip the trie walk. The caches make Get a mutating
 // operation: an Overlay is not safe for concurrent use, but snapshots are
 // independent values and follow the package-level concurrency contract
 // (atomic generation counter, so different family members may be used and
@@ -117,29 +116,6 @@ func (o *Overlay) setMiss(addr uint64) *opage {
 		o.getData, o.getOK = view(p)
 	}
 	return p
-}
-
-// SetIfAbsent binds addr to v only if addr is not already present, and
-// reports whether it stored the value. It is the single-lookup form of the
-// Get-then-Set pattern live-in capture uses on every memory read: one page
-// walk instead of two. A present word on a shared page is refused without
-// copying anything.
-func (o *Overlay) SetIfAbsent(addr, v uint64) bool {
-	p := o.setPg
-	idx := addr & pageMask
-	if addr>>pageShift != o.setPN {
-		if q := o.t.lookup(addr >> pageShift); q != nil && q.d.ok[idx] {
-			return false
-		}
-		p = o.setMiss(addr)
-	}
-	if p.d.ok[idx] {
-		return false
-	}
-	p.d.bind(idx)
-	p.d.data[idx] = v
-	o.count++
-	return true
 }
 
 // Len returns the number of present words.

@@ -57,43 +57,6 @@ func TestOverlayResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestOverlaySetIfAbsent(t *testing.T) {
-	o := NewOverlay()
-	if !o.SetIfAbsent(10, 1) {
-		t.Error("SetIfAbsent on absent word returned false")
-	}
-	if o.SetIfAbsent(10, 2) {
-		t.Error("SetIfAbsent on present word returned true")
-	}
-	if v, ok := o.Get(10); !ok || v != 1 {
-		t.Errorf("Get(10) = %d,%v; want 1,true", v, ok)
-	}
-	if o.Len() != 1 {
-		t.Errorf("Len = %d, want 1", o.Len())
-	}
-
-	// Present word on a shared page: must refuse without copying the page.
-	s := o.Snapshot()
-	root, before := o.t.root, o.t.lookup(10>>pageShift)
-	if o.SetIfAbsent(10, 3) {
-		t.Error("SetIfAbsent stored over a present word on a shared page")
-	}
-	if o.t.root != root || o.t.lookup(10>>pageShift) != before {
-		t.Error("SetIfAbsent copy-on-wrote a path it never needed to write")
-	}
-
-	// Absent word on a shared page: must CoW and leave the snapshot alone.
-	if !o.SetIfAbsent(11, 4) {
-		t.Error("SetIfAbsent on absent word of shared page returned false")
-	}
-	if _, ok := s.Get(11); ok {
-		t.Error("SetIfAbsent write leaked into snapshot")
-	}
-	if v, ok := o.Get(11); !ok || v != 4 {
-		t.Error("SetIfAbsent write lost after CoW")
-	}
-}
-
 func TestOverlayReader(t *testing.T) {
 	o := NewOverlay()
 	o.Set(1, 10)

@@ -19,6 +19,10 @@ import (
 	"mssp/internal/cfg"
 	"mssp/internal/cpu"
 	"mssp/internal/isa"
+	// Imported for the compiler: Collect's fetch calls mem.Memory's Read
+	// through state.State, which inlines only where mem's export data is
+	// read (see internal/cpu/fast.go).
+	_ "mssp/internal/mem"
 	"mssp/internal/state"
 )
 

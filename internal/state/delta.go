@@ -13,22 +13,28 @@ import (
 // the Go realization of the formal model's "machine state that need not hold
 // members for all ISA-visible cells".
 //
-// Deltas serve three roles in the simulator:
+// Deltas serve two roles in the simulator:
 //   - task live-in sets (what a slave read before writing, and from where);
-//   - task live-out sets (the writes a task wants to commit);
-//   - master checkpoint diffs (what the master predicts has changed).
+//   - task live-out sets (the writes a task wants to commit).
+//
+// A delta's memory bindings are one view of a mem.Table: a task's live-in
+// and live-out deltas are the two views of the table its slave ran on
+// (NewDeltaOver), and a delta built by hand is the live-out view of a
+// table of its own (NewDelta).
 type Delta struct {
 	Regs       [isa.NumRegs]uint64
 	regPresent uint32 // bit r set when Regs[r] is bound
 	PC         uint64
 	HasPC      bool
-	Mem        *mem.Overlay
+	mem        mem.View
 }
 
 // NewDelta returns an empty delta.
-func NewDelta() *Delta {
-	return &Delta{Mem: mem.NewOverlay()}
-}
+func NewDelta() *Delta { return NewDeltaOver(mem.NewTable().Out()) }
+
+// NewDeltaOver returns a delta with no register or PC bindings whose memory
+// bindings are v's.
+func NewDeltaOver(v mem.View) *Delta { return &Delta{mem: v} }
 
 // SetReg binds register r to v. Binding register 0 is allowed (it will bind
 // the value 0 in well-formed uses) so the algebra stays total.
@@ -49,20 +55,22 @@ func (d *Delta) SetPC(pc uint64) {
 }
 
 // SetMem binds memory word addr to v.
-func (d *Delta) SetMem(addr, v uint64) { d.Mem.Set(addr, v) }
-
-// SetMemIfAbsent binds memory word addr to v only if it is not already
-// bound, reporting whether it stored the value. This is the one-lookup form
-// of the read-before-write capture rule: live-in recording keeps the first
-// observed value and must ignore later reads of the same word.
-func (d *Delta) SetMemIfAbsent(addr, v uint64) bool { return d.Mem.SetIfAbsent(addr, v) }
+func (d *Delta) SetMem(addr, v uint64) { d.mem.Set(addr, v) }
 
 // MemVal returns the binding for memory word addr and whether it is present.
-func (d *Delta) MemVal(addr uint64) (uint64, bool) { return d.Mem.Get(addr) }
+func (d *Delta) MemVal(addr uint64) (uint64, bool) { return d.mem.Get(addr) }
+
+// RangeMem calls f for every memory binding, in ascending address order,
+// until f returns false.
+func (d *Delta) RangeMem(f func(addr, v uint64) bool) { d.mem.Range(f) }
+
+// MemBounds returns the lowest and highest bound memory addresses, with ok
+// false when no memory word is bound.
+func (d *Delta) MemBounds() (lo, hi uint64, ok bool) { return d.mem.Bounds() }
 
 // Len returns the number of bound cells (registers + memory + PC).
 func (d *Delta) Len() int {
-	n := d.Mem.Len() + bits.OnesCount32(d.regPresent)
+	n := d.mem.Len() + bits.OnesCount32(d.regPresent)
 	if d.HasPC {
 		n++
 	}
@@ -70,26 +78,30 @@ func (d *Delta) Len() int {
 }
 
 // Empty reports whether the delta binds no cells.
-func (d *Delta) Empty() bool { return d.regPresent == 0 && !d.HasPC && d.Mem.Len() == 0 }
+func (d *Delta) Empty() bool { return d.regPresent == 0 && !d.HasPC && d.mem.Len() == 0 }
 
-// Clone returns an independent copy. Memory bindings are shared
-// copy-on-write.
+// Clone returns an independent copy, whose memory bindings are a table of
+// its own.
 func (d *Delta) Clone() *Delta {
 	c := *d
-	c.Mem = d.Mem.Snapshot()
+	c.mem = mem.NewTable().Out()
+	d.mem.Range(func(a, v uint64) bool {
+		c.mem.Set(a, v)
+		return true
+	})
 	return &c
 }
 
 // Reset empties the delta in place, reusing its allocations: the register
 // file keeps its array (the presence mask hides stale values) and the
-// memory overlay keeps the pages it owns for reuse (mem.Overlay.Reset's
-// generation check protects outstanding snapshots). This is what lets the
-// task pool run delta capture allocation-free across task lives
-// (docs/MEMORY.md).
+// memory table keeps its pages (mem.View.Reset). A delta over one view of a
+// table empties the whole table, so the delta over its other view loses its
+// memory bindings too. This is what lets the task pool run delta capture
+// allocation-free across task lives (docs/MEMORY.md).
 func (d *Delta) Reset() {
 	d.regPresent = 0
 	d.HasPC = false
-	d.Mem.Reset()
+	d.mem.Reset()
 }
 
 // Superimpose overwrites d's bindings with e's (d ← e), returning d.
@@ -102,8 +114,8 @@ func (d *Delta) Superimpose(e *Delta) *Delta {
 	if e.HasPC {
 		d.SetPC(e.PC)
 	}
-	e.Mem.Range(func(a, v uint64) bool {
-		d.Mem.Set(a, v)
+	e.mem.Range(func(a, v uint64) bool {
+		d.mem.Set(a, v)
 		return true
 	})
 	return d
@@ -123,8 +135,8 @@ func (d *Delta) ConsistentWith(e *Delta) bool {
 		return false
 	}
 	ok := true
-	d.Mem.Range(func(a, v uint64) bool {
-		ev, present := e.Mem.Get(a)
+	d.mem.Range(func(a, v uint64) bool {
+		ev, present := e.mem.Get(a)
 		if !present || ev != v {
 			ok = false
 			return false
@@ -155,7 +167,7 @@ func (d *Delta) String() string {
 		out += fmt.Sprintf("%spc=%d", sep, d.PC)
 		sep = " "
 	}
-	d.Mem.Range(func(a, v uint64) bool {
+	d.mem.Range(func(a, v uint64) bool {
 		out += fmt.Sprintf("%sm%d=%d", sep, a, v)
 		sep = " "
 		return true

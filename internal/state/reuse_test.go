@@ -56,19 +56,6 @@ func TestDeltaResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestDeltaSetMemIfAbsent(t *testing.T) {
-	d := NewDelta()
-	if !d.SetMemIfAbsent(9, 1) {
-		t.Error("SetMemIfAbsent on absent word returned false")
-	}
-	if d.SetMemIfAbsent(9, 2) {
-		t.Error("SetMemIfAbsent on present word returned true")
-	}
-	if v, ok := d.MemVal(9); !ok || v != 1 {
-		t.Errorf("MemVal(9) = %d,%v; want 1,true (first binding wins)", v, ok)
-	}
-}
-
 func TestStateCloneInto(t *testing.T) {
 	s := New()
 	s.WriteReg(4, 44)

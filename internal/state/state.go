@@ -4,7 +4,7 @@
 // A State is a full machine state: the register file, the program counter and
 // a memory. A Delta is a sparse, partial machine state — a set of (cell,
 // value) bindings over registers and memory words — used for task live-in
-// sets, task live-out (write) sets and master checkpoint diffs.
+// sets and task live-out (write) sets.
 //
 // The two operations connecting them come from the formal MSSP model:
 //
@@ -99,10 +99,7 @@ func (s *State) Apply(d *Delta) {
 		r := bits.TrailingZeros32(m)
 		s.WriteReg(r, d.Regs[r])
 	}
-	d.Mem.Range(func(a, v uint64) bool {
-		s.Mem.Write(a, v)
-		return true
-	})
+	d.mem.WriteTo(s.Mem)
 	if d.HasPC {
 		s.PC = d.PC
 	}
@@ -141,17 +138,10 @@ func (s *State) FirstInconsistency(d *Delta) *Inconsistency {
 	if d.HasPC && s.PC != d.PC {
 		return &Inconsistency{Cell: "pc", Delta: d.PC, Got: s.PC}
 	}
-	// Range visits addresses in ascending order, so the first mismatch is
-	// the lowest one.
-	var bad *Inconsistency
-	d.Mem.Range(func(a, v uint64) bool {
-		if got := s.Mem.Read(a); got != v {
-			bad = &Inconsistency{Cell: fmt.Sprintf("m%d", a), Delta: v, Got: got}
-			return false
-		}
-		return true
-	})
-	return bad
+	if a, want, got, bad := d.mem.FirstMismatch(s.Mem); bad {
+		return &Inconsistency{Cell: fmt.Sprintf("m%d", a), Delta: want, Got: got}
+	}
+	return nil
 }
 
 // Digest returns a short, order-independent fingerprint of the state,

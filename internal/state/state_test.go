@@ -247,7 +247,7 @@ func TestSuperimposeContainment(t *testing.T) {
 				d1.SetReg(r, v)
 			}
 		}
-		d2.Mem.Range(func(a, v uint64) bool {
+		d2.RangeMem(func(a, v uint64) bool {
 			if rng.Intn(2) == 0 {
 				d1.SetMem(a, v)
 			}

@@ -1,20 +1,22 @@
 package task
 
 // This file implements the task pool: recycled per-execution machinery
-// (capture environments and live-in/live-out deltas) and
-// recycled architected snapshots. One task execution used to cost a dozen
-// allocations before it retired — env, two deltas, their overlays and pages,
-// the snapshot — and the engines retire thousands of tasks per run, so
-// the garbage collector was a standing tax on exactly the speculative work
-// MSSP adds over sequential execution (docs/PERFORMANCE.md "task-machinery
-// premium"). Pooled execution allocates nothing in steady state
-// (task/delta_allocs in BENCH_core.json); safety of the reuse rests on the
-// generation checks in mem.Overlay.Reset and mem.Memory.SnapshotInto, and
-// the borrow rules live in docs/MEMORY.md.
+// (capture environments, the speculative buffer and the live-in/live-out
+// deltas over it) and recycled architected snapshots. One task execution
+// used to cost a dozen allocations before it retired — env, two deltas,
+// their memory and pages, the snapshot — and the engines retire thousands
+// of tasks per run, so the garbage collector was a standing tax on exactly
+// the speculative work MSSP adds over sequential execution
+// (docs/PERFORMANCE.md "task-machinery premium"). Pooled execution
+// allocates nothing in steady state (task/delta_allocs in BENCH_core.json).
+// Safety of the reuse rests on each scratch cycling between one execution
+// and the free list, and on the generation checks in
+// mem.Memory.SnapshotInto; the borrow rules live in docs/MEMORY.md.
 
 import (
 	"sync"
 
+	"mssp/internal/mem"
 	"mssp/internal/state"
 )
 
@@ -30,11 +32,13 @@ type Pool struct {
 }
 
 // scratch bundles everything one task execution needs: the capture env, the
-// result, and the deltas the result borrows. It cycles between
-// exactly one in-flight execution and the pool's free list.
+// result, the table the slave buffers memory in and the deltas over its
+// two views, which the result borrows. It cycles between exactly one
+// in-flight execution and the pool's free list.
 type scratch struct {
 	env     slaveEnv
 	ex      Exec
+	tab     *mem.Table
 	liveIn  *state.Delta
 	liveOut *state.Delta
 	// inUse guards against double release, the classic pool corruption: two
@@ -43,16 +47,16 @@ type scratch struct {
 }
 
 func newScratch() *scratch {
-	return &scratch{liveIn: state.NewDelta(), liveOut: state.NewDelta()}
+	tab := mem.NewTable()
+	return &scratch{tab: tab, liveIn: state.NewDeltaOver(tab.In()), liveOut: state.NewDeltaOver(tab.Out())}
 }
 
-// reset re-arms the scratch for task t, emptying the recycled deltas in
-// place (their owned pages survive; pages shared with outstanding snapshots
-// are dropped by the generation check).
+// reset re-arms the scratch for task t, emptying the recycled deltas and
+// their table in place (the table keeps its pages).
 func (sc *scratch) reset(t *Task) {
 	sc.liveIn.Reset()
 	sc.liveOut.Reset()
-	sc.env.reset(t, sc.liveIn, sc.liveOut)
+	sc.env.reset(t, sc.tab, sc.liveIn)
 	sc.ex = Exec{LiveIn: sc.liveIn, LiveOut: sc.liveOut, sc: sc}
 	sc.inUse = true
 }

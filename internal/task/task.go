@@ -8,9 +8,11 @@
 // architected snapshot, while recording everything it read before writing
 // (the live-in set) and everything it wrote (the live-out set). This is the
 // ⟨S_in, n, S_out, k⟩ task tuple of the formal MSSP model, with the live-in
-// set accumulated lazily as the actual read-before-write footprint. Stores
-// go straight into the live-out delta, which is the slave's only write
-// buffer: a load checks it before the checkpoint and the snapshot.
+// set accumulated lazily as the actual read-before-write footprint. Both
+// sets live in one mem.Table, the slave's speculative buffer: loads and
+// stores probe it once, and only a word's first read goes on to the
+// checkpoint and the snapshot. The live-in and live-out deltas are the
+// table's two views.
 //
 // Task execution never touches architected state; the verify/commit unit
 // (internal/core) decides later whether the recorded live-ins are consistent
@@ -173,10 +175,12 @@ type Exec struct {
 	// Steps is the number of original-program instructions executed (#t).
 	Steps uint64
 	// LiveIn is everything the slave read before writing, with the values
-	// it observed (from the checkpoint overlay or the snapshot).
+	// it observed (from the checkpoint's view or the snapshot).
 	LiveIn *state.Delta
 	// LiveOut is everything the slave wrote, plus the final PC.
-	// Committing a safe task is exactly arch.Apply(LiveOut).
+	// Committing a safe task is exactly arch.Apply(LiveOut). Its memory
+	// bindings and LiveIn's are the two views of one table, sorted by
+	// address when the execution finished.
 	LiveOut *state.Delta
 
 	// sc points back at the pooled scratch this Exec borrows from, nil for
@@ -186,7 +190,7 @@ type Exec struct {
 
 // slaveEnv is a slave processor: the task's register file and PC over its
 // architected snapshot, plus the capture machinery that logs live-ins and
-// live-outs. It runs a task two ways. With a predecoded table the
+// live-outs. It runs a task two ways. With a predecoded program the
 // task executes on cpu's run loop (Code.RunCapture), which sends loads and
 // stores to ReadMem/WriteMem through hook and logs register live-ins from
 // per-dispatch masks. Without one, slaveEnv is the cpu.Env that cpu.Step
@@ -204,24 +208,24 @@ type slaveEnv struct {
 	// env.
 	hook cpu.Capture
 
-	// liveOut is the task's live-out delta. Stores go straight into its
-	// memory part, which doubles as the slave's write buffer: loads check
-	// it first.
-	liveOut *state.Delta
+	// tab holds the task's memory live-ins and live-outs. Loads and stores
+	// go to it; a word's first read goes on to ckRd and then the snapshot.
+	tab *mem.Table
 
 	// ckRd reads the checkpoint's memory view through a reader-owned
 	// cursor, so the env never mutates the frozen base's own page caches.
 	ckRd mem.OverlayReader
 }
 
-// reset arms e for task t over empty live-in and live-out deltas. A pooled
-// env keeps only its checkpoint reader's buffers.
-func (e *slaveEnv) reset(t *Task, liveIn, liveOut *state.Delta) {
+// reset arms e for task t over the empty table tab and the live-in delta
+// over its In view. A pooled env keeps only its checkpoint reader's
+// buffers.
+func (e *slaveEnv) reset(t *Task, tab *mem.Table, liveIn *state.Delta) {
 	*e = slaveEnv{
-		t:       t,
-		st:      state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
-		liveOut: liveOut,
-		ckRd:    e.ckRd,
+		t:    t,
+		st:   state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
+		tab:  tab,
+		ckRd: e.ckRd,
 	}
 	e.hook = cpu.Capture{Mem: e, LiveIn: liveIn, End: t.End, Unfused: len(t.NonSpec) != 0}
 	if t.HasEnd {
@@ -254,22 +258,19 @@ func (e *slaveEnv) ReadMem(addr uint64) uint64 {
 	if inRegions(e.t.NonSpec, addr) {
 		e.hook.NonSpec = true
 	}
-	if v, ok := e.liveOut.MemVal(addr); ok {
+	if v, ok := e.tab.Cached(addr); ok {
 		return v
 	}
-	v, ok := e.ckRd.Get(addr)
-	if !ok {
-		v = e.st.Mem.Read(addr)
-	}
-	e.hook.LiveIn.SetMemIfAbsent(addr, v)
-	return v
+	return e.tab.Load(addr, &e.ckRd, e.st.Mem)
 }
 
 func (e *slaveEnv) WriteMem(addr, v uint64) {
 	if inRegions(e.t.NonSpec, addr) {
 		e.hook.NonSpec = true
 	}
-	e.liveOut.SetMem(addr, v)
+	if !e.tab.StoreCached(addr, v) {
+		e.tab.Store(addr, v)
+	}
 }
 
 // Fetch reads instruction words from the architected snapshot only: MIR
@@ -289,9 +290,10 @@ var _ cpu.Env = (*slaveEnv)(nil)
 // otherwise it steps through the Env interface. The two paths are
 // semantically identical (TestExecuteFastSlowEquivalence).
 func (t *Task) Execute(cap uint64) *Exec {
+	tab := mem.NewTable()
 	env := new(slaveEnv)
-	ex := &Exec{LiveIn: state.NewDelta(), LiveOut: state.NewDelta()}
-	env.reset(t, ex.LiveIn, ex.LiveOut)
+	ex := &Exec{LiveIn: state.NewDeltaOver(tab.In()), LiveOut: state.NewDeltaOver(tab.Out())}
+	env.reset(t, tab, ex.LiveIn)
 	return t.execute(env, ex, cap)
 }
 
@@ -377,9 +379,11 @@ func (t *Task) step(env *slaveEnv, ex *Exec, cap uint64) {
 	ex.Outcome = OutcomeOverflow
 }
 
-// finish completes the live-out delta, whose memory part the stores already
-// filled: the written registers and the final PC.
+// finish completes the task's deltas on the slave's goroutine: it sorts the
+// table, whose views are the deltas' memory parts, and adds the written
+// registers and the final PC to the live-out delta.
 func (t *Task) finish(env *slaveEnv, ex *Exec) {
+	env.tab.Sort()
 	for r := 1; r < isa.NumRegs; r++ {
 		if env.hook.Written&(1<<r) != 0 {
 			ex.LiveOut.SetReg(r, env.st.Regs[r])
