@@ -14,11 +14,11 @@
 // upserts, so a run under a label already in the file replaces that
 // label's points. -quick runs the experiment smoke at Train scale and a
 // short soak, and skips the Ref-scale wall-clock entry; it is the CI
-// bench-smoke mode, which writes to its own -out file. The
-// tool exits non-zero if the run-loop allocates or if the fast and slow
-// interpreters disagree, so every baseline refresh re-proves the fast-path
-// contract before recording numbers. docs/PERFORMANCE.md explains how to
-// read the output file.
+// bench-smoke mode, which writes to its own -out file. The tool exits
+// non-zero if the run-loop or fork admission allocates, or if the fast and
+// slow interpreters disagree, so every baseline refresh re-proves the
+// fast-path contract before recording numbers. docs/PERFORMANCE.md
+// explains how to read the output file.
 package main
 
 import (
@@ -37,7 +37,9 @@ import (
 	"mssp"
 	"mssp/internal/bench"
 	"mssp/internal/chaos"
+	"mssp/internal/core"
 	"mssp/internal/cpu"
+	"mssp/internal/distill"
 	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/mem"
@@ -748,8 +750,12 @@ func fusionBench() (fusionResult, error) {
 
 // checkZeroAlloc asserts the devirtualized run loops — plain and fused —
 // do not allocate after warm-up, mirroring internal/cpu's
-// TestRunLoopZeroAlloc.
+// TestRunLoopZeroAlloc, and neither does fork admission (internal/core's
+// TestAdmissionAllocs).
 func checkZeroAlloc() error {
+	if err := checkForkAlloc(); err != nil {
+		return err
+	}
 	p := workloads.MicroTight(100)
 	for _, c := range []struct {
 		name string
@@ -771,6 +777,28 @@ func checkZeroAlloc() error {
 		if allocs != 0 {
 			return fmt.Errorf("%s run loop allocates: %v allocs/op, want 0", c.name, allocs)
 		}
+	}
+	return nil
+}
+
+// checkForkAlloc asserts that a warmed Retirer.Fork admits a task into a
+// reused queue entry without allocating, as each engine does at every fork:
+// the entry owns its task, and its snapshot returns to the pool between
+// forks.
+func checkForkAlloc() error {
+	p := workloads.MicroTight(100)
+	m, err := core.New(p, &distill.Result{Prog: p, Anchors: []uint64{p.Entry}}, core.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	var f core.InFlight
+	fork := func() {
+		m.Fork(&f.T, m.Arch.PC, task.Checkpoint{Regs: m.Arch.Regs}, 0)
+		m.Release(&f)
+	}
+	fork()
+	if allocs := testing.AllocsPerRun(10, fork); allocs != 0 {
+		return fmt.Errorf("fork admission allocates: %v allocs/op, want 0", allocs)
 	}
 	return nil
 }

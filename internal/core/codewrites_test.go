@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"mssp/internal/distill"
 	"mssp/internal/isa"
 	"mssp/internal/state"
 )
@@ -27,7 +28,7 @@ func TestNoteCodeWritesClearsCodeClean(t *testing.T) {
 		{"both sides, none inside", []uint64{base - 1, base - 200, base + n, base + 5*n}, false},
 		{"both sides and one inside", []uint64{base - 1, base + n, base + n/2}, true},
 	} {
-		r := Retirer{origCode: code, codeClean: true}
+		r := Retirer{Tables: distill.Tables{Orig: code}, codeClean: true}
 		d := state.NewDelta()
 		for i, a := range tc.addrs {
 			d.SetMem(a, uint64(i+1))
@@ -44,7 +45,7 @@ func TestNoteCodeWritesClearsCodeClean(t *testing.T) {
 	}
 	// A retirer whose code is already dirty stays dirty, and a nil delta
 	// changes nothing.
-	r := Retirer{origCode: code}
+	r := Retirer{Tables: distill.Tables{Orig: code}}
 	r.noteCodeWrites(state.NewDelta())
 	r.noteCodeWrites(nil)
 	if r.codeClean {

@@ -10,13 +10,38 @@ import (
 	"mssp/internal/task"
 )
 
-// pend is a spawned task waiting, executing, or awaiting verification.
+// pend is a spawned task waiting, executing, or awaiting verification. It
+// owns its task by value and is reused for every task its queue position
+// admits.
 type pend struct {
 	InFlight
 	closed bool // end PC known (or declared endless during drain)
 
 	forkAt   float64 // master clock at spawn
 	closedAt float64 // master clock when the end-defining fork was taken
+}
+
+// pendQueue holds the in-flight tasks in program order, oldest first: a
+// circular buffer of Config.TaskBuffer entries, each reused in place once
+// its task retires, so admitting a task allocates nothing.
+type pendQueue struct {
+	buf     []pend
+	head, n int
+}
+
+// at returns the i-th oldest entry.
+func (q *pendQueue) at(i int) *pend { return &q.buf[(q.head+i)%len(q.buf)] }
+
+// push claims the entry after the youngest; the queue must not be full.
+func (q *pendQueue) push() *pend {
+	q.n++
+	return q.at(q.n - 1)
+}
+
+// pop drops the oldest entry.
+func (q *pendQueue) pop() {
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
 }
 
 // Machine is one MSSP machine instance, single-use: construct, Run, inspect.
@@ -32,7 +57,7 @@ type Machine struct {
 	masterAlive bool
 	masterClock float64
 
-	queue []*pend // program order; tail may be open
+	queue pendQueue // program order; tail may be open
 
 	slaveFree     []float64
 	commitFree    float64
@@ -62,6 +87,7 @@ func New(orig *isa.Program, dist *distill.Result, cfg Config) (*Machine, error) 
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	m.slaveFree = make([]float64, m.Cfg.Slaves)
+	m.queue.buf = make([]pend, m.Cfg.TaskBuffer)
 	m.master = m.NewMaster()
 	return m, nil
 }
@@ -112,7 +138,7 @@ func (m *Machine) Run() (*Result, error) {
 		// Enforce in-flight capacity: the master stalls until the oldest
 		// task's slot frees.
 		squashed := false
-		for !m.Done && len(m.queue) >= m.Cfg.TaskBuffer {
+		for !m.Done && m.queue.n >= m.Cfg.TaskBuffer {
 			if m.verifyHead() {
 				squashed = true
 				break
@@ -125,7 +151,7 @@ func (m *Machine) Run() (*Result, error) {
 			continue
 		}
 
-		m.spawn(r.Anchor)
+		m.spawn(r.Anchor, m.master.Checkpoint())
 	}
 
 	m.Metrics.Cycles = maxf(m.lastCommitEnd, m.commitFree)
@@ -134,27 +160,26 @@ func (m *Machine) Run() (*Result, error) {
 
 // openTask returns the youngest task if its end is still unknown.
 func (m *Machine) openTask() *pend {
-	if n := len(m.queue); n > 0 && !m.queue[n-1].closed {
-		return m.queue[n-1]
+	if n := m.queue.n; n > 0 && !m.queue.at(n-1).closed {
+		return m.queue.at(n - 1)
 	}
 	return nil
 }
 
-// spawn creates a new open task starting at the given anchor.
-func (m *Machine) spawn(anchor uint64) {
+// spawn creates a new open task starting at the given anchor, with the
+// master's checkpoint ck, in the queue's next entry.
+func (m *Machine) spawn(anchor uint64, ck task.Checkpoint) {
 	m.at = m.masterClock
-	p := &pend{
-		InFlight: m.Fork(anchor, m.master.Checkpoint(), len(m.queue)),
-		forkAt:   m.masterClock,
-	}
-	m.queue = append(m.queue, p)
+	p := m.queue.push()
+	p.closed, p.forkAt = false, m.masterClock
+	m.Fork(&p.T, anchor, ck, m.queue.n-1)
 }
 
 // processDue verifies closed head tasks whose commit completes by time now.
 // Reports whether a squash occurred.
 func (m *Machine) processDue(now float64) bool {
-	for !m.Done && len(m.queue) > 0 && m.queue[0].closed {
-		h := m.queue[0]
+	for !m.Done && m.queue.n > 0 && m.queue.at(0).closed {
+		h := m.queue.at(0)
 		m.ensureExec(h)
 		if m.timeHead(h).verify > now {
 			return false
@@ -170,8 +195,8 @@ func (m *Machine) processDue(now float64) bool {
 // task runs to halt or the cap), then make progress sequentially and try to
 // revive the master.
 func (m *Machine) drain() {
-	if len(m.queue) > 0 {
-		h := m.queue[0]
+	if m.queue.n > 0 {
+		h := m.queue.at(0)
 		if !h.closed {
 			h.closed = true
 			h.closedAt = m.masterClock
@@ -194,7 +219,7 @@ func (m *Machine) drain() {
 // ensureExec runs the task's functional execution once, on pooled scratch.
 func (m *Machine) ensureExec(p *pend) {
 	if p.Ex == nil {
-		p.Ex = m.Pool.Execute(p.T, m.Cfg.MaxTaskLen)
+		p.Ex = m.Pool.Execute(&p.T, m.Cfg.MaxTaskLen)
 	}
 }
 
@@ -260,7 +285,7 @@ func (m *Machine) verifyJitterOf(h *pend) float64 {
 // verifyHead pops and verifies the oldest task, committing or squashing.
 // Reports whether a squash occurred.
 func (m *Machine) verifyHead() (squashed bool) {
-	h := m.queue[0]
+	h := m.queue.at(0)
 	m.ensureExec(h)
 
 	tm := m.timeHead(h)
@@ -280,7 +305,7 @@ func (m *Machine) verifyHead() (squashed bool) {
 	})
 
 	m.at = vt
-	if v := Classify(m.Arch, h.T, h.Ex, m.Cfg.Fault); v.Reason != "" {
+	if v := Classify(m.Arch, &h.T, h.Ex, m.Cfg.Fault); v.Reason != "" {
 		m.squashAndRecover(h, v, vt)
 		return true
 	}
@@ -301,7 +326,8 @@ func (m *Machine) verifyHead() (squashed bool) {
 	m.commitFree = vt
 	m.lastCommitEnd = vt
 
-	m.queue = m.queue[1:]
+	// The commit retires h's task before any spawn can reuse the entry.
+	m.queue.pop()
 	m.Commit(&h.InFlight)
 	return false
 }
@@ -311,11 +337,11 @@ func (m *Machine) verifyHead() (squashed bool) {
 // Recovery runs sequential mode first when the Retirer asks for it, then
 // reseeds the master.
 func (m *Machine) squashAndRecover(h *pend, v Verdict, at float64) {
-	fallback := m.Squash(&h.InFlight, v, len(m.queue)-1)
-	for _, p := range m.queue {
-		m.Release(&p.InFlight)
+	fallback := m.Squash(&h.InFlight, v, m.queue.n-1)
+	for i := 0; i < m.queue.n; i++ {
+		m.Release(&m.queue.at(i).InFlight)
 	}
-	m.queue = nil
+	m.queue.head, m.queue.n = 0, 0
 	m.masterAlive = false
 
 	now := maxf(at, m.masterClock) + m.Cfg.SquashPenalty

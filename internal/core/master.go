@@ -66,11 +66,11 @@ type MasterRun struct {
 }
 
 // NewMaster returns the master for a machine built by Init, over the
-// distilled table Init predecoded.
+// retirer's distilled table.
 func (r *Retirer) NewMaster() *Master {
 	return &Master{
 		dist:      r.Dist,
-		table:     r.distCode,
+		table:     r.Tables.Dist,
 		spacing:   r.Cfg.MinTaskSpacing,
 		cap:       r.Cfg.MasterRunaheadCap,
 		ckpt:      mem.NewLayered(r.Cfg.TaskBuffer),

@@ -5,7 +5,6 @@ import (
 
 	"mssp/internal/cpu"
 	"mssp/internal/distill"
-	"mssp/internal/fuse"
 	"mssp/internal/isa"
 	"mssp/internal/state"
 	"mssp/internal/task"
@@ -69,10 +68,12 @@ func Classify(arch *state.State, t *task.Task, ex *task.Exec, f *FaultInjection)
 type Clock func(steps uint64) float64
 
 // InFlight is one spawned, not yet retired task as the retirement
-// bookkeeping sees it. Engines embed it by value in their own queue entries.
+// bookkeeping sees it. Engines embed it by value in their own queue
+// entries, which they reuse from task to task: an entry owns its task, and
+// Fork refills it in place.
 type InFlight struct {
 	// T is the task: start PC, checkpoint and architected snapshot.
-	T *task.Task
+	T task.Task
 	// Ex is the slave's execution of T, nil until it has run.
 	Ex *task.Exec
 }
@@ -100,18 +101,18 @@ type Retirer struct {
 	// lives. It is safe for concurrent use by slave workers.
 	Pool task.Pool
 
-	clock   Clock
-	anchors map[uint64]bool
-	// distCode is the predecoded distilled program every master life runs
-	// (nil when Config.DisableFastPath).
-	distCode *isa.DecodedProgram
-	// origCode is the predecoded original program (nil when
-	// Config.DisableFastPath). codeClean reports that the architected code
-	// segment still matches it: committed live-outs and fallback stores can,
-	// in principle, write code addresses, and the retirer stops handing
-	// origCode to new tasks the moment one does. In-flight tasks keep their
+	// Tables holds the predecoded original and distilled programs, both
+	// nil when Config.DisableFastPath, and the anchor set. They are
+	// distill.Result.Tables's, shared with every machine built from the same
+	// distillation and original program, so the retirer never writes them.
+	Tables distill.Tables
+
+	clock Clock
+	// codeClean reports that the architected code segment still matches
+	// Tables.Orig: committed live-outs and fallback stores can, in
+	// principle, write code addresses, and the retirer stops handing the
+	// table to new tasks the moment one does. In-flight tasks keep their
 	// table: their snapshots predate the modification.
-	origCode  *isa.DecodedProgram
 	codeClean bool
 	taskSeq   uint64
 
@@ -120,8 +121,11 @@ type Retirer struct {
 }
 
 // Init applies Config defaults, validates the structural parameters, and
-// builds initial architected state and the predecoded original and
-// distilled programs. clock stamps every lifecycle event the retirer emits.
+// builds initial architected state. It takes the predecoded original and
+// distilled programs from dist (distill.Result.Tables: fused unless
+// Config.DisableFusion, none under Config.DisableFastPath), which builds
+// them once for every machine that runs orig under dist. clock stamps
+// every lifecycle event the retirer emits.
 func (r *Retirer) Init(orig *isa.Program, dist *distill.Result, cfg Config, clock Clock) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -145,21 +149,10 @@ func (r *Retirer) Init(orig *isa.Program, dist *distill.Result, cfg Config, cloc
 	r.Dist = dist
 	r.Arch = state.NewFromProgram(orig, cfg.SP)
 	r.clock = clock
-	r.anchors = dist.AnchorSet()
-	if !cfg.DisableFastPath {
-		if cfg.DisableFusion {
-			r.origCode = isa.Predecode(orig)
-			r.distCode = isa.Predecode(dist.Prog)
-		} else {
-			// Slaves retire fused groups; the anchor set keeps every fork
-			// target out of group interiors so a task can always stop on an
-			// end-anchor crossing (the slave run loop guards dynamically too).
-			r.origCode = fuse.Predecode(orig, fuse.Options{Anchors: r.anchors})
-			// The master's register file is read only at FORK stops, so
-			// its table may also elide dead intermediate writes (see the
-			// internal/fuse package comment for why nothing else may).
-			r.distCode = fuse.Predecode(dist.Prog, fuse.Options{Elide: true})
-		}
+	if cfg.DisableFastPath {
+		r.Tables = distill.Tables{Anchors: dist.AnchorSet()}
+	} else {
+		r.Tables = dist.Tables(orig, !cfg.DisableFusion)
 		r.codeClean = true
 	}
 	return nil
@@ -174,32 +167,34 @@ func (r *Retirer) Emit(ev LifecycleEvent) {
 }
 
 // Fork admits the task the master just forked at anchor, predicting machine
-// state with ck; queued is the number of tasks already in flight. It
-// applies fault injection, snapshots architected state, and emits the fork
-// event. Injection corrupts only the spawning task — the open task's end
-// anchor keeps the uncorrupted value — so one injected fault stays one
-// fault.
-func (r *Retirer) Fork(anchor uint64, ck task.Checkpoint, queued int) InFlight {
-	start := anchor
-	if f := r.Cfg.Fault; f != nil {
-		if f.CorruptStart != nil {
-			start = f.CorruptStart(r.taskSeq, anchor)
-		}
-		if f.CorruptCheckpoint != nil {
-			f.CorruptCheckpoint(r.taskSeq, &ck)
-		}
-	}
-	t := &task.Task{
+// state with ck, into t; queued is the number of tasks already in flight.
+// t belongs to the caller, an engine's queue entry reused from task to
+// task: Fork overwrites every field but Cancel, which stays the engine's.
+// It applies fault injection, snapshots architected state, and emits the
+// fork event. Injection corrupts only the spawning task — the open task's
+// end anchor keeps the uncorrupted value — so one injected fault stays one
+// fault. In steady state Fork allocates nothing.
+func (r *Retirer) Fork(t *task.Task, anchor uint64, ck task.Checkpoint, queued int) {
+	*t = task.Task{
 		ID:         r.taskSeq,
-		Start:      start,
+		Start:      anchor,
 		Checkpoint: ck,
 		Snap:       r.Pool.CloneState(r.Arch),
 		Code:       r.taskCode(),
 		NonSpec:    r.Cfg.NonSpecRegions,
+		Cancel:     t.Cancel,
+	}
+	if f := r.Cfg.Fault; f != nil {
+		if f.CorruptStart != nil {
+			t.Start = f.CorruptStart(t.ID, anchor)
+		}
+		if f.CorruptCheckpoint != nil {
+			f.CorruptCheckpoint(t.ID, &t.Checkpoint)
+		}
 	}
 	r.taskSeq++
 	r.Metrics.Forks++
-	r.Metrics.CheckpointNew += uint64(ck.NewDiffWords)
+	r.Metrics.CheckpointNew += uint64(t.Checkpoint.NewDiffWords)
 	r.Metrics.RunaheadSum += uint64(queued)
 	r.Emit(LifecycleEvent{
 		Kind:   LifecycleFork,
@@ -208,7 +203,6 @@ func (r *Retirer) Fork(anchor uint64, ck task.Checkpoint, queued int) InFlight {
 		Start:  t.Start,
 		Queue:  queued + 1,
 	})
-	return InFlight{T: t}
 }
 
 // Commit retires h, which Classify let commit: the jump. Architected state
@@ -352,7 +346,7 @@ func (r *Retirer) Fallback() (steps uint64) {
 			halted = true
 			break
 		}
-		if r.anchors[r.Arch.PC] {
+		if r.Tables.Anchors[r.Arch.PC] {
 			break
 		}
 	}
@@ -380,7 +374,7 @@ func (r *Retirer) Fallback() (steps uint64) {
 // the fast path is disabled).
 func (r *Retirer) taskCode() *isa.DecodedProgram {
 	if r.codeClean {
-		return r.origCode
+		return r.Tables.Orig
 	}
 	return nil
 }
@@ -393,13 +387,14 @@ func (r *Retirer) noteCodeWrites(d *state.Delta) {
 	if !r.codeClean || d == nil {
 		return
 	}
+	code := r.Tables.Orig
 	lo, hi, ok := d.MemBounds()
-	base := r.origCode.Base()
-	if !ok || hi < base || lo >= base+uint64(r.origCode.Len()) {
+	base := code.Base()
+	if !ok || hi < base || lo >= base+uint64(code.Len()) {
 		return
 	}
 	d.RangeMem(func(a, _ uint64) bool {
-		if r.origCode.Covers(a) {
+		if code.Covers(a) {
 			r.codeClean = false
 			return false
 		}

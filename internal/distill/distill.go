@@ -107,15 +107,10 @@ type Result struct {
 	Anchors []uint64
 	// Stats describes the transformation.
 	Stats Stats
-}
 
-// AnchorSet returns the anchors as a set.
-func (r *Result) AnchorSet() map[uint64]bool {
-	s := make(map[uint64]bool, len(r.Anchors))
-	for _, a := range r.Anchors {
-		s[a] = true
-	}
-	return s
+	// tables holds the engine tables built from this distillation
+	// (Tables, AnchorSet).
+	tables tableMemo
 }
 
 // Distill produces a distilled program from an original program and a

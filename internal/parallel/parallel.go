@@ -264,23 +264,30 @@ func (e *Engine) handleFork(fm forkMsg) {
 	e.reserve(fm)
 }
 
-// reserve admits the fork through the Retirer and appends its open
-// reservation to the ring.
+// reserve appends an open reservation to the ring and admits the fork into
+// its task through the Retirer.
 func (e *Engine) reserve(fm forkMsg) {
-	f := e.Fork(fm.anchor, fm.ck, e.ring.Len())
-	epoch := e.epoch.Load()
-	// Cancel makes in-flight work from squashed epochs abandon itself
-	// instead of running to the cap on a doomed prediction.
-	f.T.Cancel = func() bool { return e.epoch.Load() != epoch }
-	if _, err := e.ring.Reserve(f, epoch); err != nil {
+	queued := e.ring.Len()
+	s, err := e.ring.Reserve(e.epoch.Load())
+	if err != nil {
 		e.err = err
+		return
 	}
+	if s.T.Cancel == nil {
+		// Cancel makes in-flight work from squashed epochs abandon itself
+		// instead of running to the cap on a doomed prediction. It reads
+		// the epoch of whichever reservation holds the slot, so one hook
+		// per slot serves them all; Fork keeps it.
+		s.T.Cancel = func() bool { return e.epoch.Load() != s.epoch }
+	}
+	e.Fork(&s.T, fm.anchor, fm.ck, queued)
 }
 
 // dispatch hands a closed slot to the worker pool, draining results if the
 // dispatch queue is momentarily full (it cannot stay full: closed slots are
 // bounded by the ring capacity, which equals the queue capacity).
 func (e *Engine) dispatch(s *slot) {
+	s.atWorker = true
 	for {
 		select {
 		case e.dispatchCh <- s:
@@ -293,12 +300,14 @@ func (e *Engine) dispatch(s *slot) {
 
 // noteResult records a slave's completed execution. Results from dead epochs
 // are stale — their slots left the ring at the squash — and are dropped,
-// which is also the point where an in-flight-at-squash slot's pooled
+// which is also the point where an in-flight-at-squash slot and its pooled
 // resources finally come home (nothing else may reclaim them earlier: the
-// worker owned the scratch until this arrival).
+// worker owned the task and the scratch until this arrival).
 func (e *Engine) noteResult(s *slot) {
+	s.atWorker = false
 	if s.epoch != e.epoch.Load() {
 		e.Release(&s.InFlight)
+		e.ring.recycle(s)
 		return
 	}
 	if err := e.ring.Complete(s); err != nil {
@@ -361,7 +370,7 @@ func (e *Engine) verifyHead() (squashed bool) {
 		e.err = fmt.Errorf("parallel: canceled task %d at verification head", h.T.ID)
 		return false
 	}
-	if v := core.Classify(e.Arch, h.T, h.Ex, e.Cfg.Fault); v.Reason != "" {
+	if v := core.Classify(e.Arch, &h.T, h.Ex, e.Cfg.Fault); v.Reason != "" {
 		e.squashAndRecover(e.Squash(&h.InFlight, v, e.ring.Len()-1))
 		return true
 	}
@@ -372,26 +381,17 @@ func (e *Engine) verifyHead() (squashed bool) {
 		return false
 	}
 	e.Commit(&h.InFlight)
+	e.ring.recycle(h)
 	e.widen()
 	return false
 }
 
-// squashAndRecover discards all speculative state: the epoch bump invalidates
-// every in-flight slave execution (cooperative cancellation) and stale
-// results (dropped on arrival), the ring is emptied, and the master life is
-// stopped synchronously. Recovery then runs sequential mode if the Retirer
-// asked for it (fallback) and reseeds from architected state.
+// squashAndRecover discards all speculative state: the ring is emptied
+// (discard) and the master life is stopped synchronously. Recovery then
+// runs sequential mode if the Retirer asked for it (fallback) and reseeds
+// from architected state.
 func (e *Engine) squashAndRecover(fallback bool) {
-	e.epoch.Add(1)
-	// Reclaim what the coordinator still owns. Closed slots are in flight —
-	// a worker owns their task and scratch until the (now stale) result
-	// arrives back in noteResult, which is their release point.
-	for _, s := range e.ring.slots {
-		if s.state != SlotClosed {
-			e.Release(&s.InFlight)
-		}
-	}
-	e.ring.SquashAll()
+	e.discard()
 	e.stopMaster()
 
 	if fallback {
@@ -402,6 +402,22 @@ func (e *Engine) squashAndRecover(fallback bool) {
 		return
 	}
 	e.reseed()
+}
+
+// discard empties the ring under a new epoch, which invalidates every
+// in-flight slave execution (cooperative cancellation) and makes its result
+// stale (dropped on arrival). It reclaims what the coordinator still owns,
+// and SquashAll recycles those slots. A slot at a worker is in flight — the
+// worker owns its task and scratch until the stale result arrives back in
+// noteResult, which is its release point.
+func (e *Engine) discard() {
+	e.epoch.Add(1)
+	for i := 0; i < e.ring.Len(); i++ {
+		if s := e.ring.at(i); !s.atWorker {
+			e.Release(&s.InFlight)
+		}
+	}
+	e.ring.SquashAll()
 }
 
 // drain handles a dead master: verify whatever is in flight (the youngest
@@ -505,7 +521,7 @@ func (e *Engine) slaveWorker(id int) {
 	for s := range e.dispatchCh {
 		if s.epoch == e.epoch.Load() {
 			s.slave = id
-			s.Ex = e.Pool.Execute(s.T, e.Cfg.MaxTaskLen)
+			s.Ex = e.Pool.Execute(&s.T, e.Cfg.MaxTaskLen)
 		} else {
 			s.Ex = canceledExec
 		}

@@ -4,12 +4,16 @@ import (
 	"strings"
 	"testing"
 
-	"mssp/internal/core"
 	"mssp/internal/task"
 )
 
-func mkSlot(id uint64) core.InFlight {
-	return core.InFlight{T: &task.Task{ID: id, Start: id * 10}}
+// reserve reserves the ring's next slot, in epoch, for task id.
+func reserve(r *ring, id, epoch uint64) (*slot, error) {
+	s, err := r.Reserve(epoch)
+	if err == nil {
+		s.T = task.Task{ID: id, Start: id * 10}
+	}
+	return s, err
 }
 
 func done(r *ring, s *slot, t *testing.T) {
@@ -159,7 +163,7 @@ func TestRingProtocol(t *testing.T) {
 			for i, s := range tc.steps {
 				switch s.op {
 				case "reserve":
-					sl, err := r.Reserve(mkSlot(uint64(len(reserved))), 0)
+					sl, err := reserve(r, uint64(len(reserved)), 0)
 					check(i, err, s.wantErr)
 					if err == nil {
 						reserved = append(reserved, sl)
@@ -186,7 +190,7 @@ func TestRingProtocol(t *testing.T) {
 
 func TestRingCompleteRequiresResult(t *testing.T) {
 	r := newRing(2)
-	s, err := r.Reserve(mkSlot(0), 0)
+	s, err := reserve(r, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +204,12 @@ func TestRingCompleteRequiresResult(t *testing.T) {
 
 func TestRingSquashMarksSlots(t *testing.T) {
 	r := newRing(4)
-	a, _ := r.Reserve(mkSlot(0), 0)
+	a, _ := reserve(r, 0, 0)
 	if err := r.Close(a, 1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	done(r, a, t)
-	b, _ := r.Reserve(mkSlot(1), 0)
+	b, _ := reserve(r, 1, 0)
 	if n := r.SquashAll(); n != 2 {
 		t.Errorf("SquashAll = %d, want 2", n)
 	}
@@ -222,7 +226,7 @@ func TestRingAccessors(t *testing.T) {
 	if r.Head() != nil || r.Open() != nil || !r.Empty() || r.Full() || r.Len() != 0 {
 		t.Fatal("fresh ring accessors wrong")
 	}
-	a, _ := r.Reserve(mkSlot(0), 7)
+	a, _ := reserve(r, 0, 7)
 	if a.epoch != 7 {
 		t.Errorf("epoch = %d, want 7", a.epoch)
 	}
@@ -238,7 +242,7 @@ func TestRingAccessors(t *testing.T) {
 	if r.Open() != nil {
 		t.Error("closed tail still reported open")
 	}
-	b, _ := r.Reserve(mkSlot(1), 7)
+	b, _ := reserve(r, 1, 7)
 	if !r.Full() || r.Head() != a || r.Open() != b {
 		t.Fatal("two-slot accessors wrong")
 	}
