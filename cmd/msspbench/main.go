@@ -136,7 +136,7 @@ func run(quick bool, in, out, label string) error {
 	record("mem/snapshot_churn", "ns/op", benchSnapshotChurn(16))
 	record("mem/snapshot_churn_4096", "ns/op", benchSnapshotChurn(4096))
 	record("mem/equal_shared", "ns/op", benchEqualShared())
-	record("mem/overlay_setget", "ns/op", benchOverlaySetGet())
+	record("mem/table_hit", "ns/op", benchTableHit())
 	record("parallel/commit_ns", "ns/op", benchCommitCycle())
 
 	seeds := 300
@@ -187,17 +187,15 @@ func run(quick bool, in, out, label string) error {
 	upsert(f, "distill/master_insts", "insts", "nopass", dq.masterOff)
 	upsert(f, "distill/master_insts", "insts", "analysis", dq.masterOn)
 
-	// Master checkpoint construction: a diff/journal/layered ablation
-	// (same run, fixed labels, like distill/*), cross-checked before timing.
+	// Master checkpoint construction, under the fixed label of the design
+	// it times (the diff and journal points are history), cross-checked
+	// before timing.
 	ck, err := ckptBuildBench()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-24s %10.3f ns (diff) %10.3f ns (journal) %10.3f ns (layered) per fork\n",
-		"mem/ckpt_build", ck[ckptDiff], ck[ckptJournal], ck[ckptLayered])
-	for k, label := range ckptLabels {
-		upsert(f, "mem/ckpt_build", "ns/fork", label, ck[k])
-	}
+	fmt.Printf("%-24s %10.3f ns (layered) per fork\n", "mem/ckpt_build", ck)
+	upsert(f, "mem/ckpt_build", "ns/fork", "layered", ck)
 
 	// Task-machinery premium: an unpooled/pooled ablation pair (same run,
 	// fixed labels, like distill/*), plus the alloc gate — a pooled task
@@ -382,49 +380,26 @@ const (
 	ckptStack     = 1<<28 - 1
 )
 
-// The ways mem/ckpt_build builds a checkpoint, and their labels.
-const (
-	// ckptDiff diffs the memory against a snapshot taken at the previous
-	// fork and snapshots the cumulative overlay, as before the journal.
-	ckptDiff = iota
-	// ckptJournal flushes a page journal and snapshots the cumulative
-	// overlay, as before the layers.
-	ckptJournal
-	// ckptLayered flushes a page journal into one layer per fork, in
-	// windows of ckptWindow forks, through the mem.Layered that
-	// core.Master uses: a view is the current window's chain over the
-	// previous window's final layer, with no snapshot of the cumulative
-	// overlay.
-	ckptLayered
-)
-
-var ckptLabels = [...]string{ckptDiff: "diff", ckptJournal: "journal", ckptLayered: "layered"}
-
-// ckptWindow is the layered path's window: TaskBuffer at 2 slaves, as on
+// ckptWindow is mem/ckpt_build's window: TaskBuffer at 2 slaves, as on
 // par-lean and par-heavy.
 const ckptWindow = 8
 
 // ckptMaster replays the master's checkpoint construction on a synthetic
-// fork interval, in one of the ckpt* ways.
+// fork interval: it flushes a page journal into one layer per fork, in
+// windows of ckptWindow forks, through the mem.Layered that core.Master
+// uses. A view is the current window's chain over the previous window's
+// final layer.
 type ckptMaster struct {
-	how     int
-	m, prev *mem.Memory // prev is the diff path's snapshot of m
-	j       mem.Journal
-	cum     *mem.Overlay // the diff and journal paths' cumulative overlay
-	n, rng  uint64
-	words   int // NewDiffWords summed over all forks
-	// base is the diff and journal paths' latest checkpoint, a snapshot of
-	// cum; older and top are the layered path's, which lay builds.
-	base       *mem.Overlay
-	older, top *mem.Layer
-	lay        *mem.Layered
-	// changed, when track is set, lists the words each fork changed on
-	// the diff path, oldest fork first.
-	track   bool
-	changed [][]uint64
+	m      *mem.Memory
+	j      mem.Journal
+	lay    *mem.Layered
+	n, rng uint64
+	words  int // NewDiffWords summed over all forks
+	// prev and top are the latest fork's view.
+	prev, top *mem.Layer
 }
 
-func newCkptMaster(how int) *ckptMaster {
+func newCkptMaster() *ckptMaster {
 	arch := mem.New()
 	for pn := uint64(0); pn < ckptHeapPages; pn++ {
 		arch.Write(ckptHeap+pn*mem.PageWords, pn+1)
@@ -432,23 +407,14 @@ func newCkptMaster(how int) *ckptMaster {
 	arch.Write(ckptStack, 1)
 	// The master runs on a snapshot of the architected image, as after a
 	// reseed.
-	c := &ckptMaster{how: how, m: arch.Snapshot(), cum: mem.NewOverlay(), rng: 1}
-	if how == ckptLayered {
-		c.lay = mem.NewLayered(ckptWindow)
-	}
-	if how == ckptDiff {
-		c.prev = c.m.Snapshot()
-	} else {
-		c.j.Attach(c.m)
-	}
+	c := &ckptMaster{m: arch.Snapshot(), lay: mem.NewLayered(ckptWindow), rng: 1}
+	c.j.Attach(c.m)
 	return c
 }
 
 // fork runs one interval and builds its checkpoint: four stores to the
 // stack page and one to each of 5 or 6 scattered heap pages (the par-heavy
-// masters write ~5.5 pages per fork on average), then, on the diff and
-// journal paths, the fold of the changed words into the cumulative overlay
-// and the overlay's snapshot; on the layered path, mem.Layered.Fork, as
+// masters write ~5.5 pages per fork on average), then mem.Layered.Fork, as
 // the master does.
 func (c *ckptMaster) fork() {
 	c.n++
@@ -460,123 +426,101 @@ func (c *ckptMaster) fork() {
 		pn := (c.rng >> 33) % ckptHeapPages
 		c.m.Write(ckptHeap+pn*mem.PageWords+c.n%mem.PageWords, c.n)
 	}
-	fold := func(a, v, _ uint64) {
-		if _, ok := c.cum.Get(a); !ok {
-			c.words++
-		}
-		c.cum.Set(a, v)
-	}
-	switch c.how {
-	case ckptDiff:
-		if c.track {
-			c.changed = append(c.changed, nil)
-			c.m.Diff(c.prev, func(a, v, ov uint64) {
-				fold(a, v, ov)
-				c.changed[len(c.changed)-1] = append(c.changed[len(c.changed)-1], a)
-			})
-		} else {
-			c.m.Diff(c.prev, fold)
-		}
-		c.prev = c.m.Snapshot()
-		c.base = c.cum.Snapshot()
-	case ckptJournal:
-		c.j.Flush(fold)
-		c.base = c.cum.Snapshot()
-	default:
-		var w int
-		c.older, c.top, w = c.lay.Fork(&c.j)
-		c.words += w
-	}
+	var w int
+	c.prev, c.top, w = c.lay.Fork(&c.j)
+	c.words += w
 }
 
-// windowView returns what a layered view holds at the diff path's latest
-// fork, from the words it changed at each fork: those changed at the forks
-// since the previous window began, at their current values.
-func (c *ckptMaster) windowView() *mem.Overlay {
-	k := int(c.n%ckptWindow) + ckptWindow
-	if c.n%ckptWindow == 0 {
-		k = ckptWindow
-	}
-	want := mem.NewOverlay()
-	for _, as := range c.changed[max(len(c.changed)-k, 0):] {
-		for _, a := range as {
-			want.Set(a, c.m.Read(a))
+// ckptCheck runs a master over forks and checks its views and word counts
+// at the last 2×ckptWindow forks, which cover every position in the window,
+// against the checkpoint definition, evaluated by diffing the memory
+// against a snapshot taken at the previous fork: a view holds the words
+// changed at the forks since the previous window began, at their current
+// values, and NewDiffWords counts the words changed for the first time.
+func ckptCheck() error {
+	c := newCkptMaster()
+	last := c.m.Snapshot()
+	var changed [][]uint64
+	ever := map[uint64]bool{}
+	const forks = 2000
+	for i := 0; i < forks; i++ {
+		c.fork()
+		var ch []uint64
+		c.m.Diff(last, func(a, _, _ uint64) {
+			ch = append(ch, a)
+			ever[a] = true
+		})
+		changed = append(changed, ch)
+		last = c.m.Snapshot()
+		if i < forks-2*ckptWindow {
+			continue
+		}
+		k := len(changed)%ckptWindow + ckptWindow
+		if len(changed)%ckptWindow == 0 {
+			k = ckptWindow
+		}
+		want := map[uint64]uint64{}
+		for _, as := range changed[len(changed)-k:] {
+			for _, a := range as {
+				want[a] = c.m.Read(a)
+			}
+		}
+		if c.words != len(ever) || !sameView(c.prev, c.top, want) {
+			return fmt.Errorf("mem/ckpt_build: layered checkpoints diverged from diff checkpoints at fork %d (%d vs %d diff words)",
+				i, c.words, len(ever))
 		}
 	}
-	return want
+	return nil
 }
 
-// sameView reports whether c's latest checkpoint view binds exactly the
-// words of want with their values.
-func (c *ckptMaster) sameView(want *mem.Overlay) bool {
-	var rd mem.OverlayReader
-	rd.Init(c.base, c.older, c.top)
+// sameView reports whether the view of top over prev binds exactly the
+// words of want with their values. It reads the view through a slave's
+// table over a memory that holds every word of want at another value, so
+// a read returns want's value only from the view.
+func sameView(prev, top *mem.Layer, want map[uint64]uint64) bool {
+	snap := mem.New()
+	for a, w := range want {
+		snap.Write(a, ^w)
+	}
+	tab := mem.NewTable()
+	tab.Over(nil, prev, top, snap)
+	for a, w := range want {
+		if tab.Load(a) != w {
+			return false
+		}
+	}
 	same := true
-	want.Range(func(a, w uint64) bool {
-		v, ok := rd.Get(a)
-		same = ok && v == w
-		return same
-	})
 	bound := func(a, _ uint64) bool {
-		_, same = want.Get(a)
+		_, same = want[a]
 		return same
 	}
-	if same && c.base != nil {
-		c.base.Range(bound)
-	}
+	prev.Range(bound)
 	if same {
-		c.older.Range(bound)
-	}
-	if same {
-		c.top.Range(bound)
+		top.Range(bound)
 	}
 	return same
 }
 
-// ckptBuildBench measures ns per checkpoint on every path, after checking
-// that they build the same diff-word count over a run of forks, and the
-// views the diff path defines at its last 2×ckptWindow forks, which cover
-// every position in the layered path's window: the journal path's, the
-// whole cumulative overlay; the layered path's, its windowView.
-func ckptBuildBench() (ns [len(ckptLabels)]float64, err error) {
-	var cs [len(ckptLabels)]*ckptMaster
-	for k := range cs {
-		cs[k] = newCkptMaster(k)
+// ckptBuildBench measures ns per checkpoint, after ckptCheck.
+func ckptBuildBench() (float64, error) {
+	if err := ckptCheck(); err != nil {
+		return 0, err
 	}
-	diff := cs[ckptDiff]
-	diff.track = true
-	const forks = 2000
-	for i := 0; i < forks; i++ {
-		for _, c := range cs {
-			c.fork()
-		}
-		if i < forks-2*ckptWindow {
-			continue
-		}
-		want := [...]*mem.Overlay{ckptJournal: diff.cum, ckptLayered: diff.windowView()}
-		for k, c := range cs[1:] {
-			if c.words != diff.words || !c.sameView(want[k+1]) {
-				return ns, fmt.Errorf("mem/ckpt_build: %s checkpoints diverged from diff checkpoints at fork %d (%d vs %d diff words)",
-					ckptLabels[k+1], i, c.words, diff.words)
-			}
-		}
-	}
-	// Best of three alternated rounds, like benchRun: a single in-process
+	// Best of three rounds, like benchRun: a single in-process
 	// testing.Benchmark swings by well over 10% on a shared host.
+	best := 0.0
 	for rep := 0; rep < 3; rep++ {
-		for k := range ns {
-			c := newCkptMaster(k)
-			v := nsPerOp(testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c.fork()
-				}
-			}))
-			if rep == 0 || v < ns[k] {
-				ns[k] = v
+		c := newCkptMaster()
+		v := nsPerOp(testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.fork()
 			}
+		}))
+		if rep == 0 || v < best {
+			best = v
 		}
 	}
-	return ns, nil
+	return best, nil
 }
 
 func benchEqualShared() float64 {
@@ -595,15 +539,22 @@ func benchEqualShared() float64 {
 	return nsPerOp(r)
 }
 
-func benchOverlaySetGet() float64 {
-	o := mem.NewOverlay()
+// benchTableHit measures a slave's load and store of a word its task
+// already wrote, on the page its table last probed: the inlined hits
+// Table.Cached and Table.StoreCached, which every such access of a task
+// takes.
+func benchTableHit() float64 {
+	tab := mem.NewTable()
 	mask := uint64(mem.PageWords - 1)
+	for a := uint64(0); a <= mask; a++ {
+		tab.Store(a, a)
+	}
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := uint64(i) & mask
-			o.Set(a, uint64(i))
-			if _, ok := o.Get(a); !ok {
-				b.Fatal("missing just-written cell")
+			v, ok := tab.Cached(a)
+			if !ok || !tab.StoreCached(a, v+1) {
+				b.Fatal("missed a word the table holds")
 			}
 		}
 	})
@@ -642,7 +593,7 @@ func taskPoolBench() (taskPoolResult, error) {
 	prog := workloads.MicroMem(100)
 	arch := state.NewFromProgram(prog, 1<<28)
 	code := isa.Predecode(prog)
-	ck := task.Checkpoint{Regs: arch.Regs, MemDiff: mem.NewOverlay()}
+	ck := task.Checkpoint{Regs: arch.Regs}
 
 	runUnpooled := func() *task.Exec {
 		t := &task.Task{Start: arch.PC, Checkpoint: ck, Snap: arch.Clone(), Code: code}

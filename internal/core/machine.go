@@ -305,7 +305,7 @@ func (m *Machine) verifyHead() (squashed bool) {
 	})
 
 	m.at = vt
-	if v := Classify(m.Arch, &h.T, h.Ex, m.Cfg.Fault); v.Reason != "" {
+	if v := m.Verify(&h.InFlight); v.Reason != "" {
 		m.squashAndRecover(h, v, vt)
 		return true
 	}

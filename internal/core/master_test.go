@@ -25,9 +25,10 @@ import (
 // fork policy written out per instruction, and computes each checkpoint the
 // plain way, by diffing the memory against a snapshot taken at the previous
 // fork. Every fork the master takes must match it in anchor, count,
-// registers and NewDiffWords, counted against a cumulative overlay of every
-// diff, and in the whole memory view, both windows: the words changed at
-// the forks since the previous window began, at their current values.
+// registers and NewDiffWords, counted against the set of every word any
+// diff reported, and in the whole memory view, both windows: the words
+// changed at the forks since the previous window began, at their current
+// values.
 //
 // A window spans TaskBuffer forks, so each workload runs at three windows:
 // the default at 2 slaves (8), 1 at 1 slave (every view is the fork's own
@@ -138,9 +139,9 @@ type refMaster struct {
 	since     uint64
 	crossings map[uint64]uint64
 	diffBase  *mem.Memory
-	// cum binds every word changed since the life began, and changed lists
-	// the words each fork changed, oldest fork first.
-	cum     *mem.Overlay
+	// ever holds every word changed since the life began, and changed
+	// lists the words each fork changed, oldest fork first.
+	ever    map[uint64]bool
 	changed [][]uint64
 	// stop is how the life ended, once next has reported its end.
 	stop MasterStop
@@ -169,12 +170,12 @@ func newRefMaster(t *testing.T, m *Machine) *refMaster {
 		since:     1 << 62, // the first fork is always taken
 		crossings: make(map[uint64]uint64),
 		diffBase:  img.Snapshot(),
-		cum:       mem.NewOverlay(),
+		ever:      make(map[uint64]bool),
 	}
 }
 
 // next steps the reference to its next taken fork, folds the words that
-// changed since the previous one into cum and lists them in changed. At the end of the life instead
+// changed since the previous one into ever and lists them in changed. At the end of the life instead
 // it sets stop and reports ok false.
 func (r *refMaster) next() (f refFork, ok bool) {
 	env := cpu.StateEnv{S: r.st}
@@ -198,10 +199,10 @@ func (r *refMaster) next() (f refFork, ok bool) {
 				clear(r.crossings)
 				var ch []uint64
 				r.st.Mem.Diff(r.diffBase, func(a, v, _ uint64) {
-					if _, ok := r.cum.Get(a); !ok {
+					if !r.ever[a] {
 						f.newWords++
 					}
-					r.cum.Set(a, v)
+					r.ever[a] = true
 					ch = append(ch, a)
 				})
 				r.changed = append(r.changed, ch)
@@ -227,40 +228,45 @@ func (r *refMaster) next() (f refFork, ok bool) {
 // for windows of the given length: the words changed at the forks since the
 // previous window began (at a window's last fork, that window alone), at
 // their current values.
-func (r *refMaster) view(window int) *mem.Overlay {
+func (r *refMaster) view(window int) map[uint64]uint64 {
 	f := len(r.changed)
 	span := f%window + window
 	if f%window == 0 {
 		span = window
 	}
-	v := mem.NewOverlay()
+	v := map[uint64]uint64{}
 	for _, as := range r.changed[max(f-span, 0):] {
 		for _, a := range as {
-			v.Set(a, r.st.Mem.Read(a))
+			v[a] = r.st.Mem.Read(a)
 		}
 	}
 	return v
 }
 
-// sameWords reports how ck's whole memory view, read through the lookup
-// the slaves use, and want differ as address-to-value sets, or nil when they
-// bind the same words to the same values.
-func sameWords(ck task.Checkpoint, want *mem.Overlay) (err error) {
-	var rd mem.OverlayReader
-	ck.View(&rd)
-	want.Range(func(a, w uint64) bool {
-		if v, ok := rd.Get(a); !ok || v != w {
-			err = fmt.Errorf("has [%#x]=%d (bound: %v) where the reference has %d", a, v, ok, w)
+// sameWords reports how ck's whole memory view and want differ as
+// address-to-value sets, or nil when they bind the same words to the same
+// values. It reads the view as a slave does, through a table over it and a
+// snapshot that holds every word of want at another value, so a read
+// returns want's value only from the view.
+func sameWords(ck task.Checkpoint, want map[uint64]uint64) (err error) {
+	snap := mem.New()
+	for a, w := range want {
+		snap.Write(a, ^w)
+	}
+	tab := mem.NewTable()
+	tab.Over(ck.MemDiff, ck.Prev, ck.Layers, snap)
+	for a, w := range want {
+		if v := tab.Load(a); v != w {
+			return fmt.Errorf("reads [%#x]=%d where the reference has %d", a, v, w)
 		}
-		return err == nil
-	})
+	}
 	bound := func(a, v uint64) bool {
-		if _, ok := want.Get(a); !ok {
+		if _, ok := want[a]; !ok {
 			err = fmt.Errorf("binds [%#x]=%d, which the reference does not", a, v)
 		}
 		return err == nil
 	}
-	if err == nil && ck.MemDiff != nil {
+	if ck.MemDiff != nil {
 		ck.MemDiff.Range(bound)
 	}
 	if err == nil {
@@ -276,8 +282,8 @@ func sameWords(ck task.Checkpoint, want *mem.Overlay) (err error) {
 // the default window at 2 slaves (8), so a window's last fork, where the
 // layers start again, is measured too: at most one allocation, the fork's
 // layer. Its page entries, values and page index come from the layer
-// builder's chunks, and cum is written in place, because nothing ever
-// snapshots it.
+// builder's chunks, and the map that counts NewDiffWords already holds the
+// pages the forks write.
 func TestMasterLayerAllocs(t *testing.T) {
 	w, err := workloads.ByName("mtf")
 	if err != nil {

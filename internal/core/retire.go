@@ -28,7 +28,8 @@ type Verdict struct {
 // Classify is the verify unit's transition function: it decides whether
 // task t, whose slave execution produced ex, may commit onto architected
 // state arch. It is pure — it reads arch, t and ex and mutates none of them
-// — and both engines call it, so their retirement rules cannot drift apart.
+// — and both engines call it through Retirer.Verify, so their retirement
+// rules cannot drift apart.
 //
 // The precedence is fixed: an injected dropped completion, then an injected
 // forced fallback (injection overrides whatever the slave computed), then a
@@ -109,11 +110,11 @@ type Retirer struct {
 
 	clock Clock
 	// codeClean reports that the architected code segment still matches
-	// Tables.Orig: committed live-outs and fallback stores can, in
-	// principle, write code addresses, and the retirer stops handing the
-	// table to new tasks the moment one does. In-flight tasks keep their
-	// table: their snapshots predate the modification.
+	// Tables.Orig: committed live-outs and fallback stores can write code
+	// addresses, and the retirer stops handing the table to new tasks the
+	// moment one does. code is the original program's code segment.
 	codeClean bool
+	code      isa.Segment
 	taskSeq   uint64
 
 	lastSquashCommitted uint64
@@ -148,6 +149,7 @@ func (r *Retirer) Init(orig *isa.Program, dist *distill.Result, cfg Config, cloc
 	r.Cfg = cfg
 	r.Dist = dist
 	r.Arch = state.NewFromProgram(orig, cfg.SP)
+	r.code = orig.Code
 	r.clock = clock
 	if cfg.DisableFastPath {
 		r.Tables = distill.Tables{Anchors: dist.AnchorSet()}
@@ -205,7 +207,26 @@ func (r *Retirer) Fork(t *task.Task, anchor uint64, ck task.Checkpoint, queued i
 	})
 }
 
-// Commit retires h, which Classify let commit: the jump. Architected state
+// Verify is the verify unit's decision for h, the task at the head of the
+// in-order queue: Classify's, unless Classify lets h commit and h's
+// live-out changes a word of the original program's code segment. A slave
+// fetches its code from its snapshot, so h may have run the word's old
+// instruction after its store, and every task admitted after h ran it. h
+// then fails as a live-in on the lowest such word, which its fetches read
+// at the snapshot's value, and sequential mode performs the write.
+func (r *Retirer) Verify(h *InFlight) Verdict {
+	v := Classify(r.Arch, &h.T, h.Ex, r.Cfg.Fault)
+	if v.Reason != "" {
+		return v
+	}
+	if a, stored, ok := r.codeWrite(h.Ex.LiveOut, true); ok {
+		return Verdict{Reason: SquashLiveIn, ForceFallback: true, Inconsistency: &state.Inconsistency{
+			Cell: fmt.Sprintf("m%d", a), Delta: r.Arch.Mem.Read(a), Got: stored}}
+	}
+	return v
+}
+
+// Commit retires h, which Verify let commit: the jump. Architected state
 // advances #t sequential steps by superimposing the live-outs. Commit then
 // fires OnCommit, emits the commit event, releases h's pooled resources
 // and, at HALT, sets Done.
@@ -379,25 +400,28 @@ func (r *Retirer) taskCode() *isa.DecodedProgram {
 	return nil
 }
 
-// noteCodeWrites clears codeClean if the delta binds a memory word inside
-// the predecoded original code segment. Called before every live-out
-// superimposition. It tests the delta's lowest and highest bound addresses
-// against the segment, and checks word by word only when they straddle it.
+// noteCodeWrites clears codeClean if the committed live-out d binds a word
+// of the original program's code segment, even at the value it holds.
+// Called before every live-out superimposition.
 func (r *Retirer) noteCodeWrites(d *state.Delta) {
-	if !r.codeClean || d == nil {
-		return
+	if _, _, ok := r.codeWrite(d, false); ok {
+		r.codeClean = false
 	}
-	code := r.Tables.Orig
-	lo, hi, ok := d.MemBounds()
-	base := code.Base()
-	if !ok || hi < base || lo >= base+uint64(code.Len()) {
-		return
+}
+
+// codeWrite returns the lowest word of the original program's code segment
+// that d binds, with its value, and whether there is one; with changed,
+// only a word d binds to a value architected state does not hold. It checks
+// word by word only when d's bounds straddle the segment.
+func (r *Retirer) codeWrite(d *state.Delta, changed bool) (addr, v uint64, ok bool) {
+	lo, hi, bound := d.MemBounds()
+	if !bound || hi < r.code.Base || lo >= r.code.End() {
+		return 0, 0, false
 	}
-	d.RangeMem(func(a, _ uint64) bool {
-		if code.Covers(a) {
-			r.codeClean = false
-			return false
-		}
-		return true
+	d.RangeMem(func(a, w uint64) bool {
+		addr, v = a, w
+		ok = a >= r.code.Base && a < r.code.End() && (!changed || r.Arch.Mem.Read(a) != w)
+		return !ok
 	})
+	return addr, v, ok
 }

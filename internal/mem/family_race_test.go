@@ -74,12 +74,12 @@ func TestOverlayFamilyConcurrency(t *testing.T) {
 		go func(o *Overlay) {
 			defer wg.Done()
 			for a := uint64(0); a < 4*PageWords; a += 5 {
-				if v, ok := o.Get(a); !ok || v != a+1 {
+				if v, ok := overlayGet(o, a); !ok || v != a+1 {
 					errs <- "checkpoint overlay read tore"
 					return
 				}
 			}
-			if _, ok := o.Get(2); ok {
+			if _, ok := overlayGet(o, 2); ok {
 				errs <- "phantom binding"
 			}
 		}(ck)
@@ -115,15 +115,16 @@ func TestFamilyConcurrencyWhileGrowing(t *testing.T) {
 		wg.Add(1)
 		go func(id uint64, m *Memory, o *Overlay) {
 			defer wg.Done()
-			var r OverlayReader
-			r.Init(o, nil, nil)
+			tab, empty := NewTable(), New()
 			for rep := 0; rep < 20; rep++ {
+				tab.reset()
+				tab.Over(o, nil, nil, empty)
 				for a := uint64(0); a < 4*PageWords; a += 3 {
 					if m.Read(a) != a {
 						errs <- "sibling memory read tore"
 						return
 					}
-					if v, ok := r.Get(a); !ok || v != a {
+					if tab.Load(a) != a {
 						errs <- "sibling overlay read tore"
 						return
 					}

@@ -9,9 +9,9 @@ import "math/bits"
 // word the chain binds on it, each at its newest value. Building a layer
 // copies the entries of the pages the new layer writes, merged with their
 // older words, and one pointer per other page of the chain; the pages it
-// does not write stay shared with the layers below. An OverlayReader reads
-// a view of at most two chains (OverlayReader.Init), finding a word by a
-// mask test in at most one entry of each.
+// does not write stay shared with the layers below. A slave's Table reads
+// a view of at most two chains (Table.Over): it looks up each chain's entry
+// for a page once, and finds a word by a mask test in it.
 //
 // A Layer is never written once built, so any number of goroutines may read
 // one at once. A nil *Layer is the empty chain.
@@ -236,12 +236,11 @@ func (b *layerBuilder) page(pn uint64, o *lpage, adds []binding) *lpage {
 // reader takes every other word from below the view: a slave, from its
 // architected snapshot.
 //
-// The writer's cumulative overlay only counts the words changed since the
-// Reset. It is private, written in place and never snapshotted, so it
-// copies no page on write. A Layered is goroutine-confined; the views it
-// returns are frozen.
+// The words changed since the Reset are recorded in seen, one mask of
+// them per page; Reset clears it and keeps its room. A Layered is
+// goroutine-confined; the views it returns are frozen.
 type Layered struct {
-	cum           *Overlay
+	seen          map[uint64][PageWords / 64]uint64
 	prev, top     *Layer
 	b             layerBuilder
 	window, forks int
@@ -250,30 +249,45 @@ type Layered struct {
 // NewLayered returns a Layered whose windows span window forks (one fork
 // when window is below 2), with nothing accumulated.
 func NewLayered(window int) *Layered {
-	return &Layered{cum: NewOverlay(), window: window}
+	return &Layered{seen: map[uint64][PageWords / 64]uint64{}, window: window}
 }
 
-// Reset starts over from nothing accumulated and no layers, keeping the
-// overlay's allocations for its next writes.
+// Reset starts over from nothing accumulated and no layers, keeping seen's
+// room for its next writes.
 func (l *Layered) Reset() {
-	l.cum.Reset()
+	clear(l.seen)
 	l.prev, l.top, l.forks = nil, nil, 0
 }
 
-// Fork folds j's flush into the cumulative overlay and a new layer, and
-// returns this fork's view, top above prev, and the number of words the
-// overlay gained: the words whose value changed, for the first time since
-// the Reset, since the previous fork. At the window's last fork top is nil
-// and prev is the window's final layer.
+// Fork folds j's flush into seen and a new layer, and returns this fork's
+// view, top above prev, and the number of words seen gained: the words
+// whose value changed, for the first time since the Reset, since the
+// previous fork. At the window's last fork top is nil and prev is the
+// window's final layer.
 func (l *Layered) Fork(j *Journal) (prev, top *Layer, newWords int) {
-	n := l.cum.Len()
+	// The flush reports its words page by page, so seen is read and
+	// written once per page, through m, the mask of page pn.
+	pn, m := noPN, [PageWords / 64]uint64{}
 	j.Flush(func(a, v, _ uint64) {
-		l.cum.Set(a, v)
+		if a>>pageShift != pn {
+			if pn != noPN {
+				l.seen[pn] = m
+			}
+			pn = a >> pageShift
+			m = l.seen[pn]
+		}
+		if i := a & pageMask; m[i>>6]&(1<<(i&63)) == 0 {
+			m[i>>6] |= 1 << (i & 63)
+			newWords++
+		}
 		l.b.add(a, v)
 	})
+	if pn != noPN {
+		l.seen[pn] = m
+	}
 	l.top = l.b.build(l.top)
 	if l.forks++; l.forks >= l.window {
 		l.prev, l.top, l.forks = l.top, nil, 0
 	}
-	return l.prev, l.top, l.cum.Len() - n
+	return l.prev, l.top, newWords
 }

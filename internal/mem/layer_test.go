@@ -34,24 +34,26 @@ func layerAddrs(rng *rand.Rand, n int) []uint64 {
 }
 
 // Property: the view a Layered hands out at each fork, read through a
-// reader over a frozen base overlay, reads every word as a plain map does
-// that applies the base and then, at their current values, the words
-// changed at the forks since the previous window began; its two chains'
-// Range report exactly those words, each once, in ascending order;
-// NewDiffWords counts the words changed for the first time; and a fork
-// that changes nothing builds no layer. A fork runs random writes to a
-// journaled memory, some of which store a word's current value and so
-// change nothing. Windows run from 1 to 5 forks, and layers span chunk
-// boundaries. One reader reads every view: each seed's views as they are
-// built, then the same views in random order, after later forks have built
-// more layers into the same chunks.
+// slave's table over a frozen base overlay and a snapshot, reads every word
+// as a plain map does that applies the snapshot, the base and then, at
+// their current values, the words changed at the forks since the previous
+// window began; its two chains' Range report exactly those words, each
+// once, in ascending order; NewDiffWords counts the words changed for the
+// first time; and a fork that changes nothing builds no layer. A fork runs
+// random writes to a journaled memory, some of which store a word's current
+// value and so change nothing. Windows run from 1 to 5 forks, and layers
+// span chunk boundaries. The seeds of one window length share one Layered,
+// Reset between them, so NewDiffWords must stay exact across resets. One
+// table reads every view, emptied before each pass: each seed's views as
+// they are built, then the same views in random order, after later forks
+// have built more layers into the same chunks. The snapshot holds each
+// probed word at a value no layer or base gives it, so a read shows where
+// its word came from.
 func TestLayerViewMatchesModel(t *testing.T) {
-	var rd OverlayReader
-	type probe struct {
-		a, v uint64
-		ok   bool
-	}
+	tab := NewTable()
+	type probe struct{ a, v uint64 }
 	var wants []probe
+	lays := map[int]*Layered{}
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		window := 1 + rng.Intn(5)
@@ -68,7 +70,13 @@ func TestLayerViewMatchesModel(t *testing.T) {
 		m := New()
 		var j Journal
 		j.Attach(m)
-		lay := NewLayered(window)
+		lay := lays[window]
+		if lay == nil {
+			lay = NewLayered(window)
+			lays[window] = lay
+		} else {
+			lay.Reset()
+		}
 		type view struct {
 			prev, top *Layer
 			model     map[uint64]uint64 // the view's words alone
@@ -143,12 +151,14 @@ func TestLayerViewMatchesModel(t *testing.T) {
 			order = append(order, i)
 		}
 		order = append(order, rng.Perm(len(views))...)
+		snap := New()
+		for _, a := range probes {
+			snap.Write(a, ^a)
+		}
 		for _, i := range order {
 			v := views[i]
-			rd.Init(frozen, v.prev, v.top)
-			// The probes in address order, so the reader merges the pages
-			// it reads often, then in random order, back and forth between
-			// merged pages and others.
+			// The probes in address order, then in random order, back and
+			// forth between pages the view binds words on and others.
 			slices.Sort(probes)
 			wants = wants[:0]
 			for _, a := range probes {
@@ -156,12 +166,17 @@ func TestLayerViewMatchesModel(t *testing.T) {
 				if !ok {
 					w, ok = baseWords[a]
 				}
-				wants = append(wants, probe{a, w, ok})
+				if !ok {
+					w = ^a
+				}
+				wants = append(wants, probe{a, w})
 			}
 			for pass := 0; pass < 2; pass++ {
+				tab.reset()
+				tab.Over(frozen, v.prev, v.top, snap)
 				for _, p := range wants {
-					if got, ok := rd.Get(p.a); got != p.v || ok != p.ok {
-						t.Fatalf("seed %d, view %d: Get(%#x) = %d,%v; want %d,%v", seed, i, p.a, got, ok, p.v, p.ok)
+					if got := tab.Load(p.a); got != p.v {
+						t.Fatalf("seed %d, view %d: Load(%#x) = %d, want %d", seed, i, p.a, got, p.v)
 					}
 				}
 				rng.Shuffle(len(wants), func(i, j int) { wants[i], wants[j] = wants[j], wants[i] })
@@ -208,21 +223,22 @@ func TestLayerChunksStayFrozen(t *testing.T) {
 			top = nil // a window's end starts the chain again
 		}
 	}
-	var rd OverlayReader
+	tab, snap := NewTable(), New()
 	for _, x := range all {
-		rd.Init(NewOverlay(), nil, x.l)
+		tab.reset()
+		tab.Over(nil, nil, x.l, snap)
 		for _, c := range [][2]uint64{{x.a, x.v}, {x.a + 1, ^x.v}, {x.a + 3*PageWords, x.v + 1}, {x.a + 3*PageWords + 5, x.v + 2}} {
-			if v, ok := rd.Get(c[0]); !ok || v != c[1] {
-				t.Fatalf("layer %d: Get(%#x) = %d,%v; want %d", x.v, c[0], v, ok, c[1])
+			if v := tab.Load(c[0]); v != c[1] {
+				t.Fatalf("layer %d: Load(%#x) = %d, want %d", x.v, c[0], v, c[1])
 			}
 		}
 	}
 }
 
-// Many goroutines reading a view of two chains through their own readers
-// while its builder goes on building layers into the same chunks, as slaves
-// read a checkpoint while the master forks the next ones; under -race this
-// test proves the reads race with nothing.
+// Many goroutines reading a view of two chains over a frozen base through
+// their own tables while its builder goes on building layers into the same
+// chunks, as slaves read a checkpoint while the master forks the next
+// ones; under -race this test proves the reads race with nothing.
 func TestLayerConcurrentReaders(t *testing.T) {
 	base := NewOverlay()
 	for a := uint64(0); a < 4*PageWords; a += 3 {
@@ -240,30 +256,35 @@ func TestLayerConcurrentReaders(t *testing.T) {
 		}
 		top = b.build(top)
 	}
-	// want is what the view reads: the layer k with a%8 == k, else the
-	// base.
-	want := func(a uint64) (uint64, bool) {
+	// want is what a slave reads: the layer k with a%8 == k, else the
+	// base, else its snapshot, which holds a+1 at every word.
+	want := func(a uint64) uint64 {
 		if k := a % 8; k >= 1 && k <= 6 {
-			return a * k, true
+			return a * k
 		}
 		if a%3 == 0 {
-			return a + 7, true
+			return a + 7
 		}
-		return 0, false
+		return a + 1
+	}
+	arch := New()
+	for a := uint64(0); a < 4*PageWords; a++ {
+		arch.Write(a, a+1)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for w := 0; w < 8; w++ {
+		snap := arch.Snapshot()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var r OverlayReader
+			tab := NewTable()
 			for rep := 0; rep < 20; rep++ {
-				r.Init(frozen, prev, top)
+				tab.reset()
+				tab.Over(frozen, prev, top, snap)
 				for a := uint64(0); a < 4*PageWords; a++ {
-					wv, wok := want(a)
-					if v, ok := r.Get(a); v != wv || ok != wok {
-						errs <- "reader disagrees with the view"
+					if tab.Load(a) != want(a) {
+						errs <- "table disagrees with the view"
 						return
 					}
 				}

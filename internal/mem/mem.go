@@ -1,31 +1,33 @@
 // Package mem provides the memory structures the MSSP simulator is built on:
 // a sparse, word-addressed 64-bit memory with O(1) copy-on-write snapshots
-// (Memory), a sparse overlay that additionally distinguishes "written"
-// from "zero" cells (Overlay), and a task's speculative buffer, one flat
-// page table of the words its slave read first and the words it wrote
-// (Table, table.go).
+// (Memory), the immutable layers of the master's checkpoints (Layer,
+// layer.go), and a task's speculative buffer, one flat page table of the
+// words its slave read first and the words it wrote (Table, table.go). A
+// sparse overlay that distinguishes "written" from "zero" cells (Overlay)
+// is the optional frozen base of a hand-built checkpoint.
 //
 // Snapshots are the workhorse of the simulator. Architected state is
 // snapshotted at every task spawn so that slave processors read the state the
 // machine was in when the master forked them — exactly the stale-read hazard
 // the MSSP verify/commit unit exists to catch. The master learns what it
 // changed since the previous fork from a Journal attached to its Memory
-// (journal.go), counts it into a cumulative Overlay and builds it into a
-// Layer (layer.go); a checkpoint's memory is the current window's chain of
-// layers over the previous window's final layer, and a slave reads every
-// other word from its architected snapshot.
+// (journal.go) and builds it into a Layer (Layered); a checkpoint's memory
+// is the current window's chain of layers over the previous window's final
+// layer. A slave's Table reads it: a word's first read takes the word from
+// the view's entries for its page, which the table looks up once, else
+// from the architected snapshot.
 //
-// Both structures keep their pages in a persistent radix trie (trie.go):
+// Memory and Overlay keep their pages in a persistent radix trie (trie.go):
 // Snapshot shares the root, the first write after it copies one
 // root-to-page path, and Diff/Equal skip every subtree the two sides still
 // share.
 //
-// Both structures carry a one-entry last-page cache on their access paths
-// (see docs/PERFORMANCE.md): the common sequential / stack-local access
-// patterns of MIR programs hit the same page repeatedly, and the cache
-// turns those accesses from a trie walk into one compare. Snapshot drops
-// the write caches (the cached pages become shared); read caches stay valid,
-// because a copy-on-write of the cached page refreshes them.
+// Memory carries one-entry last-page caches on Read and Write, and Overlay
+// one on Set (see docs/PERFORMANCE.md): the common sequential / stack-local
+// access patterns of MIR programs hit the same page repeatedly, and the
+// cache turns those accesses from a trie walk into one compare. Snapshot
+// drops the write caches (the cached pages become shared); read caches stay
+// valid, because a copy-on-write of the cached page refreshes them.
 //
 // # Concurrency contract
 //
@@ -34,7 +36,7 @@
 // load-bearing rather than theoretical:
 //
 //   - A single Memory, Overlay or Table value is goroutine-confined. The
-//     page caches make even Read/Get/Load mutating operations, so one value
+//     page caches make even Read and Load mutating operations, so one value
 //     must never be touched by two goroutines, even read-only.
 //   - Distinct members of one snapshot family may be used — including
 //     Snapshot itself — from different goroutines concurrently, provided
@@ -43,15 +45,16 @@
 //     so generations stay unique family-wide; in-place writes only ever hit
 //     nodes and pages whose generation matches the writing value's own
 //     (exclusively owned), and shared ones are only ever read.
-//   - A logically frozen Overlay (one nobody will mutate again, such as a
-//     checkpoint's base) may be read from many goroutines at once through
-//     per-goroutine OverlayReader cursors, which keep their page cache on
-//     the reader instead of the overlay. Layers are never written once
-//     built, so the same cursors read a chain of them above the overlay.
+//   - Layers are never written once built, and a logically frozen Overlay
+//     (one nobody will mutate again, such as a checkpoint's base) is only
+//     read by a table's page lookup, which writes nothing, so any number of
+//     tables on different goroutines may read one view at once.
 //
-// Reset and SnapshotInto recycle allocations across lives (pooled task
-// machinery); their safety rests on the same generation tags. The full
-// lifecycle, pooling and aliasing contract lives in docs/MEMORY.md.
+// View.Reset, Layered.Reset and SnapshotInto recycle allocations across
+// lives (the pooled task machinery and the master): a table empties its
+// index by a generation bump, a Layered clears its map, and SnapshotInto's
+// safety rests on the trie's generation tags. The full lifecycle, pooling
+// and aliasing contract lives in docs/MEMORY.md.
 package mem
 
 // PageWords is the number of 64-bit words per page. Pages are the trie's
@@ -155,7 +158,7 @@ func (m *Memory) writeMiss(addr uint64, v uint64) {
 			return
 		}
 	}
-	p := m.t.mutable(pn, nil)
+	p := m.t.mutable(pn)
 	if m.j != nil {
 		// Still the page's prior contents: a copy-on-write copies them.
 		m.j.record(pn, &p.d)

@@ -10,9 +10,11 @@ import (
 // of the records a slave keeps, the words it read before writing them (its
 // live-ins) and the words it wrote (its live-outs). A load or a store makes
 // one probe of it. Only the first read of a word goes further, to the
-// checkpoint's view and then to the architected snapshot (Load), and that
-// first value stays the word's live-in value whatever the task stores there
-// later.
+// checkpoint's view the table is over and then to the architected snapshot
+// (Over, Load), and that first value stays the word's live-in value
+// whatever the task stores there later. The table looks up the view's
+// entries for a page once, at the first read of a word on it, and keeps
+// them for every later first read on the page.
 //
 // Each page of the table keeps two masks, the words read first and the
 // words written, and two value arrays, the values first read and the
@@ -54,6 +56,21 @@ type Table struct {
 	// addresses it binds.
 	n      [2]int
 	lo, hi [2]uint64
+	// base, prev and top are the checkpoint's view that first reads take
+	// words from, and snap the memory below it (Over). below holds the
+	// view's entries for the pages first reads looked up, which a page
+	// finds by its index (tpage.below).
+	base      *Overlay
+	prev, top *Layer
+	snap      *Memory
+	below     []pageView
+}
+
+// pageView is what a checkpoint's view binds on one page: the entries of
+// its two chains for the page, and its base's page.
+type pageView struct {
+	top, prev *lpage
+	base      *cells
 }
 
 // The two views of a table, as indices into a page's masks and values.
@@ -71,11 +88,17 @@ const (
 // tpage is one page of a Table. It holds no pointers, so the garbage
 // collector never scans it.
 type tpage struct {
-	pn   uint64
-	mask [2][PageWords / 64]uint64 // per view: bit i of word i/64 is bound
-	has  [PageWords]uint8          // per word: hasVal | hasWritten
-	vals [2][PageWords]uint64      // first values read, current values
+	pn uint64
+	// below is the index in the table's below of the view's entries for
+	// the page, noBelow until a first read looks them up.
+	below int32
+	mask  [2][PageWords / 64]uint64 // per view: bit i of word i/64 is bound
+	has   [PageWords]uint8          // per word: hasVal | hasWritten
+	vals  [2][PageWords]uint64      // first values read, current values
 }
+
+// noBelow is the below index of a page whose view entries are not looked up.
+const noBelow = -1
 
 // bound reports whether view k binds word i.
 func (p *tpage) bound(k int, i uint64) bool { return p.mask[k][i>>6]&(1<<(i&63)) != 0 }
@@ -95,24 +118,51 @@ func NewTable() *Table {
 	return t
 }
 
+// Over makes an empty table's first reads take each word from a
+// checkpoint's view: from the chain top, else the chain prev, else the
+// frozen overlay base (each nil for none), and a word none of them binds
+// from snap. None of them may be written while the table reads them.
+func (t *Table) Over(base *Overlay, prev, top *Layer, snap *Memory) {
+	t.base, t.prev, t.top, t.snap = base, prev, top, snap
+}
+
 // Load returns the task's value at addr: the value it last stored there,
 // else the value its first read of addr found. A first read takes the word
-// from below, else from snap, and binds it in the live-in view.
-func (t *Table) Load(addr uint64, below *OverlayReader, snap *Memory) uint64 {
+// from the view the table is over, else from its memory (Over), and binds
+// it in the live-in view.
+func (t *Table) Load(addr uint64) uint64 {
 	if addr>>pageShift != t.pn {
 		t.seek(addr)
 	}
 	p, i := t.pg, addr&pageMask
 	if p.has[i] == 0 {
-		v, ok := below.Get(addr)
-		if !ok {
-			v = snap.Read(addr)
-		}
+		v := t.first(p, addr)
 		t.bind(p, viewIn, addr)
 		p.has[i] = hasVal
 		p.vals[viewIn][i], p.vals[viewOut][i] = v, v
 	}
 	return p.vals[viewOut][i]
+}
+
+// first returns the word at addr, on page p, that a first read finds: the
+// newest the view binds, else the memory's. It looks up the view's entries
+// for p on the page's first call.
+func (t *Table) first(p *tpage, addr uint64) uint64 {
+	if p.below == noBelow {
+		p.below = int32(len(t.below))
+		t.below = append(t.below, pageView{t.top.page(p.pn), t.prev.page(p.pn), t.base.page(p.pn)})
+	}
+	e, i := &t.below[p.below], addr&pageMask
+	if v, ok := e.top.get(i); ok {
+		return v
+	}
+	if v, ok := e.prev.get(i); ok {
+		return v
+	}
+	if v, ok := e.base.get(i); ok {
+		return v
+	}
+	return t.snap.Read(addr)
 }
 
 // Cached is Load's hit, small enough to inline: when addr lies on the page
@@ -197,7 +247,7 @@ func (t *Table) add(pn uint64) *tpage {
 		p = new(tpage)
 		t.pages = append(t.pages, p)
 	}
-	p.pn = pn
+	p.pn, p.below = pn, noBelow
 	if t.used > 0 && pn < t.pages[t.used-1].pn {
 		t.sorted = false
 	}
@@ -245,6 +295,7 @@ func (t *Table) reset() {
 	t.used, t.sorted = 0, true
 	t.n = [2]int{}
 	t.lo, t.hi = [2]uint64{noPN, noPN}, [2]uint64{}
+	t.below = t.below[:0]
 	if len(t.slots) == 0 {
 		t.slots, t.shift = make([]tslot, 1<<slotBits), 64-slotBits
 	}

@@ -14,22 +14,21 @@ import (
 func TestTableManyPages(t *testing.T) {
 	const pages = 5000
 	tab := NewTable()
-	var rd OverlayReader
-	rd.Init(nil, nil, nil)
 	snap := New()
 	perm := rand.New(rand.NewSource(2)).Perm(pages)
 	for round := 0; round < 2; round++ {
 		View{tab, viewIn}.Reset()
+		tab.Over(nil, nil, nil, snap)
 		for rep := 0; rep < 4; rep++ {
 			for _, p := range perm {
 				a := uint64(p)<<pageShift | uint64(p%PageWords)
 				if rep == 0 {
 					tab.Store(a, a)
 				}
-				if got := tab.Load(a, &rd, snap); got != a {
+				if got := tab.Load(a); got != a {
 					t.Fatalf("round %d: m%d = %d, want %d", round, a, got, a)
 				}
-				if got := tab.Load(a^64, &rd, snap); got != 0 {
+				if got := tab.Load(a ^ 64); got != 0 {
 					t.Fatalf("round %d: m%d = %d, want 0", round, a^64, got)
 				}
 			}
@@ -69,21 +68,38 @@ func TestTableManyPages(t *testing.T) {
 
 // TestTableResetSteadyStateAllocs: a table reused across resets allocates
 // nothing once it has held as many pages as a run touches, whatever order
-// the run touches them in.
+// the run touches them in, and whether its first reads find their words
+// in the checkpoint's layers, its base or the snapshot.
 func TestTableResetSteadyStateAllocs(t *testing.T) {
-	tab := NewTable()
-	var rd OverlayReader
-	rd.Init(nil, nil, nil)
+	var b layerBuilder
+	for p := uint64(1); p <= 40; p += 2 {
+		b.add(p<<pageShift|9, p)
+	}
+	prev := b.build(nil)
+	for p := uint64(1); p <= 40; p += 4 {
+		b.add(p<<pageShift|9, ^p)
+	}
+	top := b.build(nil)
+	base := NewOverlay()
+	base.Set(2<<pageShift|9, 7)
 	snap := New()
+	tab := NewTable()
 	run := func() {
 		View{tab, viewOut}.Reset()
+		tab.Over(base, prev, top, snap)
 		for p := uint64(40); p > 0; p-- {
 			tab.Store(p<<pageShift|3, p)
-			tab.Load(p<<pageShift|9, &rd, snap)
+			tab.Load(p<<pageShift | 9)
+			tab.Load(p<<pageShift | 10)
 		}
 		tab.Sort()
 	}
 	run()
+	for p, want := range map[uint64]uint64{1: ^uint64(1), 3: 3, 2: 7, 4: 0} {
+		if v, _ := tab.In().Get(p<<pageShift | 9); v != want {
+			t.Errorf("page %d: first read found %d, want %d", p, v, want)
+		}
+	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Errorf("reset/load/store/sort cycle allocates %v per run, want 0", allocs)
 	}

@@ -105,28 +105,12 @@ func (t *trie[D]) lookup(pn uint64) *leaf[D] {
 	return leafAt[D](n, pn&fanMask)
 }
 
-// freeList holds nodes and leaves a trie owned exclusively when it was
-// emptied (Overlay.Reset), for reuse by later writes. A nil *freeList
-// allocates fresh.
-type freeList[D any] struct {
-	nodes  []*node
-	leaves []*leaf[D]
-}
-
 // newNode returns an owned node holding a copy of src's kids, or no kids
 // when src is nil.
-func (t *trie[D]) newNode(fl *freeList[D], src *node) *node {
-	var n *node
-	if fl != nil && len(fl.nodes) > 0 {
-		n = fl.nodes[len(fl.nodes)-1]
-		fl.nodes = fl.nodes[:len(fl.nodes)-1]
-	} else {
-		n = new(node)
-	}
+func (t *trie[D]) newNode(src *node) *node {
+	n := new(node)
 	if src != nil {
 		*n = *src
-	} else {
-		*n = node{}
 	}
 	n.gen = t.gen
 	return n
@@ -134,18 +118,10 @@ func (t *trie[D]) newNode(fl *freeList[D], src *node) *node {
 
 // newLeaf returns an owned leaf holding a copy of src's payload, or a zero
 // payload when src is nil.
-func (t *trie[D]) newLeaf(fl *freeList[D], src *leaf[D]) *leaf[D] {
-	var p *leaf[D]
-	if fl != nil && len(fl.leaves) > 0 {
-		p = fl.leaves[len(fl.leaves)-1]
-		fl.leaves = fl.leaves[:len(fl.leaves)-1]
-	} else {
-		p = new(leaf[D])
-	}
+func (t *trie[D]) newLeaf(src *leaf[D]) *leaf[D] {
+	p := new(leaf[D])
 	if src != nil {
 		*p = *src
-	} else {
-		*p = leaf[D]{}
 	}
 	p.gen = t.gen
 	return p
@@ -154,10 +130,10 @@ func (t *trie[D]) newLeaf(fl *freeList[D], src *leaf[D]) *leaf[D] {
 // mutable returns the leaf holding pn, owned by t so it may be written in
 // place: it grows the trie to cover pn and copies (or creates) every shared
 // node on the root-to-leaf path and the leaf itself.
-func (t *trie[D]) mutable(pn uint64, fl *freeList[D]) *leaf[D] {
+func (t *trie[D]) mutable(pn uint64) *leaf[D] {
 	for !t.covers(pn) {
 		if t.root != nil {
-			r := t.newNode(fl, nil)
+			r := t.newNode(nil)
 			r.set(0, unsafe.Pointer(t.root))
 			t.root = r
 		}
@@ -165,14 +141,14 @@ func (t *trie[D]) mutable(pn uint64, fl *freeList[D]) *leaf[D] {
 	}
 	n := t.root
 	if n == nil || n.gen != t.gen {
-		n = t.newNode(fl, n)
+		n = t.newNode(n)
 		t.root = n
 	}
 	for h := t.height; h > 1; h-- {
 		i := pn >> ((h - 1) * fanShift) & fanMask
 		c := n.child(i)
 		if c == nil || c.gen != t.gen {
-			c = t.newNode(fl, c)
+			c = t.newNode(c)
 			n.set(i, unsafe.Pointer(c))
 		}
 		n = c
@@ -180,35 +156,10 @@ func (t *trie[D]) mutable(pn uint64, fl *freeList[D]) *leaf[D] {
 	i := pn & fanMask
 	p := leafAt[D](n, i)
 	if p == nil || p.gen != t.gen {
-		p = t.newLeaf(fl, p)
+		p = t.newLeaf(p)
 		n.set(i, unsafe.Pointer(p))
 	}
 	return p
-}
-
-// reclaim empties t, moving every node and leaf it owns into fl. Shared
-// subtrees are dropped, not descended: a node t does not own was frozen
-// when t's generation last changed, so nothing under it is owned either.
-func (t *trie[D]) reclaim(fl *freeList[D]) {
-	if t.root != nil {
-		t.reclaimNode(t.root, t.height, fl)
-	}
-	t.root, t.height = nil, 1
-}
-
-func (t *trie[D]) reclaimNode(n *node, h uint, fl *freeList[D]) {
-	if n.gen != t.gen {
-		return
-	}
-	for m := n.used; m != 0; m &= m - 1 {
-		i := uint64(bits.TrailingZeros64(m))
-		if h > 1 {
-			t.reclaimNode(n.child(i), h-1, fl)
-		} else if p := leafAt[D](n, i); p.gen == t.gen {
-			fl.leaves = append(fl.leaves, p)
-		}
-	}
-	fl.nodes = append(fl.nodes, n)
 }
 
 // leaves calls f with every materialized leaf of t in ascending page-number

@@ -136,35 +136,3 @@ func TestSnapshotAllocsIndependentOfSize(t *testing.T) {
 		t.Errorf("Snapshot allocs/op: Memory %v (16 pages) vs %v (4096), Overlay %v vs %v", m16, m4k, o16, o4k)
 	}
 }
-
-// A recycled overlay's Range visits only the words bound since its last
-// Reset, and Reset recycles the pages it owned.
-func TestOverlayRangeAfterReset(t *testing.T) {
-	o := NewOverlay()
-	for a := uint64(0); a < 64*PageWords; a += 5 {
-		o.Set(a, a)
-	}
-	o.Set(1<<50, 1)
-	keep := o.Snapshot() // shares everything bound so far
-	o.Set(7, 7)          // one owned path after the snapshot
-	o.Reset()
-	if countPages(&o.t) != 0 {
-		t.Fatalf("Reset left %d pages in the trie", countPages(&o.t))
-	}
-	if len(o.free.leaves) != 1 {
-		t.Errorf("Reset recycled %d pages, want 1 (the only owned one)", len(o.free.leaves))
-	}
-	want := map[uint64]uint64{3: 30, 9000: 90}
-	for a, v := range want {
-		o.Set(a, v)
-	}
-	if !overlayMatches(o, want) {
-		t.Error("recycled overlay's Range visits words bound before its Reset")
-	}
-	if v, ok := keep.Get(7); ok || v != 0 {
-		t.Error("snapshot sees a word bound after it was taken")
-	}
-	if v, ok := keep.Get(5); !ok || v != 5 {
-		t.Error("Reset damaged a snapshot")
-	}
-}

@@ -337,13 +337,16 @@ func TestUnchangedStoresAddNoCheckpointWords(t *testing.T) {
 			forks, bound := 0, 0
 			cfg.Fault = &core.FaultInjection{
 				// Observes each checkpoint as its task is admitted, on the
-				// goroutine that runs the engine, and changes nothing.
+				// goroutine that runs the engine, and changes nothing. It
+				// reads buf through a slave's table over the view and an
+				// empty snapshot: buf's words are never zero, so a word
+				// the view binds reads nonzero.
 				CorruptCheckpoint: func(_ uint64, ck *task.Checkpoint) {
 					forks++
-					var rd mem.OverlayReader
-					ck.View(&rd)
+					tab := mem.NewTable()
+					tab.Over(ck.MemDiff, ck.Prev, ck.Layers, mem.New())
 					for a := buf; a < buf+8; a++ {
-						if _, ok := rd.Get(a); ok {
+						if tab.Load(a) != 0 {
 							bound++
 						}
 					}

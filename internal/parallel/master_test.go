@@ -130,33 +130,44 @@ func checkMasterLife(t *testing.T, e *Engine, forks int) (n int) {
 	return
 }
 
-// sameWords reports how got's and want's whole memory views, read through
-// the lookup the slaves use, differ as address-to-value sets, or nil when
-// they bind the same words to the same values.
-func sameWords(got, want task.Checkpoint) (err error) {
-	var g, w mem.OverlayReader
-	got.View(&g)
-	want.View(&w)
-	// Every word either view binds, from its base or either window's
-	// layer, must read the same through both.
-	same := func(a, _ uint64) bool {
-		gv, gok := g.Get(a)
-		wv, wok := w.Get(a)
-		if gv != wv || gok != wok {
-			err = fmt.Errorf("has [%#x]=%d (bound: %v) where the synchronous master's has %d (bound: %v)", a, gv, gok, wv, wok)
-		}
-		return err == nil
+// sameWords reports how got's and want's whole memory views differ as
+// address-to-value sets, or nil when they bind the same words to the same
+// values. It reads each view as a slave does, through tables over it and
+// two snapshots, all zeros and all ones at every word either view binds:
+// a word the view binds reads the same over both.
+func sameWords(got, want task.Checkpoint) error {
+	var addrs []uint64
+	add := func(a, _ uint64) bool {
+		addrs = append(addrs, a)
+		return true
 	}
 	for _, ck := range []task.Checkpoint{got, want} {
-		if err == nil && ck.MemDiff != nil {
-			ck.MemDiff.Range(same)
+		if ck.MemDiff != nil {
+			ck.MemDiff.Range(add)
 		}
-		if err == nil {
-			ck.Prev.Range(same)
-		}
-		if err == nil {
-			ck.Layers.Range(same)
+		ck.Prev.Range(add)
+		ck.Layers.Range(add)
+	}
+	zeros, ones := mem.New(), mem.New()
+	for _, a := range addrs {
+		ones.Write(a, ^uint64(0))
+	}
+	reader := func(ck task.Checkpoint) func(a uint64) (uint64, bool) {
+		z, o := mem.NewTable(), mem.NewTable()
+		z.Over(ck.MemDiff, ck.Prev, ck.Layers, zeros)
+		o.Over(ck.MemDiff, ck.Prev, ck.Layers, ones)
+		return func(a uint64) (uint64, bool) {
+			v := z.Load(a)
+			return v, v == o.Load(a)
 		}
 	}
-	return err
+	g, w := reader(got), reader(want)
+	for _, a := range addrs {
+		gv, gok := g(a)
+		wv, wok := w(a)
+		if gv != wv || gok != wok {
+			return fmt.Errorf("has [%#x]=%d (bound: %v) where the synchronous master's has %d (bound: %v)", a, gv, gok, wv, wok)
+		}
+	}
+	return nil
 }

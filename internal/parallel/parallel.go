@@ -345,8 +345,8 @@ func (e *Engine) commitDue() {
 }
 
 // verifyHead verifies the oldest reservation (which must hold its result)
-// with core.Classify, committing or squashing through the Retirer. Reports
-// whether a squash occurred.
+// with core.Retirer.Verify, committing or squashing through the Retirer.
+// Reports whether a squash occurred.
 func (e *Engine) verifyHead() (squashed bool) {
 	h := e.ring.Head()
 
@@ -370,7 +370,7 @@ func (e *Engine) verifyHead() (squashed bool) {
 		e.err = fmt.Errorf("parallel: canceled task %d at verification head", h.T.ID)
 		return false
 	}
-	if v := core.Classify(e.Arch, &h.T, h.Ex, e.Cfg.Fault); v.Reason != "" {
+	if v := e.Verify(&h.InFlight); v.Reason != "" {
 		e.squashAndRecover(e.Squash(&h.InFlight, v, e.ring.Len()-1))
 		return true
 	}

@@ -33,11 +33,11 @@ func (m *tableModel) store(addr, v uint64) { m.out[addr], m.cur[addr] = v, v }
 
 // slaveLoad and slaveStore access the table the way the slave does: the
 // inline hit, else the full probe.
-func slaveLoad(tab *mem.Table, addr uint64, rd *mem.OverlayReader, snap *mem.Memory) uint64 {
+func slaveLoad(tab *mem.Table, addr uint64) uint64 {
 	if v, ok := tab.Cached(addr); ok {
 		return v
 	}
-	return tab.Load(addr, rd, snap)
+	return tab.Load(addr)
 }
 
 func slaveStore(tab *mem.Table, addr, v uint64) {
@@ -88,7 +88,8 @@ func checkDelta(t *testing.T, name string, d *Delta, want map[uint64]uint64, tou
 }
 
 // TestTableVsModel runs random loads and stores over a few pages through
-// one pooled table, the way a slave does, and checks the live-in and
+// one pooled table, the way a slave does, over a checkpoint's view of two
+// chains of layers over a base and a snapshot, and checks the live-in and
 // live-out deltas over its two views against a map model: the bindings,
 // Len, MemVal, MemBounds, the ascending iteration, and what Apply and
 // FirstInconsistency do with them. The pages lie far apart, so the page
@@ -117,15 +118,23 @@ func TestTableVsModel(t *testing.T) {
 			snap.Write(a, v)
 			snapModel[a] = v
 		}
-		var rd mem.OverlayReader
-		rd.Init(base, nil, nil)
+		// Two chains of one-word layers over the base, top over prev.
+		var prev, top *mem.Layer
+		for _, l := range []**mem.Layer{&prev, &top} {
+			for i := 0; i < 10; i++ {
+				a, v := addr(), rng.Uint64()%8
+				*l = (*l).With(a, v)
+				below[a] = v
+			}
+		}
+		tab.Over(base, prev, top, snap)
 		m := tableModel{in: map[uint64]uint64{}, out: map[uint64]uint64{}, cur: map[uint64]uint64{}}
 		var touched []uint64
 		for i, n := 0, rng.Intn(300); i < n; i++ {
 			a := addr()
 			touched = append(touched, a)
 			if rng.Intn(2) == 0 {
-				if got, want := slaveLoad(tab, a, &rd, snap), m.load(a, below, snapModel); got != want {
+				if got, want := slaveLoad(tab, a), m.load(a, below, snapModel); got != want {
 					t.Fatalf("round %d: load m%d = %d, want %d", round, a, got, want)
 				}
 			} else {
@@ -184,14 +193,12 @@ func TestTableVsModel(t *testing.T) {
 // first, whether or not anything sorted the table before the check.
 func TestTableFirstInconsistencyLowest(t *testing.T) {
 	for _, sorted := range []bool{false, true} {
-		tab := mem.NewTable()
-		var rd mem.OverlayReader
-		rd.Init(nil, nil, nil)
-		snap := mem.New()
+		tab, snap := mem.NewTable(), mem.New()
+		tab.Over(nil, nil, nil, snap)
 		for pn := uint64(40); pn > 0; pn-- {
 			for _, w := range []uint64{90, 3} {
 				snap.Write(pn<<7|w, pn+w)
-				tab.Load(pn<<7|w, &rd, snap)
+				tab.Load(pn<<7 | w)
 			}
 		}
 		if sorted {

@@ -141,8 +141,9 @@ func TestPoolCloneState(t *testing.T) {
 }
 
 // One pool shared by many goroutines, each running tasks that share one
-// frozen checkpoint diff — the parallel engine's exact usage. Run under
-// -race this proves the pool locking and the OverlayReader sharing sound.
+// checkpoint's view, two chains of layers over a frozen base, which each
+// slave's table reads — the parallel engine's exact usage. Run under -race
+// this proves the pool locking and the sharing of the view sound.
 func TestPoolConcurrentSharedCheckpoint(t *testing.T) {
 	var p Pool
 	prog := asm.MustAssemble(memSrc)
@@ -152,16 +153,24 @@ func TestPoolConcurrentSharedCheckpoint(t *testing.T) {
 	master := mem.NewOverlay()
 	master.Set(100, 40) // seen by every task's first load
 	frozen := master.Snapshot()
+	prev := (*mem.Layer)(nil).With(101, 41).With(102, 1)
+	top := (*mem.Layer)(nil).With(102, 42)
+	ck := Checkpoint{Regs: arch.Regs, MemDiff: frozen, Prev: prev, Layers: top}
 
-	want := (&Task{Start: 0, Checkpoint: Checkpoint{Regs: arch.Regs, MemDiff: frozen}, Snap: arch.Clone(), Code: code}).Execute(1000)
+	want := (&Task{Start: 0, Checkpoint: ck, Snap: arch.Clone(), Code: code}).Execute(1000)
+	for a, v := range map[uint64]uint64{100: 40, 101: 41, 102: 42, 103: 0} {
+		if got, _ := want.LiveIn.MemVal(a); got != v {
+			t.Fatalf("live-in m%d = %d, want %d", a, got, v)
+		}
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		// Each worker gets its own snapshot-family member to clone from, and
 		// its own copy of the expected deltas to compare against: a single
-		// Memory or Overlay value must stay goroutine-confined, because even
-		// Get moves its page cache.
+		// Memory or Table value must stay goroutine-confined, because even
+		// Read and Load move their page caches.
 		base := arch.Clone()
 		wantIn, wantOut := want.LiveIn.Clone(), want.LiveOut.Clone()
 		wg.Add(1)
@@ -170,7 +179,7 @@ func TestPoolConcurrentSharedCheckpoint(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				tk := &Task{
 					Start:      0,
-					Checkpoint: Checkpoint{Regs: base.Regs, MemDiff: frozen},
+					Checkpoint: ck,
 					Snap:       base.Clone(),
 					Code:       code,
 				}

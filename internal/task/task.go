@@ -2,17 +2,18 @@
 // execution performed speculatively by slave processors.
 //
 // A task is spawned with a checkpoint (the master's predicted register file
-// and memory diff) and a snapshot of architected state as of the spawn. The
-// slave executes the original program from the task's start PC, reading
-// unknown values through the checkpoint overlay and falling back to the
-// architected snapshot, while recording everything it read before writing
-// (the live-in set) and everything it wrote (the live-out set). This is the
-// ⟨S_in, n, S_out, k⟩ task tuple of the formal MSSP model, with the live-in
-// set accumulated lazily as the actual read-before-write footprint. Both
-// sets live in one mem.Table, the slave's speculative buffer: loads and
-// stores probe it once, and only a word's first read goes on to the
-// checkpoint and the snapshot. The live-in and live-out deltas are the
-// table's two views.
+// and the memory words it changed) and a snapshot of architected state as of
+// the spawn. The slave executes the original program from the task's start
+// PC, reading each word from the checkpoint's memory view and falling back
+// to the architected snapshot, while recording everything it read before
+// writing (the live-in set) and everything it wrote (the live-out set). This
+// is the ⟨S_in, n, S_out, k⟩ task tuple of the formal MSSP model, with the
+// live-in set accumulated lazily as the actual read-before-write footprint.
+// Both sets live in one mem.Table, the slave's speculative buffer, which is
+// over the checkpoint's view and the snapshot (mem.Table.Over): loads and
+// stores probe it once, and only a word's first read goes on to the view's
+// entries for its page, looked up once per page, and then the snapshot. The
+// live-in and live-out deltas are the table's two views.
 //
 // Task execution never touches architected state; the verify/commit unit
 // (internal/core) decides later whether the recorded live-ins are consistent
@@ -46,8 +47,9 @@ import (
 // The page entries of one window's chain are read by up to 2×TaskBuffer
 // checkpoints: those of its own window, through Layers, and those of the
 // next window, through Prev. They are never written again: SetMem adds a
-// private layer instead. The master sets no base; Checkpoint{Regs: r,
-// MemDiff: o} is the view of o alone.
+// private layer instead. A slave's table looks up a page's entries in
+// Layers, Prev and MemDiff once, at its first read on the page. The master
+// sets no base; Checkpoint{Regs: r, MemDiff: o} is the view of o alone.
 type Checkpoint struct {
 	// Regs is the full predicted register file.
 	Regs [isa.NumRegs]uint64
@@ -65,11 +67,6 @@ type Checkpoint struct {
 	// (checkpoint traffic, for the bandwidth experiments).
 	NewDiffWords int
 }
-
-// View points r at the checkpoint's memory view, so that r.Get reads a word
-// as the slave does: from the newest layer that binds it, else from the
-// base.
-func (c *Checkpoint) View(r *mem.OverlayReader) { r.Init(c.MemDiff, c.Prev, c.Layers) }
 
 // SetMem binds addr to v in this checkpoint's view alone: it adds a private
 // one-word layer on top, so the base and the layers other checkpoints share
@@ -209,29 +206,25 @@ type slaveEnv struct {
 	hook cpu.Capture
 
 	// tab holds the task's memory live-ins and live-outs. Loads and stores
-	// go to it; a word's first read goes on to ckRd and then the snapshot.
+	// go to it; a word's first read goes on to the checkpoint's view and
+	// then the snapshot, which the table is over.
 	tab *mem.Table
-
-	// ckRd reads the checkpoint's memory view through a reader-owned
-	// cursor, so the env never mutates the frozen base's own page caches.
-	ckRd mem.OverlayReader
 }
 
 // reset arms e for task t over the empty table tab and the live-in delta
-// over its In view. A pooled env keeps only its checkpoint reader's
-// buffers.
+// over its In view, and puts tab over t's checkpoint and snapshot.
 func (e *slaveEnv) reset(t *Task, tab *mem.Table, liveIn *state.Delta) {
 	*e = slaveEnv{
-		t:    t,
-		st:   state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
-		tab:  tab,
-		ckRd: e.ckRd,
+		t:   t,
+		st:  state.State{Regs: t.Checkpoint.Regs, PC: t.Start, Mem: t.Snap.Mem},
+		tab: tab,
 	}
 	e.hook = cpu.Capture{Mem: e, LiveIn: liveIn, End: t.End, Unfused: len(t.NonSpec) != 0}
 	if t.HasEnd {
 		e.hook.Ends = max(t.EndCount, 1)
 	}
-	t.Checkpoint.View(&e.ckRd)
+	ck := &t.Checkpoint
+	tab.Over(ck.MemDiff, ck.Prev, ck.Layers, t.Snap.Mem)
 }
 
 func (e *slaveEnv) ReadReg(r int) uint64 {
@@ -261,7 +254,7 @@ func (e *slaveEnv) ReadMem(addr uint64) uint64 {
 	if v, ok := e.tab.Cached(addr); ok {
 		return v
 	}
-	return e.tab.Load(addr, &e.ckRd, e.st.Mem)
+	return e.tab.Load(addr)
 }
 
 func (e *slaveEnv) WriteMem(addr, v uint64) {
@@ -273,9 +266,12 @@ func (e *slaveEnv) WriteMem(addr, v uint64) {
 	}
 }
 
-// Fetch reads instruction words from the architected snapshot only: MIR
-// programs are not self-modifying and, like the real MSSP hardware, the
-// verify unit does not track code reads.
+// Fetch reads instruction words from the architected snapshot only: like
+// the real MSSP hardware, the verify unit does not track code reads as
+// live-ins. A program may write its code, so the verify unit squashes a
+// task whose live-out changes a code word, which the task may have fetched
+// at its snapshot value after its store, and sequential mode performs the
+// write with no task in flight (core.Retirer.Verify).
 func (e *slaveEnv) Fetch(addr uint64) uint64 { return e.st.Mem.Read(addr) }
 
 func (e *slaveEnv) PC() uint64      { return e.st.PC }
@@ -320,8 +316,9 @@ var stopOutcome = [...]Outcome{
 
 // run executes the task on cpu's run loop. A per-execution runner over the
 // shared predecode table tracks this task's own stores into the code
-// segment; cross-task code modifications are the machine's responsibility
-// (it stops handing out Code once the architected code segment is written).
+// segment; code modifications are the machine's responsibility (it stops
+// handing out Code once the architected code segment is written, and
+// squashes a task whose live-out changes it).
 // With a Cancel hook the budget runs in cancelEvery-step chunks, polled in
 // between.
 func (t *Task) run(env *slaveEnv, ex *Exec, cap uint64) {

@@ -223,11 +223,12 @@ func TestCheckpointDiffOverridesSnapshot(t *testing.T) {
 			}
 		}
 	}
-	// SetMem's layer is the task's own: the shared view still reads the base.
-	var rd mem.OverlayReader
-	(&Checkpoint{MemDiff: base, Prev: prev, Layers: newest}).View(&rd)
-	if v, ok := rd.Get(505); !ok || v != 7 {
-		t.Errorf("shared view reads m505 = %d (bound: %v) after SetMem, want the base's 7", v, ok)
+	// SetMem's layer is the task's own: a slave's table over the shared
+	// view still reads the base.
+	tab := mem.NewTable()
+	tab.Over(base, prev, newest, arch.Mem)
+	if v := tab.Load(505); v != 7 {
+		t.Errorf("shared view reads m505 = %d after SetMem, want the base's 7", v)
 	}
 }
 
